@@ -267,3 +267,49 @@ func BenchmarkParallelExec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSequentialSteadyState pins the allocation-free steady state
+// of sequential execution on sim-stream's two configurations: each op is
+// a reset to the settled state (the reference evaluator settles every
+// gate) plus one vector through the sequential execution form. Run with
+// -benchmem and expect 0 allocs/op.
+func BenchmarkSequentialSteadyState(b *testing.B) {
+	c, err := ISCAS85("c880")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		label string
+		tech  Technique
+		opts  []Option
+	}{
+		{"parallel-pt-trim", TechParallel, []Option{WithShiftElimination(PathTracing), WithTrimming()}},
+		{"pcset", TechPCSet, nil},
+	} {
+		b.Run("c880/"+tc.label, func(b *testing.B) {
+			e, err := Open(c, tc.tech, tc.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vec := make([]bool, len(c.Inputs))
+			// Warm-up: the first reset builds the reference evaluator.
+			if err := e.ResetConsistent(nil); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Apply(vec); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vec[i%len(vec)] = !vec[i%len(vec)]
+				if err := e.ResetConsistent(nil); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Apply(vec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"udsim/internal/levelize"
 	"udsim/internal/parsim"
 	"udsim/internal/pcset"
+	"udsim/internal/program"
 	"udsim/internal/scoap"
 	"udsim/internal/stats"
 	"udsim/internal/texttable"
@@ -157,7 +158,11 @@ func main() {
 		printResub(c)
 	}
 
-	tc := texttable.New("generated code (C statements)", "technique", "instructions", "statements")
+	// The two run columns count the sim program's maximal same-opcode
+	// runs as emitted and in the sequential execution form: the dispatches
+	// a run-at-a-time loop takes per vector (deterministic counts).
+	tc := texttable.New("generated code (C statements)", "technique", "instructions", "statements",
+		"sim runs (emitted)", "sim runs (scheduled)")
 	// The verification table reports rule IDs dynamically: any rule that
 	// fires — including the netlist-level rules above V012 — lands in the
 	// "rules fired" column instead of being silently dropped.
@@ -195,7 +200,7 @@ func main() {
 	}
 	pi, pm := ps.Programs()
 	n1, _ := codegen.Emit(io.Discard, codegen.C, "x", []codegen.Unit{{Name: "i", Prog: pi}, {Name: "s", Prog: pm}})
-	tc.Add("pcset", ps.CodeSize(), n1)
+	tc.Add("pcset", ps.CodeSize(), n1, program.OpRuns(pm.Code), ps.Sequential().Runs())
 	if *doVerify {
 		check("pcset", ps.Spec())
 	}
@@ -214,7 +219,7 @@ func main() {
 		}
 		qi, qm := par.Programs()
 		n2, _ := codegen.Emit(io.Discard, codegen.C, "x", []codegen.Unit{{Name: "i", Prog: qi}, {Name: "s", Prog: qm}})
-		tc.Add(cfg.label, par.CodeSize(), n2)
+		tc.Add(cfg.label, par.CodeSize(), n2, program.OpRuns(qm.Code), par.Sequential().Runs())
 		if *doVerify {
 			check(cfg.label, par.Spec())
 		}

@@ -237,6 +237,9 @@ func (g *GuardedSim) BlockFinal(k int, n NetID) bool { return g.base.BlockFinal(
 // CodeSize returns the number of compiled straight-line instructions.
 func (g *GuardedSim) CodeSize() int { return g.base.CodeSize() }
 
+// CodeBytes returns the memory held by the compiled code.
+func (g *GuardedSim) CodeBytes() int64 { return g.base.CodeBytes() }
+
 // ExecStrategy returns the wrapped engine's current strategy —
 // ExecSequential after a quarantine degraded it.
 func (g *GuardedSim) ExecStrategy() ExecStrategy { return g.base.ExecStrategy() }

@@ -122,6 +122,7 @@ func AnalyzeWithDelays(c *circuit.Circuit, gateDelay []int) (*Analysis, error) {
 	}
 
 	processedNets, processedGates := 0, 0
+	var u, merged []int // a gate's input PC-set union, built in reused buffers
 	for len(queue) > 0 {
 		item := queue[0]
 		queue = queue[1:]
@@ -150,12 +151,13 @@ func AnalyzeWithDelays(c *circuit.Circuit, gateDelay []int) (*Analysis, error) {
 			gi := ^item
 			g := &c.Gates[gi]
 			d := gateDelay[gi]
-			u := []int{}
+			u = u[:0]
 			for _, in := range g.Inputs {
-				u = unionSorted(u, a.NetPC[in])
+				merged = mergeSorted(merged[:0], u, a.NetPC[in])
+				u, merged = merged, u
 			}
 			if len(u) == 0 {
-				u = []int{-d} // constant gate: output PC {0}
+				u = append(u, -d) // constant gate: output PC {0}
 			}
 			up := make([]int, len(u))
 			for i, v := range u {
@@ -277,7 +279,14 @@ func (a *Analysis) NumLevels() int { return a.Depth + 1 }
 // element exists for compiled operand selection; OperandAt panics
 // otherwise.
 func (a *Analysis) OperandAt(in circuit.NetID, t int) int {
-	return a.OperandTime(in, t+1)
+	return a.NetPC[in][a.OperandIndex(in, t)]
+}
+
+// OperandIndex returns the position of OperandAt's element in
+// NetPC[in], so a compiler holding one variable per PC element can
+// address it without a second search.
+func (a *Analysis) OperandIndex(in circuit.NetID, t int) int {
+	return a.below(in, t+1)
 }
 
 // OperandTime returns, for a gate simulation generated at PC element t,
@@ -286,6 +295,12 @@ func (a *Analysis) OperandAt(in circuit.NetID, t int) int {
 // an element exists; OperandTime panics if it does not, since that
 // indicates InsertZeros was skipped.
 func (a *Analysis) OperandTime(in circuit.NetID, t int) int {
+	return a.NetPC[in][a.below(in, t)]
+}
+
+// below returns the index of the largest element of NetPC[in] strictly
+// smaller than t, panicking when there is none.
+func (a *Analysis) below(in circuit.NetID, t int) int {
 	pc := a.NetPC[in]
 	// Binary search for the largest element < t.
 	lo, hi := 0, len(pc)
@@ -300,7 +315,7 @@ func (a *Analysis) OperandTime(in circuit.NetID, t int) int {
 	if lo == 0 {
 		panic(fmt.Sprintf("levelize: no PC element of net %d below time %d (zero-insertion missing?)", in, t))
 	}
-	return pc[lo-1]
+	return lo - 1
 }
 
 // unionSorted merges two ascending int slices without duplicates.
@@ -311,7 +326,11 @@ func unionSorted(a, b []int) []int {
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]int, 0, len(a)+len(b))
+	return mergeSorted(make([]int, 0, len(a)+len(b)), a, b)
+}
+
+// mergeSorted appends the sorted union of sorted a and b to out.
+func mergeSorted(out, a, b []int) []int {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -177,15 +177,39 @@ func (t GateType) EvalWord(inputs []uint64) uint64 {
 	panic("logic: EvalWord on invalid gate type")
 }
 
-// EvalBool evaluates the gate function on single two-valued inputs.
+// EvalBool evaluates the gate function on single two-valued inputs. It
+// is the scalar counterpart of EvalWord, written out separately so the
+// reference evaluators that call it per gate allocate nothing.
 func (t GateType) EvalBool(inputs []bool) bool {
-	words := make([]uint64, len(inputs))
-	for i, b := range inputs {
-		if b {
-			words[i] = 1
+	switch t {
+	case Const0:
+		return false
+	case Const1:
+		return true
+	case Buf:
+		return inputs[0]
+	case Not:
+		return !inputs[0]
+	case And, Nand:
+		v := inputs[0]
+		for _, in := range inputs[1:] {
+			v = v && in
 		}
+		return v != (t == Nand)
+	case Or, Nor:
+		v := inputs[0]
+		for _, in := range inputs[1:] {
+			v = v || in
+		}
+		return v != (t == Nor)
+	case Xor, Xnor:
+		v := inputs[0]
+		for _, in := range inputs[1:] {
+			v = v != in
+		}
+		return v != (t == Xnor)
 	}
-	return t.EvalWord(words)&1 == 1
+	panic("logic: EvalBool on invalid gate type")
 }
 
 // V3 is a three-valued logic value: zero, one, or unknown.

@@ -282,3 +282,19 @@ func refine(v V3) []V3 {
 	}
 	return []V3{v}
 }
+
+// TestEvalBoolAllocationFree pins the reference evaluators' per-gate
+// call: ResetConsistent settles every gate through it.
+func TestEvalBoolAllocationFree(t *testing.T) {
+	in := []bool{true, false, true}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, gt := range []GateType{And, Nand, Or, Nor, Xor, Xnor} {
+			gt.EvalBool(in)
+		}
+		Buf.EvalBool(in[:1])
+		Not.EvalBool(in[:1])
+	})
+	if allocs != 0 {
+		t.Errorf("EvalBool allocates %v times per call set, want 0", allocs)
+	}
+}

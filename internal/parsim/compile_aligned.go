@@ -1,8 +1,6 @@
 package parsim
 
 import (
-	"fmt"
-
 	"udsim/internal/circuit"
 	"udsim/internal/program"
 )
@@ -39,10 +37,10 @@ func (s *Sim) compileAligned() error {
 	fieldEnd := next
 	s.scratchStart = fieldEnd
 
-	names := make([]string, 0, int(fieldEnd)+16)
+	var nb program.NameBuilder
 	for i := range c.Nets {
-		for w := int32(0); w < s.words[i]; w++ {
-			names = append(names, fmt.Sprintf("%s.%d", c.Nets[i].Name, w))
+		for w := 0; w < int(s.words[i]); w++ {
+			nb.Add(c.Nets[i].Name, ".", w)
 		}
 	}
 
@@ -219,9 +217,10 @@ func (s *Sim) compileAligned() error {
 	}
 
 	numVars := int(maxScratch)
-	for len(names) < numVars {
-		names = append(names, fmt.Sprintf("s%d", len(names)))
+	for nb.Len() < numVars {
+		nb.Add("s", "", nb.Len())
 	}
+	names := nb.Names()
 	s.initProg = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
 	s.simProg = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
 	return nil

@@ -44,15 +44,16 @@ func (s *Sim) compileFlat() error {
 	numVars := int(tempBase) + nw
 	s.scratchStart = tempBase
 
-	names := make([]string, numVars)
+	var nb program.NameBuilder
 	for i := range c.Nets {
 		for w := 0; w < nw; w++ {
-			names[int(s.base[i])+w] = fmt.Sprintf("%s.%d", c.Nets[i].Name, w)
+			nb.Add(c.Nets[i].Name, ".", w)
 		}
 	}
 	for w := 0; w < nw; w++ {
-		names[int(tempBase)+w] = fmt.Sprintf("temp.%d", w)
+		nb.Add("temp", ".", w)
 	}
+	names := nb.Names()
 
 	// Word classification.
 	low := func(net circuit.NetID, w int) bool {

@@ -104,12 +104,13 @@ func (s *Sim) ExecPlan() *shard.Plan {
 	return s.exec.Plan()
 }
 
-// runSim executes the simulation program under the configured strategy.
-// With an observer attached it brackets the run with monotonic-clock
-// reads; the sequential path additionally books the whole program as
-// level 0 of a 1×1 grid so the snapshot's cell/instruction totals stay
-// consistent across strategies (the sharded engine books its own
-// per-level cells).
+// runSim executes the simulation program under the configured strategy:
+// the sharded engine's emission-order cells, or else the program's
+// sequential execution form. With an observer attached it brackets the
+// run with monotonic-clock reads; the sequential path additionally books
+// the whole program as level 0 of a 1×1 grid so the snapshot's
+// cell/instruction totals stay consistent across strategies (the sharded
+// engine books its own per-level cells).
 func (s *Sim) runSim() {
 	o := s.obs
 	if o == nil {
@@ -117,7 +118,7 @@ func (s *Sim) runSim() {
 			s.exec.Run(s.st)
 			return
 		}
-		s.simProg.Run(s.st)
+		s.seq.Run(s.st)
 		return
 	}
 	t0 := time.Now()
@@ -126,7 +127,7 @@ func (s *Sim) runSim() {
 		o.AddRun(time.Since(t0))
 		return
 	}
-	s.simProg.Run(s.st)
+	s.seq.Run(s.st)
 	d := time.Since(t0)
 	o.AddRun(d)
 	o.AddLevel(0, 0, d, len(s.simProg.Code))

@@ -123,11 +123,11 @@ func (s *Sim) runSimCtx(ctx context.Context) error {
 		inj.AtLevel(0, 0, s.st)
 	}
 	if o == nil {
-		s.simProg.Run(s.st)
+		s.seq.Run(s.st)
 		return nil
 	}
 	t0 := time.Now()
-	s.simProg.Run(s.st)
+	s.seq.Run(s.st)
 	d := time.Since(t0)
 	o.AddRun(d)
 	o.AddLevel(0, 0, d, len(s.simProg.Code))
@@ -197,7 +197,6 @@ func (s *Sim) Quarantine() (leaked bool) {
 // the flip to stay output-visible (a corrupted scratch or intermediate
 // bit may be overwritten before anything reads it).
 func (s *Sim) FinalSlot(n circuit.NetID) (slot int, mask uint64) {
-	idx := s.width[n] - 1
-	w, b := idx/s.cfg.WordBits, idx%s.cfg.WordBits
-	return int(s.base[n] + int32(w)), uint64(1) << uint(b)
+	f := s.final[n]
+	return int(f.slot), uint64(1) << f.shift
 }

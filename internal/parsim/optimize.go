@@ -29,17 +29,23 @@ func (s *Sim) EliminateDeadStores() (int, error) {
 	if res.NDead() == 0 {
 		return 0, nil
 	}
-	oldInit, oldSim := s.initProg, s.simProg
+	oldInit, oldSim, oldSeq := s.initProg, s.simProg, s.seq
 	s.initProg, _ = program.Strip(s.initProg, res.DeadInit)
 	s.simProg, _ = program.Strip(s.simProg, res.DeadSim)
 
-	restore := func() { s.initProg, s.simProg = oldInit, oldSim }
+	restore := func() { s.initProg, s.simProg, s.seq = oldInit, oldSim, oldSeq }
 	check := s.Spec()
 	check.Shards = nil
 	if rep := verify.Check(check, verify.Options{}); !rep.Clean() {
 		restore()
 		return 0, fmt.Errorf("parsim: dead-store elimination rejected by verifier: %w", rep.Err())
 	}
+	seq, err := program.Schedule(s.simProg, s.scratchStart)
+	if err != nil {
+		restore()
+		return 0, fmt.Errorf("parsim: dead-store elimination: %w", err)
+	}
+	s.seq = seq // renames no more scratch than before, so the state array still fits
 
 	// Vector-batch clones share the old programs; drop them so ApplyStream
 	// rebuilds from the stripped ones.

@@ -62,13 +62,15 @@ type Sim struct {
 
 	initProg *program.Program
 	simProg  *program.Program
+	seq      *program.Sequential // simProg's sequential execution form
 
 	st []uint64
 
-	base    []int32 // per net: state index of field word 0
-	words   []int32 // per net: words in the field
-	alignOf []int   // per net: alignment (all zero when cfg.Align == nil)
-	width   []int   // per net: valid field width in bits
+	base    []int32  // per net: state index of field word 0
+	words   []int32  // per net: words in the field
+	alignOf []int    // per net: alignment (all zero when cfg.Align == nil)
+	width   []int    // per net: valid field width in bits
+	final   []bitPos // per net: where its final bit (time Depth) lives
 
 	scratchStart int32 // first non-field (temporary/scratch) state slot
 
@@ -94,7 +96,8 @@ type Sim struct {
 	// vector-batch blocks feed one set of counters.
 	obs *obs.Observer
 
-	ref *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
+	ref       *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
+	zeroInput []bool            // the all-zeros assignment ResetConsistent(nil) settles
 
 	// Guarded execution (guard.go): fault injector and watchdog budgets
 	// forwarded to the sharded engine, consulted only on the ctx paths.
@@ -176,9 +179,23 @@ func Compile(c *circuit.Circuit, cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("parsim: %w", err)
 		}
 	}
-	s.st = make([]uint64, s.simProg.NumVars)
+	if s.seq, err = program.Schedule(s.simProg, s.scratchStart); err != nil {
+		return nil, fmt.Errorf("parsim: %w", err)
+	}
+	s.final = make([]bitPos, norm.NumNets())
+	for i := range s.final {
+		idx := s.width[i] - 1
+		s.final[i] = bitPos{slot: s.base[i] + int32(idx/cfg.WordBits), shift: uint8(idx % cfg.WordBits)}
+	}
+	s.st = make([]uint64, s.seq.NumVars())
 	s.piBuf = make([]uint64, 0, 8)
 	return s, nil
+}
+
+// bitPos locates one bit of the state array.
+type bitPos struct {
+	slot  int32
+	shift uint8
 }
 
 // Analyze normalizes a circuit and returns its levelization analysis —
@@ -214,6 +231,14 @@ func (s *Sim) Depth() int { return s.a.Depth }
 // CodeSize returns the total number of generated instructions.
 func (s *Sim) CodeSize() int { return len(s.initProg.Code) + len(s.simProg.Code) }
 
+// Sequential returns the simulation program's sequential execution form:
+// the code sequential execution runs (see program.Schedule).
+func (s *Sim) Sequential() *program.Sequential { return s.seq }
+
+// CodeBytes returns the memory held by the compiled code: both programs
+// and the sequential execution form.
+func (s *Sim) CodeBytes() int64 { return s.initProg.Bytes() + s.simProg.Bytes() + s.seq.Bytes() }
+
 // ShiftCount returns the number of shift instructions in the simulation
 // program — the executable counterpart of Fig. 21's retained shifts.
 func (s *Sim) ShiftCount() int { return s.simProg.ShiftCount() }
@@ -237,7 +262,10 @@ func (s *Sim) fieldWord(n circuit.NetID, w int) int32 { return s.base[n] + int32
 // settled state for the given input assignment (nil = all zeros).
 func (s *Sim) ResetConsistent(inputs []bool) error {
 	if inputs == nil {
-		inputs = make([]bool, len(s.c.Inputs))
+		if s.zeroInput == nil {
+			s.zeroInput = make([]bool, len(s.c.Inputs))
+		}
+		inputs = s.zeroInput
 	}
 	if s.ref == nil {
 		var err error
@@ -278,9 +306,10 @@ func (s *Sim) apply(ctx context.Context, inputs []bool) error {
 	if len(inputs) != len(s.c.Inputs) {
 		return fmt.Errorf("parsim: %d input values for %d primary inputs", len(inputs), len(s.c.Inputs))
 	}
-	// Capture the previous finals before anything is overwritten.
-	for i := range s.c.Nets {
-		s.prevFinal[i] = s.finalBit(circuit.NetID(i))
+	// Capture the previous finals before anything is overwritten, for
+	// every net: gating's flattenInactive reads them all.
+	for i, f := range s.final {
+		s.prevFinal[i] = s.st[f.slot]>>f.shift&1 == 1
 	}
 	if s.gate != nil {
 		return s.applyGated(ctx, inputs)
@@ -401,13 +430,6 @@ func (s *Sim) observeActivity() {
 	o.AddActivityVector()
 }
 
-// finalBit reads the current final value of a net (bit level−alignment).
-func (s *Sim) finalBit(n circuit.NetID) bool {
-	idx := s.width[n] - 1
-	w, b := idx/s.cfg.WordBits, idx%s.cfg.WordBits
-	return s.st[s.base[n]+int32(w)]>>uint(b)&1 == 1
-}
-
 // ValueAt returns the value of a net at time t (0..Depth) for the last
 // applied vector. Times before the field's alignment resolve to the
 // previous vector's final value; times beyond the net's level hold the
@@ -425,7 +447,10 @@ func (s *Sim) ValueAt(n circuit.NetID, t int) bool {
 }
 
 // Final returns the final value of a net (its value at time Depth).
-func (s *Sim) Final(n circuit.NetID) bool { return s.finalBit(n) }
+func (s *Sim) Final(n circuit.NetID) bool {
+	f := s.final[n]
+	return s.st[f.slot]>>f.shift&1 == 1
+}
 
 // History returns the full waveform of one net over times 0..Depth.
 func (s *Sim) History(n circuit.NetID) []bool {

@@ -125,11 +125,11 @@ func (s *Sim) runSimCtx(ctx context.Context) error {
 		inj.AtLevel(0, 0, s.st)
 	}
 	if o == nil {
-		s.simProg.Run(s.st)
+		s.seq.Run(s.st)
 		return nil
 	}
 	t0 := time.Now()
-	s.simProg.Run(s.st)
+	s.seq.Run(s.st)
 	d := time.Since(t0)
 	o.AddRun(d)
 	o.AddLevel(0, 0, d, len(s.simProg.Code))

@@ -34,8 +34,9 @@ type Sim struct {
 	c *circuit.Circuit
 	a *levelize.Analysis
 
-	initProg *program.Program // per-vector initialization (zero moves)
-	simProg  *program.Program // gate simulations in levelized order
+	initProg *program.Program    // per-vector initialization (zero moves)
+	simProg  *program.Program    // gate simulations in levelized order
+	seq      *program.Sequential // simProg's sequential execution form
 
 	st      []uint64
 	vars    [][]int32       // per net: state index per PC element, parallel to a.NetPC
@@ -52,7 +53,8 @@ type Sim struct {
 	// hot-path hook is behind a nil check. Clones share the pointer.
 	obs *obs.Observer
 
-	ref *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
+	ref       *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
+	zeroInput []bool            // the all-zeros assignment ResetConsistent(nil) settles
 
 	// Guarded execution (guard.go): fault injector and watchdog budgets
 	// forwarded to the sharded engine, consulted only on the ctx paths.
@@ -97,20 +99,27 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 	}
 	a.InsertZeros(monitor)
 
-	// Allocate one variable per PC element of every net.
+	// Allocate one variable per PC element of every net, numbered in net
+	// order and named net_time.
+	total := 0
+	for i := range c.Nets {
+		total += len(a.NetPC[i])
+	}
 	vars := make([][]int32, c.NumNets())
-	var names []string
+	slots := make([]int32, total)
+	var nb program.NameBuilder
 	next := int32(0)
 	for i := range c.Nets {
 		pc := a.NetPC[i]
-		vs := make([]int32, len(pc))
+		vs := slots[next : int(next)+len(pc) : int(next)+len(pc)]
 		for j, t := range pc {
 			vs[j] = next
-			names = append(names, fmt.Sprintf("%s_%d", c.Nets[i].Name, t))
+			nb.Add(c.Nets[i].Name, "_", t)
 			next++
 		}
 		vars[i] = vs
 	}
+	names := nb.Names()
 
 	// Initialization code: for every net with an inserted zero, move the
 	// final value (the variable of the maximum PC element) into the
@@ -128,7 +137,11 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 
 	// Simulation code: gates in levelized order, one simulation per gate
 	// PC element, operands selected by the strictly-below rule.
-	var simCode []program.Instr
+	evals := 0
+	for _, gid := range a.LevelOrder {
+		evals += len(a.GatePC[gid])
+	}
+	simCode := make([]program.Instr, 0, evals)
 	srcs := make([]int32, 0, 8)
 	for _, gid := range a.LevelOrder {
 		g := c.Gate(gid)
@@ -141,8 +154,7 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 				// The output at time t is the gate function of its
 				// inputs at time t−d; each input's value then is held
 				// by its largest PC element ≤ t−d.
-				ot := a.OperandAt(in, t-d)
-				srcs = append(srcs, varAt(a, vars, in, ot))
+				srcs = append(srcs, vars[in][a.OperandIndex(in, t-d)])
 			}
 			simCode = program.EmitGateEval(simCode, g.Type, dst, srcs)
 		}
@@ -165,6 +177,10 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 	}
 	if err := s.simProg.Validate(); err != nil {
 		return nil, err
+	}
+	// Every variable is persistent: the PC-set method has no scratch.
+	if s.seq, err = program.Schedule(s.simProg, next); err != nil {
+		return nil, fmt.Errorf("pcset: %w", err)
 	}
 	return s, nil
 }
@@ -250,6 +266,14 @@ func (s *Sim) NumVars() int { return len(s.st) }
 // CodeSize returns the total number of generated instructions.
 func (s *Sim) CodeSize() int { return len(s.initProg.Code) + len(s.simProg.Code) }
 
+// Sequential returns the simulation program's sequential execution form:
+// the code sequential execution runs (see program.Schedule).
+func (s *Sim) Sequential() *program.Sequential { return s.seq }
+
+// CodeBytes returns the memory held by the compiled code: both programs
+// and the sequential execution form.
+func (s *Sim) CodeBytes() int64 { return s.initProg.Bytes() + s.simProg.Bytes() + s.seq.Bytes() }
+
 // Depth returns the circuit depth in gate delays.
 func (s *Sim) Depth() int { return s.a.Depth }
 
@@ -258,7 +282,10 @@ func (s *Sim) Depth() int { return s.a.Depth }
 // all lanes.
 func (s *Sim) ResetConsistent(inputs []bool) error {
 	if inputs == nil {
-		inputs = make([]bool, len(s.c.Inputs))
+		if s.zeroInput == nil {
+			s.zeroInput = make([]bool, len(s.c.Inputs))
+		}
+		inputs = s.zeroInput
 	}
 	if s.ref == nil {
 		var err error

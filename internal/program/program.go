@@ -18,6 +18,7 @@ package program
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -104,41 +105,47 @@ func (o Op) String() string {
 }
 
 // Instr is one straight-line instruction. Dst and A index the state array;
-// B is a second operand or None; Sh is a shift amount or bit index.
+// B is a second operand or None; Sh is a shift amount or bit index. Sh
+// sits next to Op so the instruction packs into 16 bytes.
 type Instr struct {
 	Op  Op
+	Sh  uint8
 	Dst int32
 	A   int32
 	B   int32
-	Sh  uint8
 }
 
-// UsesA reports whether the instruction reads operand A.
-func (in *Instr) UsesA() bool {
-	switch in.Op {
-	case OpNop, OpConst0, OpConst1:
-		return false
-	}
-	return true
+// Operand flags per opcode: which operands an instruction reads.
+const (
+	readsA   uint8 = 1 << iota // operand A is a slot
+	readsB                     // operand B is a slot unless None
+	readsDst                   // the instruction merges into Dst
+)
+
+// opReads is the table behind UsesA, UsesBSlot and Accumulates; the
+// scheduler's per-instruction loops read it directly, once per
+// instruction.
+var opReads = [numOps]uint8{
+	OpAnd: readsA | readsB, OpOr: readsA | readsB, OpXor: readsA | readsB,
+	OpNand: readsA | readsB, OpNor: readsA | readsB, OpXnor: readsA | readsB,
+	OpNot: readsA, OpMove: readsA, OpOrMove: readsA | readsDst,
+	OpShlOr: readsA | readsB | readsDst, OpShlMove: readsA | readsB, OpShrMove: readsA | readsB,
+	OpFill: readsA, OpBit: readsA, OpFillLowN: readsA,
 }
+
+// UsesA reports whether the instruction reads operand A (an invalid
+// opcode is assumed to).
+func (in *Instr) UsesA() bool { return in.Op >= numOps || opReads[in.Op]&readsA != 0 }
 
 // UsesBSlot reports whether operand B is a state-array index that the
 // instruction reads (OpFillLowN's B is a bit count, not a slot).
 func (in *Instr) UsesBSlot() bool {
-	switch in.Op {
-	case OpAnd, OpOr, OpXor, OpNand, OpNor, OpXnor:
-		return in.B != None
-	case OpShlOr, OpShlMove, OpShrMove:
-		return in.B != None
-	}
-	return false
+	return in.Op < numOps && opReads[in.Op]&readsB != 0 && in.B != None
 }
 
 // Accumulates reports whether the instruction merges into Dst rather than
 // fully defining it, i.e. it reads Dst's prior value (OpOrMove, OpShlOr).
-func (in *Instr) Accumulates() bool {
-	return in.Op == OpOrMove || in.Op == OpShlOr
-}
+func (in *Instr) Accumulates() bool { return in.Op < numOps && opReads[in.Op]&readsDst != 0 }
 
 // Writes reports whether the instruction writes Dst (everything but nop).
 func (in *Instr) Writes() bool { return in.Op != OpNop }
@@ -237,7 +244,9 @@ func (p *Program) Run(st []uint64) { Exec(p.Code, st, p.WordBits) }
 // sharded multicore engine (package shard), which executes per-level,
 // per-worker sub-slices of a program's code. The loop is deliberately a
 // single switch over a flat slice: no per-instruction allocation, no
-// bounds rechecking beyond the slice accesses.
+// bounds rechecking beyond the slice accesses. Whole sim programs run
+// sequentially take Sequential.Run instead, which switches once per run
+// of same-opcode instructions (see Schedule).
 func Exec(code []Instr, st []uint64, wordBits int) {
 	mask := ^uint64(0)
 	if wordBits < 64 {
@@ -310,6 +319,37 @@ func (p *Program) VarName(v int32) string {
 		return p.VarNames[v]
 	}
 	return fmt.Sprintf("v%d", v)
+}
+
+// NameBuilder builds state-word names (prefix, separator, number) as
+// substrings of one string: compilers name every slot, and one allocation
+// costs far less than one formatted string per name.
+type NameBuilder struct {
+	buf  []byte
+	ends []int
+}
+
+// Add appends the next name, prefix + sep + the decimal n.
+func (nb *NameBuilder) Add(prefix, sep string, n int) {
+	nb.buf = append(nb.buf, prefix...)
+	nb.buf = append(nb.buf, sep...)
+	nb.buf = strconv.AppendInt(nb.buf, int64(n), 10)
+	nb.ends = append(nb.ends, len(nb.buf))
+}
+
+// Len returns the number of names added.
+func (nb *NameBuilder) Len() int { return len(nb.ends) }
+
+// Names returns the names added, in order.
+func (nb *NameBuilder) Names() []string {
+	all := string(nb.buf)
+	names := make([]string, len(nb.ends))
+	start := 0
+	for i, end := range nb.ends {
+		names[i] = all[start:end]
+		start = end
+	}
+	return names
 }
 
 // Disassemble renders the program as readable text, one instruction per

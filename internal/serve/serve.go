@@ -557,14 +557,14 @@ func (s *Server) buildProgram(key string, rc *regCircuit, techName string, bo Ba
 		}
 		p.pool <- e
 	}
-	// Byte estimate: shared compiled code once, private mutable state
-	// per pool member (template included), plus the canonical netlist
-	// text held by the registry entry.
-	code := 0
+	// Byte estimate: shared compiled code once (every form the engine
+	// holds), private mutable state per pool member (template included),
+	// plus the canonical netlist text held by the registry entry.
+	var code int64
 	if in, ok := tmpl.(udsim.Introspector); ok {
-		code = in.CodeSize()
+		code = in.CodeBytes()
 	}
-	p.bytes = int64(code)*16 +
+	p.bytes = code +
 		int64(s.cfg.PoolBound+1)*int64(len(rc.circ.Nets))*16 +
 		int64(len(rc.bench))
 	return p, nil

@@ -602,3 +602,43 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("status %q after drain, want draining", s)
 	}
 }
+
+// TestProgramBytesCoverCode checks the cache's byte estimate against the
+// compiled code the template engine actually holds — both emitted
+// programs and the sequential execution form built from the sim
+// program — so the LRU budget does not evict later than it should.
+func TestProgramBytesCoverCode(t *testing.T) {
+	srv := New(Config{})
+	for _, gen := range []string{"c432", "c880"} {
+		c, err := udsim.ISCAS85(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := udsim.WriteBench(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		circ, bench, id, err := canonicalize(buf.String(), gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := &regCircuit{id: id, bench: bench, circ: circ}
+		for _, tech := range []string{"parallel", "parallel-pt-trim", "pcset"} {
+			p, err := srv.buildProgram(id+"|"+tech, rc, tech, BatchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := p.tmpl.(udsim.Introspector)
+			code := in.CodeBytes()
+			if min := int64(in.CodeSize()) * 16; code <= min {
+				t.Errorf("%s/%s: CodeBytes %d does not exceed the emitted programs' %d bytes (the sequential form is a second copy)", gen, tech, code, min)
+			}
+			// Code once, state per pool member (template included), netlist text.
+			want := code + int64(p.bound+1)*int64(len(circ.Nets))*16 + int64(len(bench))
+			if p.bytes < want {
+				t.Errorf("%s/%s: estimate %d bytes does not cover %d bytes of compiled code plus state and netlist (%d)", gen, tech, p.bytes, code, want)
+			}
+			p.destroy()
+		}
+	}
+}

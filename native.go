@@ -350,6 +350,9 @@ func (n *NativeSim) ExecStrategy() ExecStrategy {
 // CodeSize returns the number of compiled straight-line instructions.
 func (n *NativeSim) CodeSize() int { return n.base.CodeSize() }
 
+// CodeBytes returns the memory held by the in-process compiled code.
+func (n *NativeSim) CodeBytes() int64 { return n.base.CodeBytes() }
+
 // Observe attaches a runtime observer (nil detaches): the in-process
 // engine's counters, the supervisor's udsim_native_* counters and the
 // facade's cross-check counters all feed it.

@@ -146,7 +146,7 @@ type Engine interface {
 //	               independent engine sharing the compiled programs but
 //	               owning private mutable state. The basis of the serve
 //	               layer's engine pools.
-//	Introspector — compiled-code size (CodeSize).
+//	Introspector — compiled-code size (CodeSize, CodeBytes).
 //	Observable   — runtime counters: attach an Observer, and the
 //	               Snapshotter half reads them back.
 //	Snapshotter  — read-only counter snapshots (the scrape surface;
@@ -226,7 +226,13 @@ type Snapshotter interface {
 // Introspector is implemented by compiled engines that can report the
 // size of their generated straight-line code.
 type Introspector interface {
+	// CodeSize returns the number of compiled instructions (init plus
+	// sim program, as emitted).
 	CodeSize() int
+	// CodeBytes returns the memory the compiled code occupies: both
+	// programs plus the sequential execution form built from the sim
+	// program.
+	CodeBytes() int64
 }
 
 // Observable is implemented by engines that support the runtime
@@ -913,6 +919,9 @@ func (p *ParallelSim) History(n NetID) []bool {
 // CodeSize returns the number of compiled straight-line instructions.
 func (p *ParallelSim) CodeSize() int { return p.s.CodeSize() }
 
+// CodeBytes returns the memory held by the compiled code.
+func (p *ParallelSim) CodeBytes() int64 { return p.s.CodeBytes() }
+
 // EliminateDeadStores strips the provably-dead instructions (see
 // WithDeadStoreElimination) and returns how many were removed.
 func (p *ParallelSim) EliminateDeadStores() (int, error) { return p.s.EliminateDeadStores() }
@@ -1077,6 +1086,9 @@ func (p *PCSetSim) NumVars() int { return p.s.NumVars() }
 
 // CodeSize returns the number of compiled straight-line instructions.
 func (p *PCSetSim) CodeSize() int { return p.s.CodeSize() }
+
+// CodeBytes returns the memory held by the compiled code.
+func (p *PCSetSim) CodeBytes() int64 { return p.s.CodeBytes() }
 
 // EliminateDeadStores strips the provably-dead instructions (see
 // WithDeadStoreElimination) and returns how many were removed.
