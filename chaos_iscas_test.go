@@ -175,8 +175,8 @@ func TestChaosCorruptionISCAS(t *testing.T) {
 			// last schedule level, then rebuild with the armed injector.
 			probe, _ := openGuarded(t, c, TechParallel, nil, chaosPolicy())
 			out := shallowOutput(t, probe.Circuit())
-			slot, mask := probe.base.(*ParallelSim).s.FinalSlot(out)
-			last := probe.base.(*ParallelSim).s.ExecPlan().Assignment().Levels - 1
+			slot, mask := probe.compiledEngine.(*ParallelSim).s.FinalSlot(out)
+			last := probe.compiledEngine.(*ParallelSim).s.ExecPlan().Assignment().Levels - 1
 			probe.Close()
 
 			inj := chaos.CorruptBits(3, last, 0, slot, mask)
@@ -305,8 +305,8 @@ func TestChaosPCSet(t *testing.T) {
 			t.Run("corrupt", func(t *testing.T) {
 				probe, _ := openGuarded(t, c, TechPCSet, nil, chaosPolicy())
 				out := shallowOutput(t, probe.Circuit())
-				slot, mask := probe.base.(*PCSetSim).s.FinalSlot(out)
-				last := probe.base.(*PCSetSim).s.ExecPlan().Assignment().Levels - 1
+				slot, mask := probe.compiledEngine.(*PCSetSim).s.FinalSlot(out)
+				last := probe.compiledEngine.(*PCSetSim).s.ExecPlan().Assignment().Levels - 1
 				probe.Close()
 
 				inj := chaos.CorruptBits(3, last, 0, slot, mask)
@@ -436,6 +436,14 @@ func BenchmarkGuardedStream(b *testing.B) {
 	})
 	b.Run("guarded-sequential", func(b *testing.B) {
 		eng, err := Open(c, TechParallel, WithGuard(pol))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.(Closer).Close()
+		run(b, eng)
+	})
+	b.Run("pcset-guarded-sequential", func(b *testing.B) {
+		eng, err := Open(c, TechPCSet, WithGuard(pol))
 		if err != nil {
 			b.Fatal(err)
 		}

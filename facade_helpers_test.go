@@ -1,10 +1,9 @@
 package udsim
 
-// Test-only constructors over the finalized facade: tests that reach
-// past the Engine interface (trim stats, dead-store elimination, shard
-// plans) open through Open like every other caller and assert down to
-// the concrete engine. The deprecated NewParallel/NewPCSet wrappers are
-// exercised only by the Open-equivalence test in open_test.go.
+// Test-only constructors over the facade: tests that reach past the
+// Engine interface (trim stats, dead-store elimination, shard plans)
+// open through Open like every other caller and assert down to the
+// concrete engine.
 
 // openParallelSim opens a parallel-technique engine and returns the
 // concrete simulator.

@@ -2,11 +2,9 @@ package udsim
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"udsim/internal/parsim"
-	"udsim/internal/pcset"
+	"udsim/internal/engine"
 	"udsim/internal/refsim"
 	"udsim/internal/resilience"
 )
@@ -86,123 +84,39 @@ func WithFaultInjection(inj FaultInjector) Option {
 	return func(o *options) { o.inject = inj }
 }
 
-// guardBase is the engine surface GuardedSim supervises and delegates
-// to; both compiled wrappers satisfy it.
-type guardBase interface {
-	Engine
-	Tracer
-	Closer
-	Streamer
-	Introspector
-	Observable
-}
-
-// guardCore is the technique-neutral view of a compiled simulator's
-// guard primitives (the concrete checkpoint types differ).
-type guardCore interface {
-	ApplyVectorCtx(ctx context.Context, vec []bool) error
-	ArmGuard(ctx context.Context)
-	DisarmGuard()
-	Save()
-	Rollback(detach bool) error
-	Quarantine() bool
-	SetGuard(budget, grace time.Duration)
-	SetInjector(inj FaultInjector)
-	FinalSlot(n NetID) (slot int, mask uint64)
-	ScheduleLevels() int
-}
-
-type parallelCore struct {
-	s  *parsim.Sim
-	ck parsim.Checkpoint
-}
-
-func (c *parallelCore) ApplyVectorCtx(ctx context.Context, vec []bool) error {
-	return c.s.ApplyVectorCtx(ctx, vec)
-}
-func (c *parallelCore) ArmGuard(ctx context.Context) { c.s.ArmGuard(ctx) }
-func (c *parallelCore) DisarmGuard()                 { c.s.DisarmGuard() }
-func (c *parallelCore) Save()                        { c.s.Save(&c.ck) }
-func (c *parallelCore) Rollback(detach bool) error {
-	if detach {
-		c.s.DetachState()
-	}
-	return c.s.Restore(&c.ck)
-}
-func (c *parallelCore) Quarantine() bool                     { return c.s.Quarantine() }
-func (c *parallelCore) SetGuard(budget, grace time.Duration) { c.s.SetGuard(budget, grace) }
-func (c *parallelCore) SetInjector(inj FaultInjector)        { c.s.SetInjector(inj) }
-func (c *parallelCore) FinalSlot(n NetID) (int, uint64)      { return c.s.FinalSlot(n) }
-func (c *parallelCore) ScheduleLevels() int {
-	if p := c.s.ExecPlan(); p != nil {
-		return p.Assignment().Levels
-	}
-	return 1
-}
-
-type pcsetCore struct {
-	s  *pcset.Sim
-	ck pcset.Checkpoint
-}
-
-func (c *pcsetCore) ApplyVectorCtx(ctx context.Context, vec []bool) error {
-	return c.s.ApplyVectorCtx(ctx, vec)
-}
-func (c *pcsetCore) ArmGuard(ctx context.Context) { c.s.ArmGuard(ctx) }
-func (c *pcsetCore) DisarmGuard()                 { c.s.DisarmGuard() }
-func (c *pcsetCore) Save()                        { c.s.Save(&c.ck) }
-func (c *pcsetCore) Rollback(detach bool) error {
-	if detach {
-		c.s.DetachState()
-	}
-	return c.s.Restore(&c.ck)
-}
-func (c *pcsetCore) Quarantine() bool                     { return c.s.Quarantine() }
-func (c *pcsetCore) SetGuard(budget, grace time.Duration) { c.s.SetGuard(budget, grace) }
-func (c *pcsetCore) SetInjector(inj FaultInjector)        { c.s.SetInjector(inj) }
-func (c *pcsetCore) FinalSlot(n NetID) (int, uint64)      { return c.s.FinalSlot(n) }
-func (c *pcsetCore) ScheduleLevels() int {
-	if p := c.s.ExecPlan(); p != nil {
-		return p.Assignment().Levels
-	}
-	return 1
-}
-
-// wrapGuard applies the WithGuard/WithFaultInjection options to a built
-// compiled engine.
-func wrapGuard(base guardBase, core guardCore, o options) (Engine, error) {
+// wrapGuard applies WithGuard to a built compiled engine: without it the
+// engine is returned as is.
+func wrapGuard(base compiledEngine, o options) Engine {
 	if !o.guardSet {
-		if o.inject != nil {
-			return nil, fmt.Errorf("udsim: WithFaultInjection requires WithGuard")
-		}
-		return base, nil
+		return base
 	}
+	core := base.unwrap().core
 	core.SetGuard(o.guard.LevelBudget, o.guard.Grace())
 	core.SetInjector(o.inject)
 	return &GuardedSim{
-		base: base,
-		core: core,
-		pol:  o.guard,
-		obs:  o.observer,
-		inj:  o.inject,
-		one:  make([][]bool, 1),
-	}, nil
+		compiledEngine: base,
+		core:           core,
+		pol:            o.guard,
+		obs:            o.observer,
+		inj:            o.inject,
+		one:            make([][]bool, 1),
+	}
 }
 
 // GuardedSim is a compiled engine under supervision — the result of
 // Open with WithGuard. It implements the same optional interfaces as
-// the engine it wraps (Tracer, Closer, Streamer, Introspector,
-// Observable); waveform reads, finals and snapshots delegate to the
-// underlying simulator.
+// the engine it wraps (Tracer, Closer, Streamer, Cloner, Introspector,
+// Observable); resets, waveform reads, finals, code sizes and snapshots
+// are the embedded engine's own.
 //
 // Like the engines it wraps, a GuardedSim is not safe for concurrent
 // use.
 type GuardedSim struct {
-	base guardBase
-	core guardCore
-	pol  GuardPolicy
-	obs  *Observer
-	inj  FaultInjector
+	compiledEngine              // the supervised engine
+	core           *engine.Core // its runtime: the guard primitives
+	pol            GuardPolicy
+	obs            *Observer
+	inj            FaultInjector
 
 	ref *refsim.Evaluator // lazily built oracle for cross-checks
 	one [][]bool          // reusable single-vector batch
@@ -213,49 +127,14 @@ type GuardedSim struct {
 }
 
 // EngineName identifies the wrapped configuration.
-func (g *GuardedSim) EngineName() string { return g.base.EngineName() + "+guarded" }
-
-// Circuit returns the (normalized) circuit.
-func (g *GuardedSim) Circuit() *Circuit { return g.base.Circuit() }
-
-// Depth returns the circuit depth in gate delays.
-func (g *GuardedSim) Depth() int { return g.base.Depth() }
-
-// ResetConsistent initializes the state (nil = all-zeros assignment).
-func (g *GuardedSim) ResetConsistent(inputs []bool) error { return g.base.ResetConsistent(inputs) }
-
-// Final returns the settled value of a net.
-func (g *GuardedSim) Final(n NetID) bool { return g.base.Final(n) }
-
-// ValueAt returns net n's value at time t (see Tracer).
-func (g *GuardedSim) ValueAt(n NetID, t int) (bool, bool) { return g.base.ValueAt(n, t) }
-
-// BlockFinal delegates to the wrapped engine. Guarded streams never use
-// vector batching, so only block 0 is meaningful.
-func (g *GuardedSim) BlockFinal(k int, n NetID) bool { return g.base.BlockFinal(k, n) }
-
-// CodeSize returns the number of compiled straight-line instructions.
-func (g *GuardedSim) CodeSize() int { return g.base.CodeSize() }
-
-// CodeBytes returns the memory held by the compiled code.
-func (g *GuardedSim) CodeBytes() int64 { return g.base.CodeBytes() }
-
-// ExecStrategy returns the wrapped engine's current strategy —
-// ExecSequential after a quarantine degraded it.
-func (g *GuardedSim) ExecStrategy() ExecStrategy { return g.base.ExecStrategy() }
+func (g *GuardedSim) EngineName() string { return g.compiledEngine.EngineName() + "+guarded" }
 
 // Observe attaches a runtime observer (nil detaches); the guard counters
 // feed the same observer as the engine's performance counters.
 func (g *GuardedSim) Observe(o *Observer) {
 	g.obs = o
-	g.base.Observe(o)
+	g.compiledEngine.Observe(o)
 }
-
-// Snapshot returns the attached observer's counters, nil without one.
-func (g *GuardedSim) Snapshot() *Snapshot { return g.base.Snapshot() }
-
-// Close releases the wrapped engine's workers.
-func (g *GuardedSim) Close() { g.base.Close() }
 
 // Clone returns an independent guarded engine supervising a clone of
 // the wrapped simulator under the same policy and injector: the clone
@@ -263,22 +142,11 @@ func (g *GuardedSim) Close() { g.base.Close() }
 // Observer, and owns its own checkpoint, degradation state and fault
 // record. See (*ParallelSim).Clone for observer-sharing semantics.
 func (g *GuardedSim) Clone() (Engine, error) {
-	cb, ok := g.base.(Cloner)
-	if !ok {
-		return nil, fmt.Errorf("udsim: %s does not support cloning", g.base.EngineName())
-	}
-	e, err := cb.Clone()
+	cl, err := g.unwrap().clone()
 	if err != nil {
 		return nil, err
 	}
-	o := options{guard: g.pol, guardSet: true, inject: g.inj, observer: g.obs}
-	switch s := e.(type) {
-	case *ParallelSim:
-		return wrapGuard(s, &parallelCore{s: s.s}, o)
-	case *PCSetSim:
-		return wrapGuard(s, &pcsetCore{s: s.s}, o)
-	}
-	return nil, fmt.Errorf("udsim: cannot re-guard cloned engine %s", e.EngineName())
+	return wrapGuard(cl, options{guard: g.pol, guardSet: true, inject: g.inj, observer: g.obs}), nil
 }
 
 // Degraded reports whether a fault has quarantined the execution
@@ -300,7 +168,10 @@ func (g *GuardedSim) Policy() GuardPolicy { return g.pol }
 // before the vector finishes). Drills and tests only.
 func (g *GuardedSim) FaultTarget(n NetID) (slot int, mask uint64, lastLevel int) {
 	slot, mask = g.core.FinalSlot(n)
-	return slot, mask, g.core.ScheduleLevels() - 1
+	if p := g.core.ExecPlan(); p != nil {
+		return slot, mask, p.Assignment().Levels - 1
+	}
+	return slot, mask, 0
 }
 
 // Apply simulates one input vector under guard — a one-vector batch:
@@ -408,7 +279,10 @@ func (g *GuardedSim) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 // abandons the state array first (a leaked worker may still write it).
 func (g *GuardedSim) rollback(i int, detach bool) error {
 	g.applied -= int64(i)
-	return g.core.Rollback(detach)
+	if detach {
+		g.core.DetachState()
+	}
+	return g.core.Restore()
 }
 
 // crossCheck compares the primary outputs of the last applied vector
@@ -420,7 +294,7 @@ func (g *GuardedSim) crossCheck(vec []bool) error {
 		g.obs.AddGuardCrossCheck()
 	}
 	if g.ref == nil {
-		ref, err := refsim.NewEvaluator(g.base.Circuit())
+		ref, err := refsim.NewEvaluator(g.Circuit())
 		if err != nil {
 			return err
 		}
@@ -430,24 +304,18 @@ func (g *GuardedSim) crossCheck(vec []bool) error {
 	if err != nil {
 		return err
 	}
-	for _, id := range g.base.Circuit().Outputs {
-		if g.base.Final(id) != settled[id] {
+	for _, id := range g.Circuit().Outputs {
+		if g.Final(id) != settled[id] {
 			if g.obs != nil {
 				g.obs.AddGuardMismatch()
 			}
-			return resilience.Corruption(g.base.EngineName(), int(id))
+			return resilience.Corruption(g.compiledEngine.EngineName(), int(id))
 		}
 	}
 	return nil
 }
 
-// Interface conformance.
 var (
-	_ Engine       = (*GuardedSim)(nil)
-	_ Tracer       = (*GuardedSim)(nil)
-	_ Cloner       = (*GuardedSim)(nil)
-	_ Closer       = (*GuardedSim)(nil)
-	_ Streamer     = (*GuardedSim)(nil)
-	_ Introspector = (*GuardedSim)(nil)
-	_ Observable   = (*GuardedSim)(nil)
+	_ compiledEngine = (*GuardedSim)(nil)
+	_ Cloner         = (*GuardedSim)(nil)
 )

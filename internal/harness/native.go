@@ -57,7 +57,7 @@ func Native(o Options) (*Result, error) {
 				}
 				pi, pm := s.Programs()
 				cfg = native.Config{
-					Layout: native.ParallelLayout(s, norm),
+					Layout: native.CoreLayout(&s.Core, norm),
 					Init:   pi, Sim: pm,
 				}
 			case "pcset":
@@ -71,7 +71,7 @@ func Native(o Options) (*Result, error) {
 				}
 				pi, pm := s.Programs()
 				cfg = native.Config{
-					Layout: native.PCSetLayout(s, norm),
+					Layout: native.CoreLayout(&s.Core, norm),
 					Init:   pi, Sim: pm,
 				}
 			}

@@ -10,17 +10,13 @@ import (
 	"udsim/internal/bench85"
 	"udsim/internal/circuit"
 	"udsim/internal/codegen/ir"
+	"udsim/internal/engine"
 	"udsim/internal/program"
 )
 
 // InputField describes how one primary input lands in the child's state
-// arena: Base is the first state-word index of the input's bit-field,
-// Words its word count, and Split the bit offset below which the field
-// keeps the previous vector's value (the parallel technique's delayed
-// alignment; 0 for the whole-field write the PC-set method uses).
-type InputField struct {
-	Base, Words, Split int32
-}
+// arena — the engine's own input-writer record (engine.InputField).
+type InputField = engine.InputField
 
 // OutputBit locates one primary output's settled value: state word Slot,
 // bit Bit.

@@ -2,6 +2,7 @@ package parsim
 
 import (
 	"udsim/internal/circuit"
+	"udsim/internal/engine"
 	"udsim/internal/program"
 )
 
@@ -20,22 +21,23 @@ import (
 // low-order representative-free words are refilled from the previous
 // final value in the init phase (the paper's "reintroduced
 // initialization"), and higher gaps broadcast the previous word's top bit.
-func (s *Sim) compileAligned() error {
+func (s *Sim) compileAligned(p *engine.Parts) error {
+	a := p.Analysis
 	W := s.cfg.WordBits
-	c := s.c
+	c := p.Circuit
 	al := s.cfg.Align
 
 	next := int32(0)
 	for i := range c.Nets {
 		s.alignOf[i] = al.Net[i]
-		s.width[i] = s.a.NetLevel[i] - al.Net[i] + 1
+		s.width[i] = a.NetLevel[i] - al.Net[i] + 1
 		nw := (s.width[i] + W - 1) / W
 		s.base[i] = next
 		s.words[i] = int32(nw)
 		next += int32(nw)
 	}
 	fieldEnd := next
-	s.scratchStart = fieldEnd
+	p.ScratchStart = fieldEnd
 
 	var nb program.NameBuilder
 	for i := range c.Nets {
@@ -45,7 +47,7 @@ func (s *Sim) compileAligned() error {
 	}
 
 	pcIn := func(net circuit.NetID, lo, hi int) bool {
-		for _, t := range s.a.NetPC[net] {
+		for _, t := range a.NetPC[net] {
 			if t > hi {
 				return false
 			}
@@ -61,8 +63,8 @@ func (s *Sim) compileAligned() error {
 		if !s.cfg.Trim {
 			return true
 		}
-		a := s.alignOf[net]
-		return pcIn(net, a+w*W, a+w*W+W-1)
+		off := s.alignOf[net]
+		return pcIn(net, off+w*W, off+w*W+W-1)
 	}
 
 	// Scratch allocator: a region after the fields, reset per gate, with
@@ -170,7 +172,7 @@ func (s *Sim) compileAligned() error {
 	}
 
 	// ---- Simulation program: levelized order, full recompute. ----
-	for _, gid := range s.a.LevelOrder {
+	for _, gid := range a.LevelOrder {
 		g := c.Gate(gid)
 		out := g.Output
 		nwOut := int(s.words[out])
@@ -221,7 +223,7 @@ func (s *Sim) compileAligned() error {
 		nb.Add("s", "", nb.Len())
 	}
 	names := nb.Names()
-	s.initProg = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
-	s.simProg = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
+	p.Init = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
+	p.Sim = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
 	return nil
 }

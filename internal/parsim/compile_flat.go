@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"udsim/internal/circuit"
+	"udsim/internal/engine"
 	"udsim/internal/program"
 )
 
@@ -28,11 +29,12 @@ import (
 // Independently, the fold (unshifted intermediate) word w is computed only
 // when a representative exists in (w·W, (w+1)·W] — the shifted-vs-
 // unshifted distinction of Fig. 9.
-func (s *Sim) compileFlat() error {
+func (s *Sim) compileFlat(p *engine.Parts) error {
+	a := p.Analysis
 	W := s.cfg.WordBits
-	n := s.a.Depth + 1
+	n := a.Depth + 1
 	nw := (n + W - 1) / W
-	c := s.c
+	c := p.Circuit
 
 	for i := range c.Nets {
 		s.alignOf[i] = 0
@@ -42,7 +44,7 @@ func (s *Sim) compileFlat() error {
 	}
 	tempBase := int32(c.NumNets() * nw)
 	numVars := int(tempBase) + nw
-	s.scratchStart = tempBase
+	p.ScratchStart = tempBase
 
 	var nb program.NameBuilder
 	for i := range c.Nets {
@@ -60,10 +62,10 @@ func (s *Sim) compileFlat() error {
 		if !s.cfg.Trim {
 			return false
 		}
-		return w*W+W-1 < s.a.NetMin[net]
+		return w*W+W-1 < a.NetMin[net]
 	}
 	pcIn := func(net circuit.NetID, lo, hi int) bool {
-		for _, t := range s.a.NetPC[net] {
+		for _, t := range a.NetPC[net] {
 			if t > hi {
 				return false
 			}
@@ -101,7 +103,7 @@ func (s *Sim) compileFlat() error {
 		// carry previous-vector values (d = 1 in the paper's model).
 		d := 1
 		if drv := c.Nets[i].Drivers; len(drv) == 1 {
-			d = s.a.GateDelay[drv[0]]
+			d = a.GateDelay[drv[0]]
 		}
 		lowFull, rem := d/W, d%W
 		// Reads of the top word first, then the zeroing writes, so a
@@ -142,7 +144,7 @@ func (s *Sim) compileFlat() error {
 	// ---- Simulation program (levelized order). ----
 	var simCode []program.Instr
 	srcs := make([]int32, 0, 8)
-	for _, gid := range s.a.LevelOrder {
+	for _, gid := range a.LevelOrder {
 		g := c.Gate(gid)
 		out := g.Output
 
@@ -169,7 +171,7 @@ func (s *Sim) compileFlat() error {
 		// words. Multi-bit delays decompose into a word offset plus a
 		// residual shift; trimming and shift elimination only combine
 		// with d = 1.
-		d := s.a.GateDelay[gid]
+		d := a.GateDelay[gid]
 		if d != 1 {
 			off, rem := d/W, d%W
 			for w := 0; w < nw; w++ {
@@ -244,7 +246,7 @@ func (s *Sim) compileFlat() error {
 		}
 	}
 
-	s.initProg = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
-	s.simProg = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
+	p.Init = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
+	p.Sim = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
 	return nil
 }

@@ -1,6 +1,9 @@
 package parsim
 
 import (
+	"fmt"
+	"time"
+
 	"udsim/internal/activity/cone"
 	"udsim/internal/circuit"
 	"udsim/internal/program"
@@ -98,12 +101,61 @@ type gater struct {
 
 // invalidate forces the next vector to run (and re-materialize) every
 // group — the reset after any operation that makes the state array's
-// relation to prevPI unknown.
+// relation to PrevPI unknown.
 func (g *gater) invalidate() {
 	if g != nil {
 		g.valid = false
 	}
 }
+
+// SetLevelFusion makes subsequent ConfigureExec calls build plans with
+// the barrier-deleting level-fusion pass (shard.PartitionFused): sparse
+// adjacent levels merge and cheap producer cones are replicated across
+// shards so the merged levels need no barrier between them. Fused plans
+// remain bit-identical to sequential execution (rules V008/V012/V015
+// check the augmented stream). Takes effect at the next ConfigureExec.
+func (s *Sim) SetLevelFusion(on bool) { s.fuseLevels = on }
+
+// LevelFusion reports whether level fusion is enabled for plan building.
+func (s *Sim) LevelFusion() bool { return s.fuseLevels }
+
+// Partition implements engine.Gating: the simulation program's shard
+// plan, level-fused under SetLevelFusion with this machine's measured
+// barrier cost as the fusion budget.
+func (s *Sim) Partition(workers int) (*shard.Plan, error) {
+	_, sim := s.Programs()
+	if s.fuseLevels {
+		return shard.PartitionFused(sim, s.ScratchStart(), workers,
+			shard.FuseOptions{BarrierOps: shard.CalibrateBarrier(workers)})
+	}
+	return shard.Partition(sim, s.ScratchStart(), workers)
+}
+
+// Gate implements engine.Gating: it builds the activity gating for the
+// sharded engine's plan and installs it, or drops it when e is nil.
+func (s *Sim) Gate(e *shard.Engine) error {
+	s.gate = nil
+	if e == nil {
+		return nil
+	}
+	if s.cfg.Align != nil {
+		return fmt.Errorf("parsim: activity gating requires the flat or trimmed layout (shift elimination packs previous-vector bits that break the settled-field skip rule)")
+	}
+	if s.cfg.Delays != nil {
+		return fmt.Errorf("parsim: activity gating does not support nominal gate delays")
+	}
+	g := s.buildGater(e.Plan())
+	e.SetGate(g.runCell, g.runLevel)
+	if g.fine {
+		e.SetGateRuns(g.runs, g.runOff)
+	}
+	s.gate = g
+	return nil
+}
+
+// Invalidate implements engine.Gating: the next gated vector runs every
+// group.
+func (s *Sim) Invalidate() { s.gate.invalidate() }
 
 // buildGater derives the gating structure for a configured plan: the
 // fine per-cone segmentation for plain plans, the cell-coarse grouping
@@ -112,8 +164,8 @@ func (g *gater) invalidate() {
 // unflattened, so fused cells gate as units).
 func (s *Sim) buildGater(plan *shard.Plan) *gater {
 	// Persistent slot → net, via the disjoint bit-field layout (V003).
-	numNets := s.c.NumNets()
-	slotNet := make([]int32, s.scratchStart)
+	numNets := s.Circuit().NumNets()
+	slotNet := make([]int32, s.ScratchStart())
 	for i := range slotNet {
 		slotNet[i] = -1
 	}
@@ -133,9 +185,10 @@ func (s *Sim) buildGater(plan *shard.Plan) *gater {
 // crosses clusters, with every cell cut into contiguous per-group
 // segments for the engine's active-range execution.
 func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
+	scratchStart := s.ScratchStart()
 	workers := plan.Workers()
 	levels := plan.Stats().Levels
-	numNets := s.c.NumNets()
+	numNets := s.Circuit().NumNets()
 	numCells := levels * workers
 
 	// Union-find over nets; index numNets is the virtual always-run
@@ -181,7 +234,7 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 			cur := always
 			for i := len(code) - 1; i >= 0; i-- {
 				in := &code[i]
-				if in.Writes() && in.Dst < s.scratchStart {
+				if in.Writes() && in.Dst < scratchStart {
 					if n := slotNet[in.Dst]; n >= 0 {
 						cur = n
 					} else {
@@ -209,7 +262,7 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 	// recorded writer is conservatively never gated. Scratch arenas are
 	// per-worker slices of the state array, so one last-writer table
 	// covers all columns without resets.
-	lastW := make([]int32, plan.StateSize()-int(s.scratchStart))
+	lastW := make([]int32, plan.StateSize()-int(scratchStart))
 	for i := range lastW {
 		lastW[i] = -1
 	}
@@ -222,18 +275,18 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 			for i := range code {
 				in := &code[i]
 				for _, r := range in.ReadSlots(rbuf[:0]) {
-					if r < s.scratchStart {
+					if r < scratchStart {
 						continue
 					}
-					switch lw := lastW[r-s.scratchStart]; {
+					switch lw := lastW[r-scratchStart]; {
 					case lw < 0:
 						union(own[i], always)
 					case lw != own[i]:
 						union(own[i], lw)
 					}
 				}
-				if in.Writes() && in.Dst >= s.scratchStart {
-					lastW[in.Dst-s.scratchStart] = own[i]
+				if in.Writes() && in.Dst >= scratchStart {
+					lastW[in.Dst-scratchStart] = own[i]
 				}
 			}
 		}
@@ -293,10 +346,11 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 // stream, so replica and seed instructions land in the cells the engine
 // actually executes them in, and whole cells gate together.
 func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
+	scratchStart := s.ScratchStart()
 	asg := plan.Assignment()
 	workers := plan.Workers()
 	code, lv, sh, levels := asg.Aug.Code, asg.Aug.Level, asg.Aug.Shard, asg.Aug.Levels
-	numNets := s.c.NumNets()
+	numNets := s.Circuit().NumNets()
 
 	// Union-find over cells: cells sharing a net's field words gate
 	// together, since a field's gap fills and carry words read words
@@ -329,7 +383,7 @@ func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
 		cell := lv[i]*int32(workers) + sh[i]
 		cellWork[cell] = true
 		in := &code[i]
-		if !in.Writes() || in.Dst >= s.scratchStart {
+		if !in.Writes() || in.Dst >= scratchStart {
 			continue // scratch, replica slots and seed moves carry no net
 		}
 		n := slotNet[in.Dst]
@@ -396,10 +450,12 @@ func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
 // newGater builds the path-independent gating state: activation cones,
 // init-instruction tagging and the per-vector buffers.
 func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int) *gater {
-	numNets := s.c.NumNets()
+	numNets := s.Circuit().NumNets()
+	scratchStart := s.ScratchStart()
+	init, _ := s.Programs()
 
 	// Group activation cones: the union over the group's output nets.
-	cones := cone.ComputeOrdered(s.c, s.a.LevelOrder)
+	cones := cone.ComputeOrdered(s.Circuit(), s.Analysis().LevelOrder)
 	words := cones.Words()
 	groupCone := make([]uint64, numGroups*words)
 	for n := 0; n < numNets; n++ {
@@ -414,12 +470,12 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 	// instructions cannot starve an active one. The tags are collapsed
 	// to contiguous segments: the compiler emits a net's init
 	// instructions together, so the segment count is O(nets).
-	initNet := make([]int32, len(s.initProg.Code))
+	initNet := make([]int32, len(init.Code))
 	var initSegNet, initSegEnd []int32
-	for i := range s.initProg.Code {
-		in := &s.initProg.Code[i]
+	for i := range init.Code {
+		in := &init.Code[i]
 		initNet[i] = -1
-		if in.Writes() && in.Dst < s.scratchStart {
+		if in.Writes() && in.Dst < scratchStart {
 			if n := slotNet[in.Dst]; n >= 0 && netGroup[n] >= 0 {
 				initNet[i] = n
 			}
@@ -575,15 +631,37 @@ func (s *Sim) GatingLevels() (vectors, run, skipped int64) {
 	return s.gate.decVectors, s.gate.decLevelsRun, s.gate.decLevelsSkipped
 }
 
+// gatedInit is the gated apply's init phase: decide which gate groups
+// this vector can touch (reading PrevPI before WriteInputs overwrites
+// it), then run the init program minus the skipped nets.
+func (s *Sim) gatedInit(inputs []bool) {
+	g := s.gate
+	o := s.Observer()
+	if o == nil {
+		g.decide(inputs, s.PrevPI)
+		s.runGatedInit()
+		return
+	}
+	o.AddVectors(1)
+	t0 := time.Now()
+	skipped := g.decide(inputs, s.PrevPI)
+	o.AddGatingNanos(time.Since(t0))
+	o.AddShardsSkipped(skipped)
+	t1 := time.Now()
+	s.runGatedInit()
+	o.AddInit(time.Since(t1))
+}
+
 // runGatedInit executes the init program minus the instructions that
 // initialize skipped nets, as coalesced sub-slices of the original
 // stream — no instruction copying, and when every group is active a
 // single Exec of the whole program.
 func (s *Sim) runGatedInit() {
 	g := s.gate
-	code := s.initProg.Code
+	init, _ := s.Programs()
+	code := init.Code
 	if g.allActive {
-		program.Exec(code, s.st, s.cfg.WordBits)
+		program.Exec(code, s.St, s.cfg.WordBits)
 		return
 	}
 	open, prevEnd := int32(-1), int32(0)
@@ -600,13 +678,13 @@ func (s *Sim) runGatedInit() {
 				open = prevEnd
 			}
 		} else if open >= 0 {
-			program.Exec(code[open:prevEnd], s.st, s.cfg.WordBits)
+			program.Exec(code[open:prevEnd], s.St, s.cfg.WordBits)
 			open = -1
 		}
 		prevEnd = end
 	}
 	if open >= 0 {
-		program.Exec(code[open:prevEnd], s.st, s.cfg.WordBits)
+		program.Exec(code[open:prevEnd], s.St, s.cfg.WordBits)
 	}
 }
 
@@ -626,7 +704,7 @@ func (s *Sim) flattenInactive() {
 		}
 		return
 	}
-	mask := s.simProg.Mask()
+	mask := s.Mask()
 	for n := range g.netGroup {
 		grp := g.netGroup[n]
 		if grp < 0 {
@@ -640,11 +718,11 @@ func (s *Sim) flattenInactive() {
 			continue
 		}
 		var v uint64
-		if s.prevFinal[n] {
+		if s.PrevFinal[n] {
 			v = mask
 		}
 		for w := int32(0); w < s.words[n]; w++ {
-			s.st[s.base[n]+w] = v
+			s.St[s.base[n]+w] = v
 		}
 		g.netFlat[n] = true
 	}

@@ -168,15 +168,14 @@ func TestGatedInvalidation(t *testing.T) {
 	if err := s.ResetConsistent(nil); err != nil {
 		t.Fatal(err)
 	}
-	var ck Checkpoint
 	if err := s.ApplyVector(vecs[0]); err != nil {
 		t.Fatal(err)
 	}
-	s.Save(&ck)
+	s.Save()
 	if err := s.ApplyVector(vecs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(&ck); err != nil {
+	if err := s.Restore(); err != nil {
 		t.Fatal(err)
 	}
 	if s.gate.valid {

@@ -12,7 +12,8 @@ import (
 // and — for unit-delay compiles — the static phase of every field word.
 func (s *Sim) Spec() *verify.Spec {
 	W := s.cfg.WordBits
-	c := s.c
+	c := s.Circuit()
+	init, sim := s.Programs()
 	name := "parallel"
 	if s.cfg.Trim {
 		name += "+trim"
@@ -25,9 +26,9 @@ func (s *Sim) Spec() *verify.Spec {
 	}
 	spec := &verify.Spec{
 		Name:         name,
-		Init:         s.initProg,
-		Sim:          s.simProg,
-		ScratchStart: s.scratchStart,
+		Init:         init,
+		Sim:          sim,
+		ScratchStart: s.ScratchStart(),
 	}
 	for i := range c.Nets {
 		spec.Fields = append(spec.Fields, verify.Field{
@@ -62,7 +63,7 @@ func (s *Sim) Spec() *verify.Spec {
 	// time align + w*W + i); nominal-delay compiles shift by d bits per
 	// gate, which the phase rule's one-delay model does not cover.
 	if s.cfg.Delays == nil {
-		phase := make([]int, s.simProg.NumVars)
+		phase := make([]int, sim.NumVars)
 		for i := range phase {
 			phase[i] = verify.NoPhase
 		}
@@ -75,8 +76,8 @@ func (s *Sim) Spec() *verify.Spec {
 	}
 	// When a sharded engine is configured, export its static plan so rule
 	// V008 checks the partition against the sequential dataflow.
-	if s.exec != nil {
-		spec.Shards = s.exec.Plan().Assignment()
+	if plan := s.ExecPlan(); plan != nil {
+		spec.Shards = plan.Assignment()
 	}
 	return spec
 }

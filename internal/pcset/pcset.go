@@ -17,50 +17,24 @@ package pcset
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"udsim/internal/circuit"
+	"udsim/internal/engine"
 	"udsim/internal/levelize"
-	"udsim/internal/obs"
 	"udsim/internal/program"
-	"udsim/internal/refsim"
-	"udsim/internal/resilience"
-	"udsim/internal/shard"
 	"udsim/internal/verify"
 )
 
-// Sim is a compiled PC-set unit-delay simulator.
+// Sim is a compiled PC-set unit-delay simulator. The runtime —
+// execution strategies, guarded paths, checkpoints, observability and
+// dead-store elimination — is the embedded engine.Core; Sim adds the
+// per-PC-element variable layout, the per-vector apply and the 64-lane
+// data-parallel mode.
 type Sim struct {
-	c *circuit.Circuit
-	a *levelize.Analysis
+	engine.Core
 
-	initProg *program.Program    // per-vector initialization (zero moves)
-	simProg  *program.Program    // gate simulations in levelized order
-	seq      *program.Sequential // simProg's sequential execution form
-
-	st      []uint64
 	vars    [][]int32       // per net: state index per PC element, parallel to a.NetPC
 	monitor []circuit.NetID // resolved monitor set (PRINT-gate inputs)
-
-	// Multicore execution (ConfigureExec): a sharded engine, or a worker
-	// pool plus clones for vector batching; nil/Sequential by default.
-	exec         *shard.Engine
-	pool         *shard.Pool
-	clones       []*Sim
-	execStrategy shard.Strategy
-
-	// Runtime observability (SetObserver); nil = disabled, and every
-	// hot-path hook is behind a nil check. Clones share the pointer.
-	obs *obs.Observer
-
-	ref       *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
-	zeroInput []bool            // the all-zeros assignment ResetConsistent(nil) settles
-
-	// Guarded execution (guard.go): fault injector and watchdog budgets
-	// forwarded to the sharded engine, consulted only on the ctx paths.
-	inj         resilience.Injector
-	levelBudget time.Duration
-	guardGrace  time.Duration
 }
 
 // Compile builds the PC-set program for a combinational circuit. The
@@ -163,24 +137,25 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 	mk := func(code []program.Instr) *program.Program {
 		return &program.Program{WordBits: 64, NumVars: int(next), Code: code, VarNames: names}
 	}
-	s := &Sim{
-		c:        c,
-		a:        a,
-		initProg: mk(initCode),
-		simProg:  mk(simCode),
-		st:       make([]uint64, next),
-		vars:     vars,
-		monitor:  monitor,
+	// Each primary input is one broadcast word (its single PC element);
+	// each net's final value is bit 0 of its maximum PC element.
+	inputs := make([]engine.InputField, len(c.Inputs))
+	for i, id := range c.Inputs {
+		inputs[i] = engine.InputField{Base: vars[id][0], Words: 1}
 	}
-	if err := s.initProg.Validate(); err != nil {
-		return nil, err
+	finals := make([]engine.FinalBit, c.NumNets())
+	for i, vs := range vars {
+		finals[i] = engine.FinalBit{Slot: vs[len(vs)-1]}
 	}
-	if err := s.simProg.Validate(); err != nil {
-		return nil, err
-	}
+	s := &Sim{vars: vars, monitor: monitor}
 	// Every variable is persistent: the PC-set method has no scratch.
-	if s.seq, err = program.Schedule(s.simProg, next); err != nil {
-		return nil, fmt.Errorf("pcset: %w", err)
+	err = s.Setup(s, engine.Parts{
+		Label: "pcset", Circuit: c, Analysis: a,
+		Init: mk(initCode), Sim: mk(simCode), ScratchStart: next,
+		Inputs: inputs, Finals: finals,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -206,27 +181,28 @@ func CompileChecked(c *circuit.Circuit, monitor []circuit.NetID) (*Sim, error) {
 // the final-value variable of every net, which Final and the next
 // vector's zero-insertion read.
 func (s *Sim) Spec() *verify.Spec {
+	init, sim := s.Programs()
 	spec := &verify.Spec{
 		Name:         "pcset",
-		Init:         s.initProg,
-		Sim:          s.simProg,
-		ScratchStart: int32(len(s.st)),
+		Init:         init,
+		Sim:          sim,
+		ScratchStart: s.ScratchStart(),
 	}
-	for _, id := range s.c.Inputs {
+	for _, id := range s.Circuit().Inputs {
 		spec.RuntimeWritten = append(spec.RuntimeWritten, s.vars[id][0])
 	}
 	for _, id := range s.monitor {
 		spec.LiveOut = append(spec.LiveOut, s.vars[id]...)
 	}
-	for i := range s.c.Nets {
-		if vs := s.vars[i]; len(vs) > 0 {
+	for _, vs := range s.vars {
+		if len(vs) > 0 {
 			spec.LiveOut = append(spec.LiveOut, vs[len(vs)-1])
 		}
 	}
 	// When a sharded engine is configured, export its static plan so rule
 	// V008 checks the partition against the sequential dataflow.
-	if s.exec != nil {
-		spec.Shards = s.exec.Plan().Assignment()
+	if plan := s.ExecPlan(); plan != nil {
+		spec.Shards = plan.Assignment()
 	}
 	return spec
 }
@@ -250,60 +226,28 @@ func varAt(a *levelize.Analysis, vars [][]int32, net circuit.NetID, t int) int32
 	return vars[net][lo]
 }
 
-// Circuit returns the (normalized) circuit being simulated.
-func (s *Sim) Circuit() *circuit.Circuit { return s.c }
-
-// Analysis returns the levelization/PC-set analysis (after zero-insertion).
-func (s *Sim) Analysis() *levelize.Analysis { return s.a }
-
-// Programs returns the per-vector initialization and simulation programs.
-func (s *Sim) Programs() (init, sim *program.Program) { return s.initProg, s.simProg }
-
 // NumVars returns the number of generated variables (the paper's measure
 // of the PC-set method's space cost).
-func (s *Sim) NumVars() int { return len(s.st) }
-
-// CodeSize returns the total number of generated instructions.
-func (s *Sim) CodeSize() int { return len(s.initProg.Code) + len(s.simProg.Code) }
-
-// Sequential returns the simulation program's sequential execution form:
-// the code sequential execution runs (see program.Schedule).
-func (s *Sim) Sequential() *program.Sequential { return s.seq }
-
-// CodeBytes returns the memory held by the compiled code: both programs
-// and the sequential execution form.
-func (s *Sim) CodeBytes() int64 { return s.initProg.Bytes() + s.simProg.Bytes() + s.seq.Bytes() }
-
-// Depth returns the circuit depth in gate delays.
-func (s *Sim) Depth() int { return s.a.Depth }
+func (s *Sim) NumVars() int {
+	_, sim := s.Programs()
+	return sim.NumVars
+}
 
 // ResetConsistent initializes every variable of every net to the settled
 // zero-delay state for the given input assignment (nil = all zeros), in
 // all lanes.
 func (s *Sim) ResetConsistent(inputs []bool) error {
-	if inputs == nil {
-		if s.zeroInput == nil {
-			s.zeroInput = make([]bool, len(s.c.Inputs))
-		}
-		inputs = s.zeroInput
-	}
-	if s.ref == nil {
-		var err error
-		if s.ref, err = refsim.NewEvaluator(s.c); err != nil {
-			return err
-		}
-	}
-	settled, err := s.ref.Evaluate(inputs)
+	settled, err := s.Settle(inputs)
 	if err != nil {
 		return err
 	}
-	for i := range s.c.Nets {
+	for i, v := range settled {
 		var w uint64
-		if settled[i] {
+		if v {
 			w = ^uint64(0)
 		}
-		for _, v := range s.vars[i] {
-			s.st[v] = w
+		for _, x := range s.vars[i] {
+			s.St[x] = w
 		}
 	}
 	return nil
@@ -311,45 +255,30 @@ func (s *Sim) ResetConsistent(inputs []bool) error {
 
 // ApplyVector simulates one input vector, producing the complete history
 // in the net variables. All 64 lanes carry the same vector.
-func (s *Sim) ApplyVector(inputs []bool) error { return s.apply(nil, inputs) }
+func (s *Sim) ApplyVector(inputs []bool) error { return s.Apply(nil, inputs) }
 
-// apply is the shared ApplyVector body; a nil ctx selects the unguarded
-// hot path (runSim), a non-nil ctx the guarded one (runSimCtx, see
-// guard.go).
-func (s *Sim) apply(ctx context.Context, inputs []bool) error {
-	if len(inputs) != len(s.c.Inputs) {
-		return fmt.Errorf("pcset: %d input values for %d primary inputs", len(inputs), len(s.c.Inputs))
+// Apply is the per-vector body behind ApplyVector and the core's stream
+// and guarded paths (engine.Technique); a nil ctx selects the unguarded
+// run.
+func (s *Sim) Apply(ctx context.Context, inputs []bool) error {
+	if len(inputs) != len(s.Circuit().Inputs) {
+		return fmt.Errorf("pcset: %d input values for %d primary inputs", len(inputs), len(s.Circuit().Inputs))
 	}
-	s.runInit(1)
-	for i, id := range s.c.Inputs {
-		var w uint64
-		if inputs[i] {
-			w = ^uint64(0)
-		}
-		s.st[s.vars[id][0]] = w
-	}
-	if ctx == nil {
-		s.runSim()
-	} else if err := s.runSimCtx(ctx); err != nil {
+	s.RunInit(1)
+	s.WriteInputs(inputs)
+	if err := s.RunSim(ctx); err != nil {
 		return err
 	}
-	if s.obs.ActivityEnabled() {
+	if s.Observer().ActivityEnabled() {
 		s.observeActivity()
 	}
 	return nil
 }
 
-// runInit executes the initialization program, booking it (and the
-// vector count) with the observer when one is attached.
-func (s *Sim) runInit(vectors int64) {
-	if o := s.obs; o != nil {
-		o.AddVectors(vectors)
-		t0 := time.Now()
-		s.initProg.Run(s.st)
-		o.AddInit(time.Since(t0))
-		return
-	}
-	s.initProg.Run(s.st)
+// Fork implements engine.Technique: a shallow copy. Use Clone.
+func (s *Sim) Fork() engine.Technique {
+	n := *s
+	return &n
 }
 
 // observeActivity scans lane 0 of every net's history into the
@@ -362,13 +291,13 @@ func (s *Sim) runInit(vectors int64) {
 // observability, exactly like ValueAt. Monitor every net to make the
 // profile complete.
 func (s *Sim) observeActivity() {
-	o := s.obs
-	for n := range s.c.Nets {
-		pc := s.a.NetPC[n]
-		vs := s.vars[n]
+	o := s.Observer()
+	pcs := s.Analysis().NetPC
+	for n, vs := range s.vars {
+		pc := pcs[n]
 		var toggles int64
 		for j := 1; j < len(vs); j++ {
-			if (s.st[vs[j]]^s.st[vs[j-1]])&1 != 0 {
+			if (s.St[vs[j]]^s.St[vs[j-1]])&1 != 0 {
 				o.AddTransition(pc[j])
 				toggles++
 			}
@@ -386,15 +315,15 @@ func (s *Sim) observeActivity() {
 // independent *streams*: each lane's previous-vector state is that lane's
 // own previous vector.
 func (s *Sim) ApplyLanes(packed []uint64) error {
-	if len(packed) != len(s.c.Inputs) {
-		return fmt.Errorf("pcset: %d packed inputs for %d primary inputs", len(packed), len(s.c.Inputs))
+	if len(packed) != len(s.Circuit().Inputs) {
+		return fmt.Errorf("pcset: %d packed inputs for %d primary inputs", len(packed), len(s.Circuit().Inputs))
 	}
-	s.runInit(64)
-	for i, id := range s.c.Inputs {
-		s.st[s.vars[id][0]] = packed[i]
+	s.RunInit(64)
+	for i, f := range s.Inputs() {
+		s.St[f.Base] = packed[i]
 	}
-	s.runSim()
-	if s.obs.ActivityEnabled() {
+	s.RunSim(nil)
+	if s.Observer().ActivityEnabled() {
 		s.observeActivity() // lane 0 only; the other 63 lanes are not scanned
 	}
 	return nil
@@ -415,7 +344,7 @@ func (s *Sim) LaneValueAt(id circuit.NetID, t, lane int) (bool, bool) {
 }
 
 func (s *Sim) laneValueAt(id circuit.NetID, t, lane int) (bool, bool) {
-	pc := s.a.NetPC[id]
+	pc := s.Analysis().NetPC[id]
 	// Largest element ≤ t.
 	lo, hi := 0, len(pc)
 	for lo < hi {
@@ -429,11 +358,17 @@ func (s *Sim) laneValueAt(id circuit.NetID, t, lane int) (bool, bool) {
 	if lo == 0 {
 		return false, false
 	}
-	return s.st[s.vars[id][lo-1]]>>uint(lane)&1 == 1, true
+	return s.St[s.vars[id][lo-1]]>>uint(lane)&1 == 1, true
 }
 
-// Final returns the lane-0 final value of a net (its value at time Depth).
-func (s *Sim) Final(id circuit.NetID) bool {
-	vs := s.vars[id]
-	return s.st[vs[len(vs)-1]]&1 == 1
+// Trace implements the facade's Tracer contract: the value of net n at
+// time t and whether that value is observable. Negative times belong to
+// the previous vector and are never observable; otherwise observability
+// follows the PC-set monitoring rule (ValueAt): false when t precedes
+// the net's first PC element and the net had no zero inserted.
+func (s *Sim) Trace(n circuit.NetID, t int) (bool, bool) {
+	if t < 0 {
+		return false, false
+	}
+	return s.laneValueAt(n, t, 0)
 }

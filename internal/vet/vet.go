@@ -4,12 +4,8 @@
 // Analyzer inspects parsed files and reports Diagnostics, and Run drives
 // every analyzer over a file set.
 //
-// The two shipped analyzers guard repo conventions the compiler cannot:
+// The shipped analyzer guards a repo convention the compiler cannot:
 //
-//   - deprecatedapi: the per-technique constructors NewParallel/NewPCSet
-//     are deprecated in favor of Open; the only file allowed to call
-//     them is open_test.go, which pins the wrappers' equivalence until
-//     their removal.
 //   - atomiccounter: the runtime counters in internal/obs are
 //     atomic.Int64 fields shared with shard workers; every access must
 //     go through the atomic API (or the documented Attach-time
@@ -80,7 +76,7 @@ type Analyzer struct {
 
 // Analyzers lists every shipped analyzer.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DeprecatedAPI(), AtomicCounter()}
+	return []*Analyzer{AtomicCounter()}
 }
 
 // Run drives the analyzers over the files and returns the diagnostics

@@ -45,55 +45,6 @@ func diagsContain(t *testing.T, diags []Diagnostic, want int, subs ...string) {
 	}
 }
 
-func TestDeprecatedAPIFlagsCalls(t *testing.T) {
-	fset, files := parse(t, map[string]string{
-		"harness.go": `package main
-
-import "udsim"
-
-func build(c *udsim.Circuit) {
-	udsim.NewParallel(c)
-	s, _ := udsim.NewPCSet(c, nil)
-	_ = s
-}
-`,
-		"inside.go": `package udsim
-
-func helper(c *Circuit) {
-	NewParallel(c)
-}
-`,
-	})
-	diags := Run(fset, files, []*Analyzer{DeprecatedAPI()})
-	diagsContain(t, diags, 3,
-		"deprecated NewParallel", "deprecated NewPCSet",
-		"harness.go:6", "inside.go:4")
-}
-
-func TestDeprecatedAPIAllowsOpenTestAndNonCalls(t *testing.T) {
-	fset, files := parse(t, map[string]string{
-		"open_test.go": `package udsim
-
-func TestX() {
-	NewParallel(nil)
-	NewPCSet(nil, nil)
-}
-`,
-		"decl.go": `package udsim
-
-// NewParallel is deprecated; even its declaration and this comment's
-// NewParallel(c) example must not fire.
-func NewParallel(c *Circuit) error { return nil }
-
-var byValue = NewParallel // a reference, not a call
-`,
-	})
-	diags := Run(fset, files, []*Analyzer{DeprecatedAPI()})
-	if len(diags) != 0 {
-		t.Fatalf("unexpected diagnostics: %v", diags)
-	}
-}
-
 const obsCounters = `package obs
 
 import "sync/atomic"

@@ -116,65 +116,40 @@ func WithNativeDisruptor(d NativeDisruptor) Option {
 	return func(o *options) { o.nat.set, o.nat.disrupt = true, d }
 }
 
-// wrapNativeParallel builds the native backend over a compiled
-// parallel-technique engine.
-func wrapNativeParallel(p *ParallelSim, o options) (Engine, error) {
-	init, sim := p.s.Programs()
-	return newNativeSim(p, native.Config{
-		Technique: TechParallel.String(),
-		Layout:    native.ParallelLayout(p.s, p.s.Circuit()),
-		Init:      init,
-		Sim:       sim,
-	}, p.s.Circuit(), o)
-}
-
-// wrapNativePCSet builds the native backend over a compiled PC-set
-// engine.
-func wrapNativePCSet(p *PCSetSim, o options) (Engine, error) {
-	init, sim := p.s.Programs()
-	return newNativeSim(p, native.Config{
-		Technique: TechPCSet.String(),
-		Layout:    native.PCSetLayout(p.s, p.s.Circuit()),
-		Init:      init,
-		Sim:       sim,
-	}, p.s.Circuit(), o)
-}
-
-func newNativeSim(base nativeBase, cfg native.Config, c *Circuit, o options) (Engine, error) {
-	cfg.Engine = "native/" + cfg.Technique
-	cfg.CircuitHash = native.HashBench(c)
-	cfg.Policy = o.nat.pol
-	cfg.GoTool = o.nat.goTool
-	cfg.Chaos = o.nat.chaos
-	cfg.Disrupt = o.nat.disrupt
-	cfg.Obs = o.observer
-	sup, err := native.New(cfg)
+// newNativeSim builds the native backend over a compiled engine, which
+// stays as the in-process fallback.
+func newNativeSim(base compiledEngine, o options) (Engine, error) {
+	p := base.unwrap()
+	c := p.core.Circuit()
+	init, sim := p.core.Programs()
+	sup, err := native.New(native.Config{
+		Engine:      "native/" + p.kind.String(),
+		Technique:   p.kind.String(),
+		CircuitHash: native.HashBench(c),
+		Layout:      native.CoreLayout(p.core, c),
+		Init:        init,
+		Sim:         sim,
+		Policy:      o.nat.pol,
+		GoTool:      o.nat.goTool,
+		Chaos:       o.nat.chaos,
+		Disrupt:     o.nat.disrupt,
+		Obs:         o.observer,
+	})
 	if err != nil {
 		base.Close()
 		return nil, fmt.Errorf("udsim: native backend: %w", err)
 	}
 	n := &NativeSim{
-		base:   base,
-		sup:    sup,
-		pol:    o.nat.pol,
-		obs:    o.observer,
-		outIdx: make(map[NetID]int, len(c.Outputs)),
+		compiledEngine: base,
+		sup:            sup,
+		pol:            o.nat.pol,
+		obs:            o.observer,
+		outIdx:         make(map[NetID]int, len(c.Outputs)),
 	}
 	for i, id := range c.Outputs {
 		n.outIdx[id] = i
 	}
 	return n, nil
-}
-
-// nativeBase is the in-process fallback surface NativeSim delegates to;
-// both compiled wrappers satisfy it.
-type nativeBase interface {
-	Engine
-	Tracer
-	Closer
-	Streamer
-	Introspector
-	Observable
 }
 
 // NativeSim is a compiled engine whose vectors run in a supervised
@@ -186,10 +161,10 @@ type nativeBase interface {
 // Like the engines it wraps, a NativeSim is not safe for concurrent
 // use.
 type NativeSim struct {
-	base nativeBase
-	sup  *native.Supervisor
-	pol  GuardPolicy
-	obs  *Observer
+	compiledEngine // the in-process engine: fallback, waveforms, code sizes
+	sup            *native.Supervisor
+	pol            GuardPolicy
+	obs            *Observer
 
 	outIdx  map[NetID]int
 	po      []byte // packed child outputs of the last vector, nil if none
@@ -202,20 +177,14 @@ type NativeSim struct {
 }
 
 // EngineName identifies the wrapped configuration.
-func (n *NativeSim) EngineName() string { return n.base.EngineName() + "+native" }
-
-// Circuit returns the (normalized) circuit.
-func (n *NativeSim) Circuit() *Circuit { return n.base.Circuit() }
-
-// Depth returns the circuit depth in gate delays.
-func (n *NativeSim) Depth() int { return n.base.Depth() }
+func (n *NativeSim) EngineName() string { return n.compiledEngine.EngineName() + "+native" }
 
 // ResetConsistent initializes the in-process state (nil = all-zeros
 // assignment) and forgets the child's last outputs. The child itself
 // needs no reset: it recomputes every vector from the init program.
 func (n *NativeSim) ResetConsistent(inputs []bool) error {
 	n.po, n.lastVec, n.synced = nil, nil, true
-	return n.base.ResetConsistent(inputs)
+	return n.compiledEngine.ResetConsistent(inputs)
 }
 
 // Apply simulates one input vector — a one-vector batch.
@@ -262,7 +231,7 @@ func (n *NativeSim) ApplyStream(vecs [][]bool) error {
 // applyFallback runs a batch on the in-process engine (the degraded
 // path).
 func (n *NativeSim) applyFallback(vecs [][]bool) error {
-	if err := n.base.ApplyStream(vecs); err != nil {
+	if err := n.compiledEngine.ApplyStream(vecs); err != nil {
 		return err
 	}
 	n.po = nil
@@ -283,7 +252,7 @@ func (n *NativeSim) crossCheck() error {
 	}
 	n.syncBase()
 	for _, id := range n.Circuit().Outputs {
-		if n.base.Final(id) != native.Bit(n.po, n.outIdx[id]) {
+		if n.compiledEngine.Final(id) != native.Bit(n.po, n.outIdx[id]) {
 			f := resilience.Corruption(n.EngineName(), int(id))
 			n.lastFault = f
 			n.degraded = true
@@ -304,7 +273,7 @@ func (n *NativeSim) syncBase() {
 	if n.synced || n.lastVec == nil {
 		return
 	}
-	n.base.Apply(n.lastVec)
+	n.compiledEngine.Apply(n.lastVec)
 	n.synced = true
 }
 
@@ -318,7 +287,7 @@ func (n *NativeSim) Final(id NetID) bool {
 		}
 	}
 	n.syncBase()
-	return n.base.Final(id)
+	return n.compiledEngine.Final(id)
 }
 
 // ValueAt returns net id's value at time t from the in-process engine
@@ -326,7 +295,7 @@ func (n *NativeSim) Final(id NetID) bool {
 // waveforms).
 func (n *NativeSim) ValueAt(id NetID, t int) (bool, bool) {
 	n.syncBase()
-	return n.base.ValueAt(id, t)
+	return n.compiledEngine.ValueAt(id, t)
 }
 
 // BlockFinal returns the final value of a net; the native backend never
@@ -335,23 +304,17 @@ func (n *NativeSim) BlockFinal(k int, id NetID) bool {
 	if k == 0 {
 		return n.Final(id)
 	}
-	return n.base.BlockFinal(k, id)
+	return n.compiledEngine.BlockFinal(k, id)
 }
 
 // ExecStrategy returns ExecNative while the child serves and the
 // fallback engine's strategy after a quarantine degraded it.
 func (n *NativeSim) ExecStrategy() ExecStrategy {
 	if n.degraded {
-		return n.base.ExecStrategy()
+		return n.compiledEngine.ExecStrategy()
 	}
 	return ExecNative
 }
-
-// CodeSize returns the number of compiled straight-line instructions.
-func (n *NativeSim) CodeSize() int { return n.base.CodeSize() }
-
-// CodeBytes returns the memory held by the in-process compiled code.
-func (n *NativeSim) CodeBytes() int64 { return n.base.CodeBytes() }
 
 // Observe attaches a runtime observer (nil detaches): the in-process
 // engine's counters, the supervisor's udsim_native_* counters and the
@@ -359,17 +322,14 @@ func (n *NativeSim) CodeBytes() int64 { return n.base.CodeBytes() }
 func (n *NativeSim) Observe(o *Observer) {
 	n.obs = o
 	n.sup.SetObserver(o)
-	n.base.Observe(o)
+	n.compiledEngine.Observe(o)
 }
-
-// Snapshot returns the attached observer's counters, nil without one.
-func (n *NativeSim) Snapshot() *Snapshot { return n.base.Snapshot() }
 
 // Close shuts the child down, removes its build workspace and releases
 // the in-process engine.
 func (n *NativeSim) Close() {
 	n.sup.Close()
-	n.base.Close()
+	n.compiledEngine.Close()
 }
 
 // Degraded reports whether the native child has been quarantined (or a
@@ -404,12 +364,4 @@ func (n *NativeSim) Ping() error {
 	return n.sup.Ping()
 }
 
-// Interface conformance.
-var (
-	_ Engine       = (*NativeSim)(nil)
-	_ Tracer       = (*NativeSim)(nil)
-	_ Closer       = (*NativeSim)(nil)
-	_ Streamer     = (*NativeSim)(nil)
-	_ Introspector = (*NativeSim)(nil)
-	_ Observable   = (*NativeSim)(nil)
-)
+var _ compiledEngine = (*NativeSim)(nil)

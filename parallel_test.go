@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"udsim/internal/shard"
 	"udsim/internal/vectors"
 )
 
@@ -242,47 +243,62 @@ func TestVectorBatchBlocksMatchSequential(t *testing.T) {
 }
 
 // TestAutoStrategyResolves checks that Auto picks a concrete strategy and
-// that the result still simulates correctly.
+// that the result still simulates correctly, for both compiled
+// techniques, and that every shard plan carries this machine's measured
+// barrier cost rather than the static default.
 func TestAutoStrategyResolves(t *testing.T) {
-	for _, name := range []string{"c432", "c6288"} {
-		c, err := ISCAS85(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := openParallelSim(c, WithExec(ExecAuto, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := e.ExecStrategy()
-		if got != ExecSharded && got != ExecVectorBatch {
-			t.Fatalf("%s: auto resolved to %v, want a concrete parallel strategy", name, got)
-		}
-		ref, err := openParallelSim(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vecs := vectors.Random(4, len(c.Inputs), 3)
-		if err := e.ResetConsistent(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.ResetConsistent(nil); err != nil {
-			t.Fatal(err)
-		}
-		for _, vec := range vecs.Bits {
-			if err := e.Apply(vec); err != nil {
+	for _, tech := range []Technique{TechParallel, TechPCSet} {
+		for _, name := range []string{"c432", "c6288"} {
+			c, err := ISCAS85(name)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.Apply(vec); err != nil {
+			e, err := Open(c, tech, WithExec(ExecAuto, 4))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for n := range c.Nets {
-			id := NetID(n)
-			if ref.Final(id) != e.Final(id) {
-				t.Fatalf("%s net %s: seq=%v auto(%v)=%v", name, c.Nets[n].Name, ref.Final(id), got, e.Final(id))
+			got := e.(Streamer).ExecStrategy()
+			if got != ExecSharded && got != ExecVectorBatch {
+				t.Fatalf("%v/%s: auto resolved to %v, want a concrete parallel strategy", tech, name, got)
 			}
+			sh, err := Open(c, tech, WithExec(ExecSharded, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range []Engine{e, sh} {
+				if plan := x.(compiledEngine).unwrap().core.ExecPlan(); plan != nil && plan.BarrierCost() != shard.CalibrateBarrier(4) {
+					t.Fatalf("%v/%s: %v plan barrier cost %d, want the calibrated %d",
+						tech, name, x.(Streamer).ExecStrategy(), plan.BarrierCost(), shard.CalibrateBarrier(4))
+				}
+			}
+			sh.(Closer).Close()
+			ref, err := Open(c, tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vecs := vectors.Random(4, len(c.Inputs), 3)
+			if err := e.ResetConsistent(nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.ResetConsistent(nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, vec := range vecs.Bits {
+				if err := e.Apply(vec); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Apply(vec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := range c.Nets {
+				id := NetID(n)
+				if ref.Final(id) != e.Final(id) {
+					t.Fatalf("%v/%s net %s: seq=%v auto(%v)=%v", tech, name, c.Nets[n].Name, ref.Final(id), got, e.Final(id))
+				}
+			}
+			e.(Closer).Close()
 		}
-		e.Close()
 	}
 }
 

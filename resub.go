@@ -59,13 +59,8 @@ func VerifyRewrite(res *ResubResult) *VerifyReport { return verify.CheckRewrite(
 // with (Open with WithResubstitution), unwrapping guarded engines, or
 // nil for engines built without the pass.
 func ResubResultOf(e Engine) *ResubResult {
-	switch s := e.(type) {
-	case *ParallelSim:
-		return s.Resub()
-	case *PCSetSim:
-		return s.Resub()
-	case *GuardedSim:
-		return ResubResultOf(s.base)
+	if ce, ok := e.(compiledEngine); ok {
+		return ce.unwrap().Resub()
 	}
 	return nil
 }

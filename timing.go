@@ -81,7 +81,7 @@ func NewNominalPCSet(c *Circuit, monitor []NetID, dm DelayModel) (*PCSetSim, err
 	if err != nil {
 		return nil, err
 	}
-	return &PCSetSim{s: s}, nil
+	return &PCSetSim{compiled: newCompiled(s, TechPCSet, options{}, nil), s: s}, nil
 }
 
 // NewNominalParallel compiles a circuit with the parallel technique
@@ -113,7 +113,7 @@ func NewNominalParallel(c *Circuit, dm DelayModel, opts ...Option) (*ParallelSim
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelSim{s: s, opts: o}, nil
+	return &ParallelSim{compiled: newCompiled(s, TechParallel, o, nil), s: s}, nil
 }
 
 // --- SCOAP testability ----------------------------------------------------

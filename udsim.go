@@ -17,11 +17,12 @@
 //	b.Output(o)
 //	c := b.MustBuild()
 //
-//	sim, _ := udsim.NewParallel(c)
+//	sim, _ := udsim.Open(c, udsim.TechParallel)
 //	sim.ResetConsistent(nil)
 //	sim.Apply([]bool{true})
+//	tr := sim.(udsim.Tracer)
 //	for t := 0; t <= sim.Depth(); t++ {
-//	    v, _ := sim.ValueAt(o, t)
+//	    v, _ := tr.ValueAt(o, t)
 //	    fmt.Println(t, v) // shows the unit-delay glitch on O
 //	}
 package udsim
@@ -35,6 +36,7 @@ import (
 	"udsim/internal/circuit"
 	"udsim/internal/codegen/ir"
 	"udsim/internal/codegen/validate"
+	"udsim/internal/engine"
 	"udsim/internal/eventsim"
 	"udsim/internal/gen"
 	"udsim/internal/lcc"
@@ -266,7 +268,7 @@ type (
 // (attaching resets it).
 func NewObserver(cfg ObserverConfig) *Observer { return obs.New(cfg) }
 
-// ShiftElimination selects the alignment algorithm for NewParallel.
+// ShiftElimination selects the alignment algorithm for WithShiftElimination.
 type ShiftElimination int
 
 const (
@@ -359,25 +361,6 @@ func (t Technique) String() string {
 // technique (e.g. WithWordBits on TechPCSet) instead of silently
 // ignoring them.
 type Option func(*options)
-
-// Deprecated per-technique option aliases: the facade once had separate
-// ParallelOption and PCSetOption families. They are now the same type,
-// so existing code — including mixed slices built for NewParallel or
-// NewPCSet — keeps compiling unchanged.
-type (
-	// ParallelOption is Option.
-	//
-	// Deprecated: use Option. Every in-repo caller has been migrated;
-	// this alias is kept for one deprecation cycle and will be removed
-	// in the release after the serve layer (PR 9 or later).
-	ParallelOption = Option
-	// PCSetOption is Option.
-	//
-	// Deprecated: use Option. Every in-repo caller has been migrated;
-	// this alias is kept for one deprecation cycle and will be removed
-	// in the release after the serve layer (PR 9 or later).
-	PCSetOption = Option
-)
 
 type options struct {
 	wordBits    int
@@ -529,26 +512,6 @@ func WithMonitor(nets ...NetID) Option {
 	return func(o *options) { o.monitor, o.monitorSet = nets, true }
 }
 
-// WithParallelExec is WithExec.
-//
-// Deprecated: use WithExec. Every in-repo caller has been migrated (the
-// Open-equivalence test keeps exercising the alias until it goes); the
-// wrapper will be removed in the release after the serve layer (PR 9 or
-// later).
-func WithParallelExec(strategy ExecStrategy, workers int) Option {
-	return WithExec(strategy, workers)
-}
-
-// WithPCSetParallelExec is WithExec.
-//
-// Deprecated: use WithExec. Every in-repo caller has been migrated (the
-// Open-equivalence test keeps exercising the alias until it goes); the
-// wrapper will be removed in the release after the serve layer (PR 9 or
-// later).
-func WithPCSetParallelExec(strategy ExecStrategy, workers int) Option {
-	return WithExec(strategy, workers)
-}
-
 // Open builds a simulation engine for the circuit with the given
 // technique — the single constructor behind every CLI and harness
 // entry point. Options that do not apply to the technique are an error.
@@ -567,30 +530,23 @@ func Open(c *Circuit, technique Technique, opts ...Option) (Engine, error) {
 		}
 	}
 	switch technique {
-	case TechParallel:
-		if o.monitorSet {
+	case TechParallel, TechPCSet:
+		switch {
+		case technique == TechParallel && o.monitorSet:
 			return nil, fmt.Errorf("udsim: WithMonitor applies only to %v", TechPCSet)
-		}
-		p, err := openParallel(c, o)
-		if err != nil {
-			return nil, err
-		}
-		if o.nativeMode() {
-			return wrapNativeParallel(p, o)
-		}
-		return wrapGuard(p, &parallelCore{s: p.s}, o)
-	case TechPCSet:
-		if len(o.parallelOnly) > 0 {
+		case technique == TechPCSet && len(o.parallelOnly) > 0:
 			return nil, fmt.Errorf("udsim: %s applies only to %v", o.parallelOnly[0], TechParallel)
+		case o.inject != nil && !o.guardSet:
+			return nil, fmt.Errorf("udsim: WithFaultInjection requires WithGuard")
 		}
-		p, err := openPCSet(c, o)
+		p, err := openCompiled(c, technique, o)
 		if err != nil {
 			return nil, err
 		}
 		if o.nativeMode() {
-			return wrapNativePCSet(p, o)
+			return newNativeSim(p, o)
 		}
-		return wrapGuard(p, &pcsetCore{s: p.s}, o)
+		return wrapGuard(p, o), nil
 	case TechEvent3, TechEvent2:
 		if name := o.compiledOnly(); name != "" {
 			return nil, fmt.Errorf("udsim: %s applies only to compiled techniques", name)
@@ -605,9 +561,10 @@ func Open(c *Circuit, technique Technique, opts ...Option) (Engine, error) {
 	return nil, fmt.Errorf("udsim: unknown technique %v", technique)
 }
 
-// openParallel builds the parallel-technique engine from resolved
-// options (shared by Open and the deprecated NewParallel).
-func openParallel(c *Circuit, o options) (*ParallelSim, error) {
+// openCompiled builds a compiled engine from resolved options: the
+// technique's compile step (after resubstitution, when asked), then one
+// ordered list of build stages.
+func openCompiled(c *Circuit, tech Technique, o options) (compiledEngine, error) {
 	var rs *resubState
 	if o.resub {
 		st, err := buildResub(c)
@@ -618,162 +575,135 @@ func openParallel(c *Circuit, o options) (*ParallelSim, error) {
 		// the caller's original net IDs through rs. Resubstitution implies
 		// WithVerify: V001-V012 re-run on the optimized compile.
 		rs, c, o.verify = st, st.res.Optimized, true
+		if len(o.monitor) > 0 {
+			if o.monitor, err = st.translateMonitor(o.monitor); err != nil {
+				return nil, err
+			}
+		}
+	}
+	sim, err := compileTechnique(c, tech, o)
+	if err != nil {
+		return nil, err
+	}
+	p := newCompiled(sim, tech, o, rs)
+	core := p.core
+	stages := []struct {
+		on  bool
+		run func() error
+	}{
+		{o.deadStore, func() error { _, err := core.EliminateDeadStores(); return err }},
+		{o.cgValidate, func() error {
+			init, prog := core.Programs()
+			return validateEmission(sim.Spec(), init, prog)
+		}},
+		// Only the parallel technique accepts WithLevelFusion.
+		{o.fuseLevels, func() error { sim.(*parsim.Sim).SetLevelFusion(true); return nil }},
+		{o.execSet, func() error { _, err := core.ConfigureExec(o.exec, o.execWorkers); return err }},
+		{o.observer != nil, func() error { core.SetObserver(o.observer); return nil }},
+		{rs != nil, func() error {
+			return resubCrossCheck(p, rs, func() (Engine, error) {
+				return openCompiled(rs.res.Original, tech,
+					options{wordBits: o.wordBits, trim: o.trim, shiftEl: o.shiftEl})
+			})
+		}},
+	}
+	for _, st := range stages {
+		if !st.on {
+			continue
+		}
+		if err := st.run(); err != nil {
+			core.Close()
+			return nil, err
+		}
+	}
+	return p.outer(), nil
+}
+
+// compileTechnique is Open's compile step: the technique's compiler
+// under the resolved options.
+func compileTechnique(c *Circuit, tech Technique, o options) (technique, error) {
+	if tech == TechPCSet {
+		compile := pcset.Compile
+		if o.verify {
+			compile = pcset.CompileChecked
+		}
+		s, err := compile(c, o.monitor)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	}
 	cfg := parsim.Config{WordBits: o.wordBits, Trim: o.trim, Verify: o.verify}
-	target := c
 	if o.shiftEl != NoShiftElimination {
 		norm, a, err := parsim.Analyze(c)
 		if err != nil {
 			return nil, err
 		}
-		var res *align.Result
+		// parsim.Compile validates the alignment.
 		if o.shiftEl == PathTracing {
-			res = align.PathTrace(a)
+			cfg.Align = align.PathTrace(a)
 		} else {
-			res = align.CycleBreak(a)
+			cfg.Align = align.CycleBreak(a)
 		}
-		if err := res.Validate(); err != nil {
-			return nil, err
-		}
-		cfg.Align = res
-		target = norm
+		c = norm
 	}
-	s, err := parsim.Compile(target, cfg)
+	s, err := parsim.Compile(c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if o.deadStore {
-		if _, err := s.EliminateDeadStores(); err != nil {
-			return nil, err
-		}
-	}
-	if o.cgValidate {
-		pi, ps := s.Programs()
-		if err := validateEmission(s.Spec(), pi, ps); err != nil {
-			return nil, err
-		}
-	}
-	if o.fuseLevels {
-		s.SetLevelFusion(true)
-	}
-	if o.execSet {
-		if _, err := s.ConfigureExec(o.exec, o.execWorkers); err != nil {
-			return nil, err
-		}
-	}
-	if o.observer != nil {
-		s.SetObserver(o.observer)
-	}
-	p := &ParallelSim{s: s, opts: o, rs: rs}
-	if rs != nil {
-		err := resubCrossCheck(p, rs, func() (Engine, error) {
-			return openParallel(rs.res.Original,
-				options{wordBits: o.wordBits, trim: o.trim, shiftEl: o.shiftEl})
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	return p, nil
+	return s, nil
 }
 
-// openPCSet builds the PC-set engine from resolved options (shared by
-// Open and the deprecated NewPCSet).
-func openPCSet(c *Circuit, o options) (*PCSetSim, error) {
-	var rs *resubState
-	if o.resub {
-		st, err := buildResub(c)
-		if err != nil {
-			return nil, err
-		}
-		rs, c, o.verify = st, st.res.Optimized, true
-		if len(o.monitor) > 0 {
-			tr, err := st.translateMonitor(o.monitor)
-			if err != nil {
-				return nil, err
-			}
-			o.monitor = tr
-		}
-	}
-	var (
-		s   *pcset.Sim
-		err error
-	)
-	if o.verify {
-		s, err = pcset.CompileChecked(c, o.monitor)
-	} else {
-		s, err = pcset.Compile(c, o.monitor)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if o.deadStore {
-		if _, err := s.EliminateDeadStores(); err != nil {
-			return nil, err
-		}
-	}
-	if o.cgValidate {
-		pi, ps := s.Programs()
-		if err := validateEmission(s.Spec(), pi, ps); err != nil {
-			return nil, err
-		}
-	}
-	if o.execSet {
-		if _, err := s.ConfigureExec(o.exec, o.execWorkers); err != nil {
-			return nil, err
-		}
-	}
-	if o.observer != nil {
-		s.SetObserver(o.observer)
-	}
-	p := &PCSetSim{s: s, opts: o, rs: rs}
-	if rs != nil {
-		err := resubCrossCheck(p, rs, func() (Engine, error) {
-			return openPCSet(rs.res.Original, options{})
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	return p, nil
+// technique is a compiled technique as the facade drives it: the engine
+// seam plus the reset and waveform reads each technique implements.
+type technique interface {
+	engine.Technique
+	ResetConsistent(inputs []bool) error
+	Trace(n NetID, t int) (bool, bool)
 }
 
-// NewParallel compiles a circuit with the parallel technique (§3),
-// optionally optimized.
-//
-// Deprecated: use Open(c, TechParallel, opts...); NewParallel remains
-// as a thin wrapper with a concrete return type. Every in-repo caller
-// has been migrated (only the Open-equivalence test still exercises the
-// wrapper); it will be removed in the release after the serve layer
-// (PR 9 or later).
-func NewParallel(c *Circuit, opts ...Option) (*ParallelSim, error) {
-	var o options
-	for _, f := range opts {
-		if f != nil {
-			f(&o)
-		}
-	}
-	if o.monitorSet {
-		return nil, fmt.Errorf("udsim: WithMonitor applies only to %v", TechPCSet)
-	}
-	if o.guardSet || o.inject != nil {
-		return nil, fmt.Errorf("udsim: WithGuard requires Open (the guarded engine wraps the concrete simulator)")
-	}
-	return openParallel(c, o)
+// compiledEngine is every engine built on a compiled technique: the
+// plain *ParallelSim and *PCSetSim, and the *GuardedSim and *NativeSim
+// wrapping them. unwrap reaches the shared implementation underneath.
+type compiledEngine interface {
+	Engine
+	Tracer
+	Closer
+	Streamer
+	Introspector
+	Observable
+	unwrap() *compiled
 }
 
-// ParallelSim is a compiled parallel-technique simulator.
-type ParallelSim struct {
-	s    *parsim.Sim
+// compiled is the one implementation of both compiled engines: the
+// technique, its runtime core, the options it was opened with and the
+// resubstitution remap. *ParallelSim and *PCSetSim embed it and add
+// only their technique's extras.
+type compiled struct {
+	core *engine.Core
+	sim  technique
+	kind Technique
 	opts options
 	rs   *resubState // non-nil iff built with WithResubstitution
 }
 
+func newCompiled(sim technique, kind Technique, o options, rs *resubState) *compiled {
+	return &compiled{core: engine.CoreOf(sim), sim: sim, kind: kind, opts: o, rs: rs}
+}
+
+// outer returns the exported engine type of p's technique.
+func (p *compiled) outer() compiledEngine {
+	if s, ok := p.sim.(*parsim.Sim); ok {
+		return &ParallelSim{compiled: p, s: s}
+	}
+	return &PCSetSim{compiled: p, s: p.sim.(*pcset.Sim)}
+}
+
+func (p *compiled) unwrap() *compiled { return p }
+
 // EngineName identifies the configuration.
-func (p *ParallelSim) EngineName() string {
-	n := "parallel"
+func (p *compiled) EngineName() string {
+	n := p.kind.String()
 	if p.opts.trim {
 		n += "+trim"
 	}
@@ -791,16 +721,16 @@ func (p *ParallelSim) EngineName() string {
 
 // Circuit returns the (normalized) circuit — under WithResubstitution
 // the original one, whose IDs every accessor speaks.
-func (p *ParallelSim) Circuit() *Circuit {
+func (p *compiled) Circuit() *Circuit {
 	if p.rs != nil {
 		return p.rs.res.Original
 	}
-	return p.s.Circuit()
+	return p.core.Circuit()
 }
 
 // Resub returns the resubstitution result the engine was built on, nil
 // without WithResubstitution.
-func (p *ParallelSim) Resub() *ResubResult {
+func (p *compiled) Resub() *ResubResult {
 	if p.rs == nil {
 		return nil
 	}
@@ -808,37 +738,37 @@ func (p *ParallelSim) Resub() *ResubResult {
 }
 
 // Depth returns the circuit depth in gate delays.
-func (p *ParallelSim) Depth() int { return p.s.Depth() }
+func (p *compiled) Depth() int { return p.core.Depth() }
 
 // ResetConsistent initializes the state (nil = all-zeros assignment).
-func (p *ParallelSim) ResetConsistent(inputs []bool) error { return p.s.ResetConsistent(inputs) }
+func (p *compiled) ResetConsistent(inputs []bool) error { return p.sim.ResetConsistent(inputs) }
 
 // Apply simulates one input vector.
-func (p *ParallelSim) Apply(vec []bool) error { return p.s.ApplyVector(vec) }
+func (p *compiled) Apply(vec []bool) error { return p.sim.Apply(nil, vec) }
 
 // ApplyStream simulates a stream of input vectors under the configured
-// execution strategy (see WithParallelExec). Sequential and sharded
-// execution produce one coherent, bit-identical stream; vector batching
-// splits the stream into per-worker blocks that run concurrently as
-// independent substreams.
-func (p *ParallelSim) ApplyStream(vecs [][]bool) error { return p.s.ApplyStream(vecs) }
+// execution strategy (see WithExec). Sequential and sharded execution
+// produce one coherent, bit-identical stream; vector batching splits the
+// stream into per-worker blocks that run concurrently as independent
+// substreams.
+func (p *compiled) ApplyStream(vecs [][]bool) error { return p.core.ApplyStream(vecs) }
 
 // ExecStrategy returns the resolved execution strategy (ExecSequential
-// unless WithParallelExec was given).
-func (p *ParallelSim) ExecStrategy() ExecStrategy { return p.s.ExecStrategy() }
+// unless WithExec was given).
+func (p *compiled) ExecStrategy() ExecStrategy { return p.core.ExecStrategy() }
 
 // BlockFinal returns the final value of a net in vector-batch block k
 // (block 0 is the stream the simulator itself carries).
-func (p *ParallelSim) BlockFinal(k int, n NetID) bool {
+func (p *compiled) BlockFinal(k int, n NetID) bool {
 	if p.rs != nil {
-		return p.rs.final(func(x NetID) bool { return p.s.BlockFinal(k, x) }, n)
+		return p.rs.final(func(x NetID) bool { return p.core.BlockFinal(k, x) }, n)
 	}
-	return p.s.BlockFinal(k, n)
+	return p.core.BlockFinal(k, n)
 }
 
 // Close releases any multicore execution workers; the simulator remains
 // usable sequentially. A no-op for sequential engines.
-func (p *ParallelSim) Close() { p.s.Close() }
+func (p *compiled) Close() { p.core.Close() }
 
 // Clone returns an independent engine sharing the compiled programs and
 // layout (no recompilation) but owning a private copy of all mutable
@@ -848,43 +778,64 @@ func (p *ParallelSim) Close() { p.s.Close() }
 // re-attaches that observer, starting a new observation window — so
 // build the whole family (an engine pool) before accumulating counters.
 // Close the clone when done to release its workers.
-func (p *ParallelSim) Clone() (Engine, error) {
-	cl := p.s.Clone()
+func (p *compiled) Clone() (Engine, error) { return p.clone() }
+
+func (p *compiled) clone() (compiledEngine, error) {
+	cl := newCompiled(p.core.Clone().(technique), p.kind, p.opts, p.rs)
 	if p.opts.execSet {
-		if _, err := cl.ConfigureExec(p.opts.exec, p.opts.execWorkers); err != nil {
+		if _, err := cl.core.ConfigureExec(p.opts.exec, p.opts.execWorkers); err != nil {
 			return nil, err
 		}
 	}
-	return &ParallelSim{s: cl, opts: p.opts, rs: p.rs}, nil
+	return cl.outer(), nil
 }
 
 // Final returns the settled value of a net. Under WithResubstitution a
 // merged net reads its surviving representative, a constant net its
 // proven value, and a stripped net false.
-func (p *ParallelSim) Final(n NetID) bool {
+func (p *compiled) Final(n NetID) bool {
 	if p.rs != nil {
-		return p.rs.final(p.s.Final, n)
+		return p.rs.final(p.core.Final, n)
 	}
-	return p.s.Final(n)
+	return p.core.Final(n)
 }
 
-// ValueAt returns the value of net n at time t (ok=false for negative
-// times, which belong to the previous vector; all in-range times are
-// observable — the parallel technique retains every waveform). Under
+// ValueAt returns the value of net n at time t, with ok=false for
+// negative times (they belong to the previous vector) and — under the
+// PC-set method — before an unmonitored net's first potential change;
+// the parallel technique retains every waveform. Under
 // WithResubstitution merged nets resolve to the surviving
 // representative's waveform and stripped nets are unobservable.
-func (p *ParallelSim) ValueAt(n NetID, t int) (bool, bool) {
+func (p *compiled) ValueAt(n NetID, t int) (bool, bool) {
 	if p.rs != nil {
-		return p.rs.valueAt(p.s.Trace, p.s.Depth(), n, t)
+		return p.rs.valueAt(p.sim.Trace, p.core.Depth(), n, t)
 	}
-	return p.s.Trace(n, t)
+	return p.sim.Trace(n, t)
 }
 
 // Observe attaches a runtime observer (nil detaches); see NewObserver.
-func (p *ParallelSim) Observe(o *Observer) { p.s.SetObserver(o) }
+func (p *compiled) Observe(o *Observer) { p.core.SetObserver(o) }
 
 // Snapshot returns the attached observer's counters, nil without one.
-func (p *ParallelSim) Snapshot() *Snapshot { return p.s.Snapshot() }
+func (p *compiled) Snapshot() *Snapshot { return p.core.Snapshot() }
+
+// CodeSize returns the number of compiled straight-line instructions.
+func (p *compiled) CodeSize() int { return p.core.CodeSize() }
+
+// CodeBytes returns the memory held by the compiled code.
+func (p *compiled) CodeBytes() int64 { return p.core.CodeBytes() }
+
+// EliminateDeadStores strips the provably-dead instructions (see
+// WithDeadStoreElimination) and returns how many were removed.
+func (p *compiled) EliminateDeadStores() (int, error) { return p.core.EliminateDeadStores() }
+
+// ParallelSim is a compiled parallel-technique simulator. Besides the
+// surface every compiled engine shares, it reports its bit-field shape
+// and returns whole waveforms.
+type ParallelSim struct {
+	*compiled
+	s *parsim.Sim
+}
 
 // History returns net n's full waveform for the last vector. Under
 // WithResubstitution a merged net returns the representative's waveform
@@ -894,37 +845,15 @@ func (p *ParallelSim) History(n NetID) []bool {
 	if p.rs == nil {
 		return p.s.History(n)
 	}
-	st := p.rs
-	if int(n) >= len(st.ok) || !st.ok[n] {
+	if int(n) >= len(p.rs.ok) || !p.rs.ok[n] {
 		return nil
 	}
-	if st.isC[n] {
-		h := make([]bool, p.s.Depth()+1)
-		for i := range h {
-			h[i] = st.cval[n]
-		}
-		return h
+	h := make([]bool, p.Depth()+1)
+	for t := range h {
+		h[t], _ = p.ValueAt(n, t)
 	}
-	h := p.s.History(st.opt[n])
-	if !st.inv[n] {
-		return h
-	}
-	out := make([]bool, len(h))
-	for i, v := range h {
-		out[i] = !v
-	}
-	return out
+	return h
 }
-
-// CodeSize returns the number of compiled straight-line instructions.
-func (p *ParallelSim) CodeSize() int { return p.s.CodeSize() }
-
-// CodeBytes returns the memory held by the compiled code.
-func (p *ParallelSim) CodeBytes() int64 { return p.s.CodeBytes() }
-
-// EliminateDeadStores strips the provably-dead instructions (see
-// WithDeadStoreElimination) and returns how many were removed.
-func (p *ParallelSim) EliminateDeadStores() (int, error) { return p.s.EliminateDeadStores() }
 
 // WordsPerField returns the widest bit-field in machine words.
 func (p *ParallelSim) WordsPerField() int { return p.s.WordsPerField() }
@@ -933,139 +862,13 @@ func (p *ParallelSim) WordsPerField() int { return p.s.WordsPerField() }
 // simulation code.
 func (p *ParallelSim) ShiftCount() int { return p.s.ShiftCount() }
 
-// NewPCSet compiles a circuit with the PC-set method (§2). monitor lists
-// the nets whose full waveforms must be observable (nil = the primary
-// outputs); monitored nets receive zero-insertion like inputs of the
-// paper's PRINT pseudo-gate.
-//
-// Deprecated: use Open(c, TechPCSet, WithMonitor(nets...), opts...);
-// NewPCSet remains as a thin wrapper with a concrete return type. A
-// WithMonitor option takes precedence over the monitor argument. Every
-// in-repo caller has been migrated (only the Open-equivalence test
-// still exercises the wrapper); it will be removed in the release after
-// the serve layer (PR 9 or later).
-func NewPCSet(c *Circuit, monitor []NetID, opts ...Option) (*PCSetSim, error) {
-	var o options
-	for _, f := range opts {
-		if f != nil {
-			f(&o)
-		}
-	}
-	if len(o.parallelOnly) > 0 {
-		return nil, fmt.Errorf("udsim: %s applies only to %v", o.parallelOnly[0], TechParallel)
-	}
-	if o.guardSet || o.inject != nil {
-		return nil, fmt.Errorf("udsim: WithGuard requires Open (the guarded engine wraps the concrete simulator)")
-	}
-	if !o.monitorSet {
-		o.monitor = monitor
-	}
-	return openPCSet(c, o)
-}
-
-// PCSetSim is a compiled PC-set method simulator.
+// PCSetSim is a compiled PC-set method simulator. Besides the surface
+// every compiled engine shares, it runs 64 independent vector streams at
+// once in its bit lanes.
 type PCSetSim struct {
-	s    *pcset.Sim
-	opts options
-	rs   *resubState // non-nil iff built with WithResubstitution
+	*compiled
+	s *pcset.Sim
 }
-
-// EngineName identifies the technique.
-func (p *PCSetSim) EngineName() string {
-	if p.rs != nil {
-		return "pcset+resub"
-	}
-	return "pcset"
-}
-
-// Circuit returns the (normalized) circuit — under WithResubstitution
-// the original one, whose IDs every accessor speaks.
-func (p *PCSetSim) Circuit() *Circuit {
-	if p.rs != nil {
-		return p.rs.res.Original
-	}
-	return p.s.Circuit()
-}
-
-// Resub returns the resubstitution result the engine was built on, nil
-// without WithResubstitution.
-func (p *PCSetSim) Resub() *ResubResult {
-	if p.rs == nil {
-		return nil
-	}
-	return p.rs.res
-}
-
-// Depth returns the circuit depth in gate delays.
-func (p *PCSetSim) Depth() int { return p.s.Depth() }
-
-// ResetConsistent initializes the state (nil = all-zeros assignment).
-func (p *PCSetSim) ResetConsistent(inputs []bool) error { return p.s.ResetConsistent(inputs) }
-
-// Apply simulates one input vector.
-func (p *PCSetSim) Apply(vec []bool) error { return p.s.ApplyVector(vec) }
-
-// ApplyStream simulates a stream of input vectors under the configured
-// execution strategy (see WithPCSetParallelExec).
-func (p *PCSetSim) ApplyStream(vecs [][]bool) error { return p.s.ApplyStream(vecs) }
-
-// ExecStrategy returns the resolved execution strategy (ExecSequential
-// unless WithPCSetParallelExec was given).
-func (p *PCSetSim) ExecStrategy() ExecStrategy { return p.s.ExecStrategy() }
-
-// BlockFinal returns the final value of a net in vector-batch block k
-// (block 0 is the stream the simulator itself carries).
-func (p *PCSetSim) BlockFinal(k int, n NetID) bool {
-	if p.rs != nil {
-		return p.rs.final(func(x NetID) bool { return p.s.BlockFinal(k, x) }, n)
-	}
-	return p.s.BlockFinal(k, n)
-}
-
-// Close releases any multicore execution workers; the simulator remains
-// usable sequentially. A no-op for sequential engines.
-func (p *PCSetSim) Close() { p.s.Close() }
-
-// Clone returns an independent engine sharing the compiled programs and
-// layout (no recompilation) but owning a private copy of all mutable
-// state, configured for the parent's execution strategy; see
-// (*ParallelSim).Clone for observer-sharing semantics.
-func (p *PCSetSim) Clone() (Engine, error) {
-	cl := p.s.Clone()
-	if p.opts.execSet {
-		if _, err := cl.ConfigureExec(p.opts.exec, p.opts.execWorkers); err != nil {
-			return nil, err
-		}
-	}
-	return &PCSetSim{s: cl, opts: p.opts, rs: p.rs}, nil
-}
-
-// Final returns the settled value of a net. Under WithResubstitution a
-// merged net reads its surviving representative, a constant net its
-// proven value, and a stripped net false.
-func (p *PCSetSim) Final(n NetID) bool {
-	if p.rs != nil {
-		return p.rs.final(p.s.Final, n)
-	}
-	return p.s.Final(n)
-}
-
-// ValueAt returns net n's value at time t, with ok=false for negative
-// times and when the time precedes the net's first potential change and
-// the net is unmonitored. Under WithResubstitution merged nets resolve
-// to the surviving representative and stripped nets are unobservable.
-func (p *PCSetSim) ValueAt(n NetID, t int) (bool, bool) {
-	if p.rs != nil {
-		return p.rs.valueAt(p.s.Trace, p.s.Depth(), n, t)
-	}
-	return p.s.Trace(n, t)
-}
-
-// Observe attaches a runtime observer (nil detaches); see NewObserver.
-func (p *PCSetSim) Observe(o *Observer) { p.s.SetObserver(o) }
-
-// Snapshot returns the attached observer's counters, nil without one.
-func (p *PCSetSim) Snapshot() *Snapshot { return p.s.Snapshot() }
 
 // ApplyLanes simulates 64 independent vector streams at once (§3's
 // data-parallel mode); packed is the layout of vectors.Set.Packed.
@@ -1083,16 +886,6 @@ func (p *PCSetSim) LaneValueAt(n NetID, t, lane int) (bool, bool) {
 
 // NumVars returns the number of generated variables.
 func (p *PCSetSim) NumVars() int { return p.s.NumVars() }
-
-// CodeSize returns the number of compiled straight-line instructions.
-func (p *PCSetSim) CodeSize() int { return p.s.CodeSize() }
-
-// CodeBytes returns the memory held by the compiled code.
-func (p *PCSetSim) CodeBytes() int64 { return p.s.CodeBytes() }
-
-// EliminateDeadStores strips the provably-dead instructions (see
-// WithDeadStoreElimination) and returns how many were removed.
-func (p *PCSetSim) EliminateDeadStores() (int, error) { return p.s.EliminateDeadStores() }
 
 // NewEventDriven builds the interpreted event-driven unit-delay baseline.
 // threeValued selects the {0,1,X} model; otherwise two-valued.
@@ -1227,26 +1020,13 @@ func (z *ZeroDelayInterp) Value(n NetID) V3 { return z.s.Value(n) }
 
 // Static interface checks.
 var (
-	_ Engine = (*ParallelSim)(nil)
-	_ Engine = (*PCSetSim)(nil)
-	_ Engine = (*EventSim)(nil)
-	_ Engine = (*ZeroDelaySim)(nil)
-	_ Tracer = (*ParallelSim)(nil)
-	_ Tracer = (*PCSetSim)(nil)
-	_ Tracer = (*EventSim)(nil)
-
-	_ Closer       = (*ParallelSim)(nil)
-	_ Closer       = (*PCSetSim)(nil)
-	_ Streamer     = (*ParallelSim)(nil)
-	_ Streamer     = (*PCSetSim)(nil)
-	_ Cloner       = (*ParallelSim)(nil)
-	_ Cloner       = (*PCSetSim)(nil)
-	_ Introspector = (*ParallelSim)(nil)
-	_ Introspector = (*PCSetSim)(nil)
-	_ Observable   = (*ParallelSim)(nil)
-	_ Observable   = (*PCSetSim)(nil)
-	_ Snapshotter  = (*ParallelSim)(nil)
-	_ Snapshotter  = (*PCSetSim)(nil)
+	_ compiledEngine = (*ParallelSim)(nil)
+	_ compiledEngine = (*PCSetSim)(nil)
+	_ Cloner         = (*ParallelSim)(nil)
+	_ Cloner         = (*PCSetSim)(nil)
+	_ Engine         = (*EventSim)(nil)
+	_ Engine         = (*ZeroDelaySim)(nil)
+	_ Tracer         = (*EventSim)(nil)
 )
 
 // Levelize exposes the level / minlevel / PC-set analysis of §§1–2 for a
@@ -1256,15 +1036,12 @@ func Levelize(c *Circuit) (*levelize.Analysis, error) { return levelize.Analyze(
 // Programs gives access to an engine's compiled instruction streams when
 // it has them (for disassembly or source generation).
 func Programs(e Engine) (init, sim *program.Program, ok bool) {
-	switch s := e.(type) {
-	case *ParallelSim:
-		i, m := s.s.Programs()
-		return i, m, true
-	case *PCSetSim:
-		i, m := s.s.Programs()
-		return i, m, true
-	case *ZeroDelaySim:
-		return &program.Program{WordBits: 64}, s.s.Program(), true
+	if ce, ok := e.(compiledEngine); ok {
+		init, sim = ce.unwrap().core.Programs()
+		return init, sim, true
+	}
+	if z, ok := e.(*ZeroDelaySim); ok {
+		return &program.Program{WordBits: 64}, z.s.Program(), true
 	}
 	return nil, nil, false
 }
@@ -1290,11 +1067,8 @@ type (
 // zero-delay LCC engine, whose program has no unit-delay layout metadata)
 // return an error.
 func Verify(e Engine, opts VerifyOptions) (*VerifyReport, error) {
-	switch s := e.(type) {
-	case *ParallelSim:
-		return verify.Check(s.s.Spec(), opts), nil
-	case *PCSetSim:
-		return verify.Check(s.s.Spec(), opts), nil
+	if ce, ok := e.(compiledEngine); ok {
+		return verify.Check(ce.unwrap().sim.Spec(), opts), nil
 	}
 	return nil, fmt.Errorf("udsim: engine %s has no statically verifiable programs", e.EngineName())
 }
@@ -1323,20 +1097,13 @@ func validateEmission(spec *verify.Spec, init, sim *program.Program) error {
 // is clean exactly when EmitChecked would succeed. Engines without
 // compiled instruction streams return an error.
 func ValidateCodegen(e Engine) (*VerifyReport, error) {
-	var (
-		spec     *verify.Spec
-		init, si *program.Program
-	)
-	switch s := e.(type) {
-	case *ParallelSim:
-		spec = s.s.Spec()
-		init, si = s.s.Programs()
-	case *PCSetSim:
-		spec = s.s.Spec()
-		init, si = s.s.Programs()
-	default:
+	ce, ok := e.(compiledEngine)
+	if !ok {
 		return nil, fmt.Errorf("udsim: engine %s has no generated source to validate", e.EngineName())
 	}
+	p := ce.unwrap()
+	spec := p.sim.Spec()
+	init, si := p.core.Programs()
 	units := []ir.Source{{Name: "initvec", Prog: init}, {Name: "simvec", Prog: si}}
 	goSrc, cSrc, err := validate.Sources("gensim", units)
 	if err != nil {

@@ -2,6 +2,8 @@ package udsim
 
 import (
 	"fmt"
+	"os/exec"
+	"reflect"
 	"testing"
 
 	"udsim/internal/gen"
@@ -166,6 +168,63 @@ func TestVerifyISCAS85Sharded(t *testing.T) {
 					t.Fatalf("findings:\n%s", rep)
 				}
 			})
+		}
+	}
+}
+
+// TestWrappedEnginesExposePrograms: Programs, Verify, ValidateCodegen
+// and ResubResultOf see through the guarded and native wrappers — the
+// engines udserve builds — to the compiled engine underneath: the same
+// programs as the plain twin and clean reports, for both techniques.
+func TestWrappedEnginesExposePrograms(t *testing.T) {
+	c, err := ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrappers := []struct {
+		name string
+		opt  Option
+	}{{"guarded", WithGuard(DefaultGuardPolicy())}}
+	if _, err := exec.LookPath("go"); err == nil {
+		wrappers = append(wrappers, struct {
+			name string
+			opt  Option
+		}{"native", WithNativeBackend()})
+	}
+	for _, tech := range []Technique{TechParallel, TechPCSet} {
+		plain, err := Open(c, tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantInit, wantSim, ok := Programs(plain)
+		if !ok {
+			t.Fatalf("%v: plain engine has no programs", tech)
+		}
+		for _, w := range wrappers {
+			label := fmt.Sprintf("%v/%s", tech, w.name)
+			e, err := Open(c, tech, w.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			defer e.(Closer).Close()
+			init, sim, ok := Programs(e)
+			if !ok {
+				t.Fatalf("%s: Programs reported no compiled programs", label)
+			}
+			if !reflect.DeepEqual(init.Code, wantInit.Code) || !reflect.DeepEqual(sim.Code, wantSim.Code) {
+				t.Fatalf("%s: programs differ from the plain engine's", label)
+			}
+			rep, err := Verify(e, VerifyOptions{})
+			if err != nil || !rep.Clean() {
+				t.Fatalf("%s: Verify = %v, %v; want a clean report", label, rep, err)
+			}
+			rep, err = ValidateCodegen(e)
+			if err != nil || !rep.Clean() {
+				t.Fatalf("%s: ValidateCodegen = %v, %v; want a clean report", label, rep, err)
+			}
+			if ResubResultOf(e) != nil {
+				t.Fatalf("%s: resubstitution result without WithResubstitution", label)
+			}
 		}
 	}
 }
