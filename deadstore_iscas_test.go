@@ -18,6 +18,8 @@ var deadStoreVariants = []struct {
 	{"parallel", nil},
 	{"parallel-trim", []Option{WithTrimming()}},
 	{"parallel-cb-trim", []Option{WithShiftElimination(CycleBreaking), WithTrimming()}},
+	{"parallel-trim-w8", []Option{WithWordBits(8), WithTrimming()}},
+	{"parallel-trim-w16", []Option{WithWordBits(16), WithTrimming()}},
 }
 
 // TestDeadStoreEliminationISCAS85 builds each profile circuit twice —

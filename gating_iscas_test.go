@@ -10,6 +10,7 @@ package udsim
 
 import (
 	"testing"
+	"time"
 
 	"udsim/internal/resilience/chaos"
 	"udsim/internal/vectors"
@@ -40,11 +41,13 @@ func gatingStream(c *Circuit, seed int64) *vectors.Set {
 }
 
 // TestGatedDeterminismISCAS compares the activity-gated strategy — plain
-// and level-fused — against the sequential baseline on every synthesized
-// ISCAS-85 profile, at worker counts {1, 2, 4}, over the repeat/delta
-// stream: identical finals on every net after every vector and identical
-// primary-output waveforms (a skipped cone must read back its held
-// value, not a stale or unflattened field).
+// and level-fused, bare, guarded and observed — against the sequential
+// baseline on every synthesized ISCAS-85 profile, at worker counts
+// {1, 2, 4}, over the repeat/delta stream: identical finals on every net
+// after every vector and identical primary-output waveforms (a skipped
+// cone must read back its held value, not a stale or unflattened field).
+// The guarded runs must finish without a fault, so they are compared on
+// the gated engine itself rather than on a degraded fallback.
 func TestGatedDeterminismISCAS(t *testing.T) {
 	names := ISCAS85Names()
 	if testing.Short() {
@@ -62,23 +65,35 @@ func TestGatedDeterminismISCAS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, fused := range []bool{false, true} {
-				for _, w := range []int{1, 2, 4} {
-					opts := []Option{WithExec(ExecActivityGated, w)}
-					label := "plain"
-					if fused {
-						opts = append(opts, WithLevelFusion())
-						label = "fused"
+			for _, mode := range []string{"unguarded", "guarded", "observed"} {
+				for _, fused := range []bool{false, true} {
+					for _, w := range []int{1, 2, 4} {
+						opts := []Option{WithExec(ExecActivityGated, w)}
+						label := mode + "/plain"
+						if fused {
+							opts = append(opts, WithLevelFusion())
+							label = mode + "/fused"
+						}
+						switch mode {
+						case "guarded":
+							opts = append(opts, WithGuard(GuardPolicy{LevelBudget: time.Second, QuarantineGrace: time.Second}))
+						case "observed":
+							opts = append(opts, WithObserver(NewObserver(ObserverConfig{})))
+						}
+						e, err := Open(c, TechParallel, opts...)
+						if err != nil {
+							t.Fatalf("%s workers=%d: %v", label, w, err)
+						}
+						gt := e.(compiledEngine)
+						if got := gt.ExecStrategy(); got != ExecActivityGated {
+							t.Fatalf("%s workers=%d: strategy %v, want %v", label, w, got, ExecActivityGated)
+						}
+						compareParallel(t, ref, gt, vecs, w)
+						if g, ok := e.(*GuardedSim); ok && g.Degraded() {
+							t.Fatalf("%s workers=%d: guarded run faulted: %v", label, w, g.LastFault())
+						}
+						gt.Close()
 					}
-					gt, err := openParallelSim(c, opts...)
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", label, w, err)
-					}
-					if got := gt.ExecStrategy(); got != ExecActivityGated {
-						t.Fatalf("%s workers=%d: strategy %v, want %v", label, w, got, ExecActivityGated)
-					}
-					compareParallel(t, ref, gt, vecs, w)
-					gt.Close()
 				}
 			}
 		})

@@ -136,6 +136,12 @@ type Core struct {
 	clones   []*Core
 	strategy shard.Strategy
 
+	// The vector-batch stream ApplyStream splits, and the block function
+	// the pool runs over it, built once so a stream allocates nothing.
+	batch    [][]bool
+	blockLen int
+	block    func(worker int)
+
 	// Runtime observability (SetObserver); nil = disabled, and every
 	// hot-path hook is behind a nil check. Clones share the pointer, so
 	// vector-batch blocks feed one set of counters.
@@ -342,74 +348,47 @@ func (c *Core) WriteInputs(inputs []bool) {
 }
 
 // RunSim executes the simulation program under the configured strategy:
-// unguarded when ctx is nil (runSim), guarded otherwise (runSimCtx).
+// the sharded engine's cells, or else the program's sequential execution
+// form. A nil ctx selects the unguarded run; otherwise the run is
+// guarded — the sharded engine's RunCtx, or for sequential execution a
+// context check and the injector, with the ApplyVectorCtx recover for
+// panic isolation. With an observer attached it brackets the run with
+// monotonic-clock reads; the sequential path additionally books the
+// whole program as level 0 of a 1×1 grid so the snapshot's
+// cell/instruction totals stay consistent across strategies (the
+// sharded engine books its own per-level cells).
 func (c *Core) RunSim(ctx context.Context) error {
-	if ctx == nil {
-		c.runSim()
-		return nil
-	}
-	return c.runSimCtx(ctx)
-}
-
-// runSim runs the sharded engine's emission-order cells, or else the
-// program's sequential execution form. With an observer attached it
-// brackets the run with monotonic-clock reads; the sequential path
-// additionally books the whole program as level 0 of a 1×1 grid so the
-// snapshot's cell/instruction totals stay consistent across strategies
-// (the sharded engine books its own per-level cells).
-func (c *Core) runSim() {
-	o := c.obs
-	if o == nil {
-		if c.exec != nil {
-			c.exec.Run(c.St)
-			return
+	if ctx != nil && c.exec == nil {
+		if err := ctx.Err(); err != nil {
+			return resilience.FromContext(c.label, err)
 		}
-		c.seq.Run(c.St)
-		return
+		if inj := c.inj; inj != nil {
+			inj.BeginRun()
+			inj.AtLevel(0, 0, c.St)
+		}
 	}
-	t0 := time.Now()
-	if c.exec != nil {
+	o := c.obs
+	var t0 time.Time
+	if o != nil {
+		t0 = time.Now()
+	}
+	var err error
+	switch {
+	case c.exec == nil:
+		c.seq.Run(c.St)
+	case ctx == nil:
 		c.exec.Run(c.St)
-		o.AddRun(time.Since(t0))
-		return
+	default:
+		err = c.exec.RunCtx(ctx, c.St)
 	}
-	c.seq.Run(c.St)
-	d := time.Since(t0)
-	o.AddRun(d)
-	o.AddLevel(0, 0, d, len(c.simProg.Code))
-}
-
-// runSimCtx is runSim under guard. Sequential execution relies on the
-// ApplyVectorCtx recover for panic isolation; sharded execution
-// delegates to the engine's RunCtx.
-func (c *Core) runSimCtx(ctx context.Context) error {
-	o := c.obs
-	if c.exec != nil {
-		if o == nil {
-			return c.exec.RunCtx(ctx, c.St)
+	if o != nil {
+		d := time.Since(t0)
+		o.AddRun(d)
+		if c.exec == nil {
+			o.AddLevel(0, 0, d, len(c.simProg.Code))
 		}
-		t0 := time.Now()
-		err := c.exec.RunCtx(ctx, c.St)
-		o.AddRun(time.Since(t0))
-		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return resilience.FromContext(c.label, err)
-	}
-	if inj := c.inj; inj != nil {
-		inj.BeginRun()
-		inj.AtLevel(0, 0, c.St)
-	}
-	if o == nil {
-		c.seq.Run(c.St)
-		return nil
-	}
-	t0 := time.Now()
-	c.seq.Run(c.St)
-	d := time.Since(t0)
-	o.AddRun(d)
-	o.AddLevel(0, 0, d, len(c.simProg.Code))
-	return nil
+	return err
 }
 
 // SetObserver attaches a runtime observer (nil detaches). Attaching

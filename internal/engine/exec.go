@@ -118,6 +118,7 @@ func (c *Core) fork() *Core {
 	cl.PrevPI = append([]bool(nil), c.PrevPI...)
 	cl.PrevFinal = append([]bool(nil), c.PrevFinal...)
 	cl.exec, cl.pool, cl.clones = nil, nil, nil
+	cl.batch, cl.block = nil, nil // a copied block would run c's blocks
 	cl.strategy = shard.Sequential
 	cl.ref = nil // the evaluator is single-threaded state; rebuild on demand
 	cl.ck = checkpoint{}
@@ -163,22 +164,27 @@ func (c *Core) ApplyStream(vecs [][]bool) error {
 	for len(c.clones) < n-1 {
 		c.clones = append(c.clones, c.fork())
 	}
-	block := (len(vecs) + n - 1) / n
-	c.pool.Do(func(w int) {
-		sim := c
-		if w > 0 {
-			sim = c.clones[w-1]
-		}
-		lo := w * block
-		hi := lo + block
-		if hi > len(vecs) {
-			hi = len(vecs)
-		}
-		for _, v := range vecs[lo:hi] {
-			sim.t.Apply(nil, v) // lengths pre-validated; cannot fail
-		}
-	})
+	if c.block == nil {
+		c.block = c.runBlock
+	}
+	c.batch, c.blockLen = vecs, (len(vecs)+n-1)/n
+	c.pool.Do(c.block)
+	c.batch = nil
 	return nil
+}
+
+// runBlock applies worker w's contiguous block of the vector-batch
+// stream: block 0 on the core itself, block w on clone w-1.
+func (c *Core) runBlock(w int) {
+	sim := c
+	if w > 0 {
+		sim = c.clones[w-1]
+	}
+	lo := min(w*c.blockLen, len(c.batch))
+	hi := min(lo+c.blockLen, len(c.batch))
+	for _, v := range c.batch[lo:hi] {
+		sim.t.Apply(nil, v) // lengths pre-validated; cannot fail
+	}
 }
 
 // BlockFinal returns the final value of a net in vector-batch block k

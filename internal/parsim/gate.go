@@ -26,12 +26,14 @@ import (
 //     one group per net's instruction cluster, unioned only where a
 //     scratch-slot dependence crosses clusters, and each (level, shard)
 //     cell is cut into contiguous per-group segments the engine
-//     executes as active ranges (Engine.SetGateRuns) — so a level that
+//     executes as active ranges (Engine.SetGate) — so a level that
 //     must run for one hot cone still skips every cold one. For
 //     level-fused plans the grouping is cell-coarse: two cells share a
 //     group when they write words of the same net's bit-field, and a
 //     replica's seed cell joins its consumer's group (the seeds refresh
-//     the replica slots the copy accumulates into).
+//     the replica slots the copy accumulates into); each such cell is
+//     one whole-cell segment, so both plans gate through the same
+//     segment ranges.
 //  2. Flattening. A skipped net's field still holds the previous
 //     vector's waveform, which downstream readers and History would see.
 //     Under the flat and trimmed layouts the correct field of a settled
@@ -57,36 +59,33 @@ type gater struct {
 	workers int
 
 	// Plan-time structure.
-	cellWork  []bool  // per level*workers+shard cell: has instructions
-	cellGroup []int32 // coarse path, per cell: gate group, -1 = always run
 	netGroup  []int32 // per net: gate group, -1 = ungated (inputs, always-run nets)
 	numGroups int
 	groupCone []uint64 // group-major PI bitsets [g*words : (g+1)*words]
-	initNet   []int32  // per init instruction: gated net, -1 = always run
 
-	// Fine-path segmentation (unfused plans): each cell's slice cut into
-	// contiguous per-group segments. Segment i of cell c spans
-	// [segEnd[i-1], segEnd[i]) of the cell's code (0 at a cell boundary),
-	// for i in [cellSegOff[c], cellSegOff[c+1]); segGrp[i] is its gate
-	// group, -1 = always active.
-	fine       bool
+	// Segmentation: each (level, shard) cell's slice cut into contiguous
+	// per-group segments — per-cone segments on plain plans, one
+	// whole-cell segment per working cell on level-fused ones. Segment i
+	// of cell c spans [segEnd[i-1], segEnd[i]) of the cell's code (0 at a
+	// cell boundary), for i in [cellSegOff[c], cellSegOff[c+1]); segGrp[i]
+	// is its gate group, -1 = always active.
 	segGrp     []int32
 	segEnd     []int32
 	cellSegOff []int32
 
-	// Init-program segmentation: contiguous runs of instructions with
-	// the same net attribution (-1 = always run), so the gated init is
-	// O(nets) bookkeeping instead of O(instructions).
-	initSegNet []int32
+	// Init-program segmentation, the same way: contiguous runs of
+	// instructions initializing the same net's group (-1 = always run),
+	// so the gated init is O(nets) bookkeeping instead of O(instructions).
+	initSegGrp []int32
 	initSegEnd []int32
 
 	// Reusable per-vector buffers.
 	changed     []uint64
 	groupActive []bool
-	runCell     []bool  // the engine's gateCell array
-	runLevel    []bool  // the engine's gateLevel array
-	runs        []int32 // fine path: the engine's active-range pairs
-	runOff      []int32 // fine path: per-cell offsets into runs
+	runLevel    []bool  // the engine's level gates
+	runs        []int32 // the engine's active-range pairs
+	runOff      []int32 // per-cell offsets into runs
+	initRuns    []int32 // the init program's active-range pairs
 	netFlat     []bool  // per net: field already holds the settled broadcast
 
 	valid     bool // false forces the next vector to run everything
@@ -145,10 +144,7 @@ func (s *Sim) Gate(e *shard.Engine) error {
 		return fmt.Errorf("parsim: activity gating does not support nominal gate delays")
 	}
 	g := s.buildGater(e.Plan())
-	e.SetGate(g.runCell, g.runLevel)
-	if g.fine {
-		e.SetGateRuns(g.runs, g.runOff)
-	}
+	e.SetGate(g.runLevel, g.runs, g.runOff)
 	s.gate = g
 	return nil
 }
@@ -161,7 +157,7 @@ func (s *Sim) Invalidate() { s.gate.invalidate() }
 // fine per-cone segmentation for plain plans, the cell-coarse grouping
 // for level-fused ones (replica slots make sub-cell skipping unsound
 // there — a skipped original would leave its replicas stale and
-// unflattened, so fused cells gate as units).
+// unflattened, so fused cells gate as whole-cell segments).
 func (s *Sim) buildGater(plan *shard.Plan) *gater {
 	// Persistent slot → net, via the disjoint bit-field layout (V003).
 	numNets := s.Circuit().NumNets()
@@ -216,7 +212,6 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 	// A field-writing instruction belongs to its destination's net; a
 	// scratch write belongs to the cluster that consumes it, which the
 	// backward fill identifies as the next field-writing instruction.
-	cellWork := make([]bool, numCells)
 	owners := make([][]int32, numCells)
 	var segNet []int32 // per segment: owning net, or the always class
 	var segEnd []int32
@@ -229,7 +224,6 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 			if len(code) == 0 {
 				continue
 			}
-			cellWork[c] = true
 			own := make([]int32, len(code))
 			cur := always
 			for i := len(code) - 1; i >= 0; i-- {
@@ -331,15 +325,7 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 		}
 	}
 
-	g := s.newGater(slotNet, netGroup, int(numGroups), levels, workers)
-	g.fine = true
-	g.cellWork = cellWork
-	g.segGrp = segGrp
-	g.segEnd = segEnd
-	g.cellSegOff = cellSegOff
-	g.runs = make([]int32, 2*len(segEnd))
-	g.runOff = make([]int32, numCells+1)
-	return g
+	return s.newGater(slotNet, netGroup, int(numGroups), levels, workers, segGrp, segEnd, cellSegOff)
 }
 
 // buildGaterCoarse is the level-fused grouping: it walks the augmented
@@ -374,14 +360,12 @@ func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
 		}
 	}
 
-	cellWork := make([]bool, numCells)
 	netCell := make([]int32, numNets)
 	for i := range netCell {
 		netCell[i] = -1
 	}
 	for i := range code {
 		cell := lv[i]*int32(workers) + sh[i]
-		cellWork[cell] = true
 		in := &code[i]
 		if !in.Writes() || in.Dst >= scratchStart {
 			continue // scratch, replica slots and seed moves carry no net
@@ -410,10 +394,6 @@ func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
 	}
 
 	groupOf := make(map[int32]int32) // union-find root cell → group
-	cellGroup := make([]int32, numCells)
-	for i := range cellGroup {
-		cellGroup[i] = -1
-	}
 	netGroup := make([]int32, numNets)
 	for n := range netGroup {
 		netGroup[n] = -1
@@ -432,24 +412,31 @@ func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
 		}
 		netGroup[n] = g
 	}
+	// One whole-cell segment per working cell, in the group of its
+	// union-find class (-1 = always run).
+	var segGrp, segEnd []int32
+	cellSegOff := make([]int32, numCells+1)
 	for c := int32(0); c < int32(numCells); c++ {
-		if !cellWork[c] {
+		cellSegOff[c] = int32(len(segEnd))
+		n := len(plan.CellCode(int(c)/workers, int(c)%workers))
+		if n == 0 {
 			continue
 		}
-		if g, ok := groupOf[find(c)]; ok {
-			cellGroup[c] = g
+		grp, ok := groupOf[find(c)]
+		if !ok {
+			grp = -1
 		}
+		segGrp = append(segGrp, grp)
+		segEnd = append(segEnd, int32(n))
 	}
-
-	g := s.newGater(slotNet, netGroup, int(numGroups), levels, workers)
-	g.cellWork = cellWork
-	g.cellGroup = cellGroup
-	return g
+	cellSegOff[numCells] = int32(len(segEnd))
+	return s.newGater(slotNet, netGroup, int(numGroups), levels, workers, segGrp, segEnd, cellSegOff)
 }
 
-// newGater builds the path-independent gating state: activation cones,
-// init-instruction tagging and the per-vector buffers.
-func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int) *gater {
+// newGater builds the path-independent gating state from a plan's
+// segmentation: activation cones, the init program's segmentation and
+// the per-vector buffers.
+func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int, segGrp, segEnd, cellSegOff []int32) *gater {
 	numNets := s.Circuit().NumNets()
 	scratchStart := s.ScratchStart()
 	init, _ := s.Programs()
@@ -464,33 +451,31 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 		}
 	}
 
-	// Init instructions are tagged with their destination net so the
-	// gated init run skips exactly the nets the simulation skips. Init
-	// reads only a field's own top word, so dropping a skipped net's
-	// instructions cannot starve an active one. The tags are collapsed
-	// to contiguous segments: the compiler emits a net's init
-	// instructions together, so the segment count is O(nets).
-	initNet := make([]int32, len(init.Code))
-	var initSegNet, initSegEnd []int32
+	// Init instructions are tagged with their destination net's group so
+	// the gated init run skips exactly the nets the simulation skips.
+	// Init reads only a field's own top word, so dropping a skipped net's
+	// instructions cannot starve an active one. The tags are collapsed to
+	// contiguous segments: the compiler emits a net's init instructions
+	// together, so the segment count is O(nets).
+	var initSegGrp, initSegEnd []int32
+	prev := int32(-1)
 	for i := range init.Code {
 		in := &init.Code[i]
-		initNet[i] = -1
+		grp := int32(-1)
 		if in.Writes() && in.Dst < scratchStart {
-			if n := slotNet[in.Dst]; n >= 0 && netGroup[n] >= 0 {
-				initNet[i] = n
+			if n := slotNet[in.Dst]; n >= 0 {
+				grp = netGroup[n]
 			}
 		}
-		if i == 0 || initNet[i] != initNet[i-1] {
-			initSegNet = append(initSegNet, initNet[i])
+		if i == 0 || grp != prev {
+			initSegGrp = append(initSegGrp, grp)
 			initSegEnd = append(initSegEnd, 0)
 		}
 		initSegEnd[len(initSegEnd)-1] = int32(i + 1)
+		prev = grp
 	}
 
-	numCells := levels * workers
 	return &gater{
-		initSegNet:  initSegNet,
-		initSegEnd:  initSegEnd,
 		cones:       cones,
 		words:       words,
 		levels:      levels,
@@ -498,11 +483,17 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 		netGroup:    netGroup,
 		numGroups:   numGroups,
 		groupCone:   groupCone,
-		initNet:     initNet,
+		segGrp:      segGrp,
+		segEnd:      segEnd,
+		cellSegOff:  cellSegOff,
+		initSegGrp:  initSegGrp,
+		initSegEnd:  initSegEnd,
 		changed:     make([]uint64, words),
 		groupActive: make([]bool, numGroups),
-		runCell:     make([]bool, numCells),
 		runLevel:    make([]bool, levels),
+		runs:        make([]int32, 2*len(segEnd)),
+		runOff:      make([]int32, levels*workers+1),
+		initRuns:    make([]int32, 2*len(initSegEnd)+2),
 		netFlat:     make([]bool, numNets),
 	}
 }
@@ -510,7 +501,8 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 // decide computes this vector's group activity from the primary-input
 // diff and fills the engine gate arrays. prev is the previous vector's
 // inputs (read before the caller overwrites them). Returns the number
-// of non-empty cells skipped, for the observer.
+// of segments skipped (whole cells on level-fused plans), for the
+// observer.
 func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 	if !g.valid {
 		// First vector after an invalidation: the state array's relation
@@ -554,53 +546,18 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 		g.allActive = all
 	}
 	g.valid = true
-	w := g.workers
 	ri := int32(0)
 	for l := 0; l < g.levels; l++ {
 		levelRuns := false
-		base := l * w
-		for k := 0; k < w; k++ {
-			c := base + k
-			run := false
-			if !g.fine {
-				if g.cellWork[c] {
-					grp := g.cellGroup[c]
-					run = grp < 0 || g.groupActive[grp]
-					if !run {
-						skipped++
-					}
-				}
-			} else {
-				// Coalesce the cell's active segments into the engine's
-				// instruction ranges; a fully idle cell skips its slice,
-				// a fully idle level skips its barrier.
-				g.runOff[c] = ri
-				open, prevEnd := int32(-1), int32(0)
-				for si := g.cellSegOff[c]; si < g.cellSegOff[c+1]; si++ {
-					end := g.segEnd[si]
-					grp := g.segGrp[si]
-					if grp < 0 || g.groupActive[grp] {
-						if open < 0 {
-							open = prevEnd
-						}
-					} else {
-						skipped++
-						if open >= 0 {
-							g.runs[2*ri], g.runs[2*ri+1] = open, prevEnd
-							ri++
-							open = -1
-						}
-					}
-					prevEnd = end
-				}
-				if open >= 0 {
-					g.runs[2*ri], g.runs[2*ri+1] = open, prevEnd
-					ri++
-				}
-				run = ri > g.runOff[c]
-			}
-			g.runCell[c] = run
-			if run {
+		for c := l * g.workers; c < (l+1)*g.workers; c++ {
+			// The cell's active segments become the engine's instruction
+			// ranges; a fully idle cell skips its slice, a fully idle
+			// level skips its barrier.
+			g.runOff[c] = ri
+			var n int64
+			ri, n = g.coalesce(g.runs, ri, g.segGrp, g.segEnd, g.cellSegOff[c], g.cellSegOff[c+1])
+			skipped += n
+			if ri > g.runOff[c] {
 				levelRuns = true
 			}
 		}
@@ -611,11 +568,40 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 			g.decLevelsSkipped++
 		}
 	}
-	if g.fine {
-		g.runOff[len(g.runOff)-1] = ri
-	}
+	g.runOff[len(g.runOff)-1] = ri
 	g.decVectors++
 	return skipped
+}
+
+// coalesce writes into runs, from pair ri on, the active ranges of the
+// segments [lo, hi): segment i spans [end[i-1], end[i]) of its code (0
+// for i == lo) and is active when grp[i] < 0 or its group is active;
+// adjacent active segments merge into one range. It returns the next
+// free pair and the number of inactive segments. Cell and init segments
+// both go through it.
+func (g *gater) coalesce(runs []int32, ri int32, grp, end []int32, lo, hi int32) (int32, int64) {
+	var skipped int64
+	open, prevEnd := int32(-1), int32(0)
+	for si := lo; si < hi; si++ {
+		if gi := grp[si]; gi < 0 || g.groupActive[gi] {
+			if open < 0 {
+				open = prevEnd
+			}
+		} else {
+			skipped++
+			if open >= 0 {
+				runs[2*ri], runs[2*ri+1] = open, prevEnd
+				ri++
+				open = -1
+			}
+		}
+		prevEnd = end[si]
+	}
+	if open >= 0 {
+		runs[2*ri], runs[2*ri+1] = open, prevEnd
+		ri++
+	}
+	return ri, skipped
 }
 
 // GatingLevels reports the activity-gated strategy's cumulative level
@@ -655,37 +641,17 @@ func (s *Sim) gatedInit(inputs []bool) {
 // runGatedInit executes the init program minus the instructions that
 // initialize skipped nets, as coalesced sub-slices of the original
 // stream — no instruction copying, and when every group is active a
-// single Exec of the whole program.
+// single range over the whole program.
 func (s *Sim) runGatedInit() {
 	g := s.gate
 	init, _ := s.Programs()
-	code := init.Code
+	n := int32(1)
 	if g.allActive {
-		program.Exec(code, s.St, s.cfg.WordBits)
-		return
+		g.initRuns[0], g.initRuns[1] = 0, int32(len(init.Code))
+	} else {
+		n, _ = g.coalesce(g.initRuns, 0, g.initSegGrp, g.initSegEnd, 0, int32(len(g.initSegEnd)))
 	}
-	open, prevEnd := int32(-1), int32(0)
-	for si := range g.initSegNet {
-		end := g.initSegEnd[si]
-		act := true
-		if n := g.initSegNet[si]; n >= 0 {
-			if grp := g.netGroup[n]; grp >= 0 {
-				act = g.groupActive[grp]
-			}
-		}
-		if act {
-			if open < 0 {
-				open = prevEnd
-			}
-		} else if open >= 0 {
-			program.Exec(code[open:prevEnd], s.St, s.cfg.WordBits)
-			open = -1
-		}
-		prevEnd = end
-	}
-	if open >= 0 {
-		program.Exec(code[open:prevEnd], s.St, s.cfg.WordBits)
-	}
+	program.ExecRanges(init.Code, g.initRuns[:2*n], s.St, s.cfg.WordBits)
 }
 
 // flattenInactive rewrites every skipped net's field to the broadcast

@@ -239,6 +239,19 @@ func (p *Program) Validate() error {
 // NumVars words.
 func (p *Program) Run(st []uint64) { Exec(p.Code, st, p.WordBits) }
 
+// ExecRanges executes the half-open ranges code[runs[2i]:runs[2i+1]] in
+// order and returns the number of instructions executed: how activity
+// gating runs a slice minus its skipped segments.
+func ExecRanges(code []Instr, runs []int32, st []uint64, wordBits int) int {
+	n := 0
+	for i := 0; i+1 < len(runs); i += 2 {
+		a, b := runs[i], runs[i+1]
+		Exec(code[a:b], st, wordBits)
+		n += int(b - a)
+	}
+	return n
+}
+
 // Exec executes a straight-line instruction slice over st with the given
 // logical word width. It is the shared hot loop behind Program.Run and the
 // sharded multicore engine (package shard), which executes per-level,

@@ -15,30 +15,20 @@ import (
 	"udsim/internal/resilience"
 )
 
-// barrier is a reusable generation barrier for a fixed party count. The
-// fast path is an atomic countdown with a bounded spin on the generation
-// counter; waiters that exhaust the spin budget fall back to a condition
-// variable, so the barrier stays correct (and livelock-free) even with
-// GOMAXPROCS=1 or more parties than cores.
+// barrier is a reusable generation barrier for a fixed party count: an
+// atomic arrival countdown and a generation counter. Waiters yield the
+// processor with runtime.Gosched until the generation moves, so a
+// crossing never parks (parking allocates a runtime waiter) and the
+// barrier still makes progress with GOMAXPROCS=1 or more parties than
+// cores.
 type barrier struct {
 	parties int32
 	arrived atomic.Int32
 	gen     atomic.Uint32
 	poison  atomic.Bool
-	mu      sync.Mutex
-	cond    *sync.Cond
 }
 
-func newBarrier(parties int) *barrier {
-	b := &barrier{parties: int32(parties)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// spinBudget bounds the optimistic spin before a waiter blocks on the
-// condition variable. Each iteration yields the processor, so the budget
-// costs scheduler quanta, not burned cycles.
-const spinBudget = 128
+func newBarrier(parties int) *barrier { return &barrier{parties: int32(parties)} }
 
 // await blocks until all parties have arrived at the barrier's current
 // generation, reporting true. The last arriver resets the countdown and
@@ -49,8 +39,7 @@ const spinBudget = 128
 // await returns false if the barrier was poisoned (see cancel) before
 // the generation advanced: a party died or a watchdog gave up, so the
 // crossing can never complete and the waiter must abandon the run. A
-// poisoned barrier is unusable; unguarded Run ignores the result because
-// nothing poisons the barrier on the unguarded path.
+// poisoned barrier is unusable.
 func (b *barrier) await() bool {
 	if b.poison.Load() {
 		return false
@@ -58,71 +47,63 @@ func (b *barrier) await() bool {
 	gen := b.gen.Load()
 	if b.arrived.Add(1) == b.parties {
 		b.arrived.Store(0)
-		b.mu.Lock()
 		b.gen.Store(gen + 1)
-		b.mu.Unlock()
-		b.cond.Broadcast()
 		return true
 	}
-	for i := 0; i < spinBudget; i++ {
-		if b.gen.Load() != gen {
-			return true
-		}
+	for b.gen.Load() == gen {
 		if b.poison.Load() {
 			return false
 		}
 		runtime.Gosched()
 	}
-	b.mu.Lock()
-	for b.gen.Load() == gen && !b.poison.Load() {
-		b.cond.Wait()
-	}
-	ok := b.gen.Load() != gen
-	b.mu.Unlock()
-	return ok
+	return true
 }
 
 // cancel poisons the barrier, releasing every current and future waiter
-// with await() == false. The store happens under the condition variable's
-// mutex so blocked waiters cannot miss the wakeup.
-func (b *barrier) cancel() {
-	b.mu.Lock()
-	b.poison.Store(true)
-	b.mu.Unlock()
-	b.cond.Broadcast()
+// with await() == false.
+func (b *barrier) cancel() { b.poison.Store(true) }
+
+// idleWait bounds how long a helper worker polls for the next run before
+// it parks on its channel: the runs of a vector stream follow each other
+// within it, so a stream's helpers never park, and an idle engine stops
+// costing processor time once it has passed.
+const idleWait = time.Millisecond
+
+// helper is one helper worker's handoff state. A helper reads only its
+// own record and what a run publishes, never a field Close rewrites, so a
+// worker abandoned by a faulted run can outlive Close safely.
+type helper struct {
+	parked atomic.Bool   // parked (or about to): the next publish must wake it
+	wake   chan struct{} // buffered; closed by Close
 }
 
 // Engine executes a shard plan on a persistent worker pool: one goroutine
-// per shard beyond the caller's own, parked between runs, with one
+// per shard beyond the caller's own, waiting between runs, with one
 // barrier crossing per level. Run is bit-identical to executing the
 // original program sequentially.
 //
 // An Engine is not safe for concurrent Run calls; Close releases the
 // workers.
 type Engine struct {
-	plan  *Plan
-	bar   *barrier
-	start []chan struct{} // one per helper worker, buffered
-	fin   chan struct{}   // guarded-run abandon reports, one per abandoning helper
-	done  sync.WaitGroup
-	st    []uint64
-	obs   *obs.Observer // nil = observability disabled
+	plan    *Plan
+	bar     *barrier  // nil for a one-worker plan
+	helpers []*helper // workers 1..n-1
+	seq     atomic.Uint32
+	closed  atomic.Bool
+	fin     chan struct{} // guarded-run abandon reports, one per abandoning helper
+	done    sync.WaitGroup
+	st      []uint64
+	obs     *obs.Observer // nil = observability disabled
 
-	// Activity gates (see SetGate): nil means run everything. Published
-	// to the helper workers by the same start-channel sends that publish
-	// the state array.
-	gateLevel []bool // per level: false = skip the whole level, barrier included
-	gateCell  []bool // per level*workers+shard: false = skip the slice, keep the barrier
+	// Activity gates (see SetGate), published to the helpers with st.
+	// Cell c = level*workers+shard executes code[runs[2i]:runs[2i+1]] for
+	// i in [runOff[c], runOff[c+1]); ungated, runs and runOff are the
+	// whole-cell ranges cellRuns and cellOff.
+	gateLevel         []bool // per level: false = skip the whole level, barrier included
+	runs, runOff      []int32
+	cellRuns, cellOff []int32
 
-	// Sub-cell gates (see SetGateRuns): when gateRuns is non-nil an
-	// active cell c executes only the instruction ranges
-	// code[gateRuns[2i]:gateRuns[2i+1]] for i in
-	// [gateRunOff[c], gateRunOff[c+1]), instead of its whole slice.
-	gateRuns   []int32
-	gateRunOff []int32
-
-	// Guarded-run state (see guard.go). guarded is written by RunCtx
-	// before the start-channel sends that publish it to the helpers.
+	// Guarded-run state (see guard.go). guarded is published with st.
 	guarded     bool
 	poisoned    bool
 	leaked      bool
@@ -140,40 +121,86 @@ type Engine struct {
 
 // NewEngine builds the persistent runtime for a plan. The helper workers
 // (plan.Workers()-1 of them; the Run caller executes shard 0) are spawned
-// once and parked on their start channels between runs.
+// once and wait for runs between them.
 func NewEngine(plan *Plan) *Engine {
 	e := &Engine{plan: plan}
+	nc := len(plan.levels) * plan.workers
+	e.cellRuns = make([]int32, 2*nc)
+	e.cellOff = make([]int32, nc+1)
+	for l, level := range plan.levels {
+		for w, code := range level {
+			c := l*plan.workers + w
+			e.cellRuns[2*c+1] = int32(len(code))
+			e.cellOff[c+1] = int32(c + 1)
+		}
+	}
+	e.runs, e.runOff = e.cellRuns, e.cellOff
 	if plan.workers > 1 {
 		e.bar = newBarrier(plan.workers)
-		e.start = make([]chan struct{}, plan.workers-1)
 		e.fin = make(chan struct{}, plan.workers-1)
 		for w := 1; w < plan.workers; w++ {
-			ch := make(chan struct{}, 1)
-			e.start[w-1] = ch
+			h := &helper{wake: make(chan struct{}, 1)}
+			e.helpers = append(e.helpers, h)
 			e.done.Add(1)
-			go func(w int, ch chan struct{}) {
-				defer e.done.Done()
-				// Label the worker so pprof profiles attribute shard time
-				// to the right goroutine family and shard index.
-				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-					pprof.Labels("udsim", "shard-worker", "shard", strconv.Itoa(w))))
-				for range ch {
-					if e.guarded {
-						// An abandoned run reports in so the faulted
-						// caller's drain knows this helper parked; a
-						// clean run's final barrier crossing is the
-						// synchronization and needs no token.
-						if !e.runShardGuarded(w) {
-							e.fin <- struct{}{}
-						}
-					} else {
-						e.runShard(w)
-					}
-				}
-			}(w, ch)
+			go e.serve(w, h)
 		}
 	}
 	return e
+}
+
+// serve is helper worker w's life: wait for each run, execute its share.
+func (e *Engine) serve(w int, h *helper) {
+	defer e.done.Done()
+	// Label the worker so pprof profiles attribute shard time to the right
+	// goroutine family and shard index.
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("udsim", "shard-worker", "shard", strconv.Itoa(w))))
+	var seen uint32
+	for e.wait(h, &seen) {
+		e.run(w, nil)
+	}
+}
+
+// wait blocks helper h until the run sequence moves past *seen, and
+// reports false once the engine is closed. It polls, yielding the
+// processor, for up to idleWait, and only then parks on h.wake; the
+// parked flag and the sequence form a Dekker pair with publish, so a
+// parked helper is always woken and a polling one never is.
+func (e *Engine) wait(h *helper, seen *uint32) bool {
+	deadline := time.Now().Add(idleWait)
+	for {
+		if s := e.seq.Load(); s != *seen {
+			*seen = s
+			return !e.closed.Load()
+		}
+		if time.Now().Before(deadline) {
+			runtime.Gosched()
+			continue
+		}
+		h.parked.Store(true)
+		if e.seq.Load() == *seen {
+			<-h.wake
+		} else if !h.parked.Swap(false) {
+			<-h.wake // publish saw the flag and sent: take its token
+		}
+		deadline = time.Now().Add(idleWait)
+	}
+}
+
+// publish hands a run over st to the helpers. The run-sequence advance
+// publishes st, the gates and the guarded flag (Go's atomics are
+// sequentially consistent), and wakes the helpers that parked.
+func (e *Engine) publish(st []uint64, guarded bool) {
+	e.st, e.guarded = st, guarded
+	if e.helpers == nil {
+		return
+	}
+	e.seq.Add(1)
+	for _, h := range e.helpers {
+		if h.parked.Swap(false) {
+			h.wake <- struct{}{}
+		}
+	}
 }
 
 // Plan returns the static schedule the engine executes.
@@ -183,56 +210,33 @@ func (e *Engine) Plan() *Plan { return e.plan }
 // per-level execution time, per-shard instruction counts and barrier
 // wait time. The observer must already be Attach-ed with this plan's
 // Levels()/Workers() shape. Must not be called concurrently with Run:
-// the publication to the helper workers rides the same channel sends
-// that publish the state array.
+// the next run publishes it to the helper workers.
 func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
 
-// SetGate installs activity gates for subsequent runs: level[l] == false
+// SetGate installs activity gates for subsequent runs. level[l] == false
 // skips level l outright on every worker — its barrier included, which
 // is safe because all parties read the same slice and elide the same
-// crossings — and cell[l*Workers()+w] == false makes worker w skip its
-// slice of level l while still crossing the barrier. Either slice may be
-// nil to disable that axis; SetGate(nil, nil) restores ungated
-// execution. The slices are published to the helper workers by the same
-// channel sends that publish the state array, so SetGate must not be
-// called concurrently with Run or RunCtx, and the caller may reuse (and
-// rewrite) the same backing arrays between runs without allocating.
+// crossings; nil runs every level. Cell c = l*Workers()+w of a running
+// level executes the half-open ranges code[runs[2i]:runs[2i+1]], i in
+// [off[c], off[c+1]), of its slice, so off has Levels()*Workers()+1
+// entries; a cell with no range skips its slice but keeps its barrier.
+// runs == nil restores whole-cell execution. The slices are published to
+// the helper workers with the state array, so SetGate must not be called
+// concurrently with Run or RunCtx, and the caller may rewrite the same
+// backing arrays between runs without allocating.
 //
-// Correctness is the caller's contract: a skipped slice's outputs must
-// be provably unchanged from the previous run (see the activity-gated
-// strategy in internal/parsim, which derives the gates from primary-
-// input cones and proves the skip sound). With gates installed the
-// watchdog's stall-level attribution becomes approximate — skipped
-// levels advance no generation — which affects fault metadata only.
-func (e *Engine) SetGate(cell, level []bool) {
-	e.gateCell = cell
-	e.gateLevel = level
-}
-
-// SetGateRuns refines the cell gates to instruction ranges: an active
-// cell c executes only the half-open ranges
-// code[runs[2i]:runs[2i+1]], i in [off[c], off[c+1]), of its level
-// slice — the activity-gated strategy uses this to skip individual
-// untouched fan-in cones inside a level that must otherwise run. off
-// must have Levels()*Workers()+1 entries; nil restores whole-slice
-// execution. The same publication and reuse rules as SetGate apply,
-// and the same caller's contract: every instruction outside the ranges
-// must provably leave its outputs unchanged from the previous run.
-func (e *Engine) SetGateRuns(runs, off []int32) {
-	e.gateRuns = runs
-	e.gateRunOff = off
-}
-
-// execRuns executes cell c's active instruction ranges of code and
-// returns the number of instructions executed.
-func (e *Engine) execRuns(c int, code []program.Instr, st []uint64, wb int) int {
-	n := 0
-	for i := e.gateRunOff[c]; i < e.gateRunOff[c+1]; i++ {
-		a, b := e.gateRuns[2*i], e.gateRuns[2*i+1]
-		program.Exec(code[a:b], st, wb)
-		n += int(b - a)
+// Correctness is the caller's contract: every instruction outside the
+// ranges must provably leave its outputs unchanged from the previous run
+// (see the activity-gated strategy in internal/parsim, which derives the
+// gates from primary-input cones and proves the skip sound). With level
+// gates installed the watchdog's stall-level attribution becomes
+// approximate — skipped levels advance no generation — which affects
+// fault metadata only.
+func (e *Engine) SetGate(level []bool, runs, off []int32) {
+	if runs == nil {
+		runs, off = e.cellRuns, e.cellOff
 	}
-	return n
+	e.gateLevel, e.runs, e.runOff = level, runs, off
 }
 
 // Levels returns the number of bulk-synchronous levels in the plan —
@@ -244,123 +248,119 @@ func (e *Engine) StateSize() int { return e.plan.StateSize() }
 
 // Run executes the plan over st, which must have at least StateSize()
 // words; the first NumVars words are the program state and the rest are
-// the shards' private scratch arenas. The channel send publishes st to
-// each helper (happens-before the helper's receive), and the caller's
-// final barrier crossing orders every helper's writes before Run returns.
+// the shards' private scratch arenas. The caller's final barrier crossing
+// orders every helper's writes before Run returns.
 func (e *Engine) Run(st []uint64) {
-	if e.plan.workers == 1 {
-		e.runSolo(st)
-		return
-	}
-	e.st = st
-	for _, ch := range e.start {
-		ch <- struct{}{}
-	}
-	e.runShard(0)
+	e.publish(st, false)
+	e.run(0, nil)
 }
 
-// runSolo is the workers==1 path: no barrier, just the levels in order,
-// honoring the activity gates (cell index l*1+0 == l).
-func (e *Engine) runSolo(st []uint64) {
-	gl, gc := e.gateLevel, e.gateCell
-	o := e.obs
-	for l, level := range e.plan.levels {
-		if gl != nil && !gl[l] || gc != nil && !gc[l] {
-			continue
-		}
-		if o == nil {
-			if e.gateRuns != nil {
-				e.execRuns(l, level[0], st, e.plan.wordBits)
-			} else {
-				program.Exec(level[0], st, e.plan.wordBits)
+// run is the level loop, executed by every worker of every run: the Run
+// or RunCtx caller as worker 0 and each helper as worker w. It executes
+// the worker's active ranges of each level and crosses the barrier after
+// each. With an observer attached it brackets each level slice and each
+// crossing with monotonic-clock reads — three time.Now() calls per
+// (level, worker), no allocation.
+//
+// The guarded run's extra work is checked per level, never per
+// instruction: the injector, a recover that records a panic as the
+// engine's fault and poisons the barrier, and — for a one-worker run,
+// which has no watchdog — the per-level check of ctx (nil otherwise). A
+// run that ends early returns a non-nil error: the context fault of a
+// one-worker run, or a quarantine error when the worker gave up at a
+// poisoned crossing or panicked. An abandoning guarded helper then
+// reports in on fin so the faulted caller's drain knows it stopped; a
+// clean run sends nothing, its final crossing is the synchronization.
+func (e *Engine) run(w int, ctx context.Context) (err error) {
+	guarded := e.guarded
+	l := 0
+	if guarded {
+		defer func() {
+			if r := recover(); r != nil {
+				e.fault.CompareAndSwap(nil, resilience.FromPanic(engineName, l, w, -1, r))
+				if e.bar != nil {
+					e.bar.cancel()
+				}
+				err = resilience.Quarantined(engineName)
 			}
-			continue
-		}
-		t0 := time.Now()
-		n := len(level[0])
-		if e.gateRuns != nil {
-			n = e.execRuns(l, level[0], st, e.plan.wordBits)
-		} else {
-			program.Exec(level[0], st, e.plan.wordBits)
-		}
-		o.AddLevel(l, 0, time.Since(t0), n)
+			if err != nil && w > 0 {
+				e.fin <- struct{}{}
+			}
+		}()
 	}
-}
-
-// runShard executes one shard's slice of every level, crossing the
-// barrier after each. With an observer attached it brackets each level
-// slice and each barrier crossing with monotonic-clock reads — three
-// time.Now() calls per (level, worker), no allocation.
-func (e *Engine) runShard(w int) {
-	st := e.st
-	wb := e.plan.wordBits
-	o := e.obs
-	gl, gc := e.gateLevel, e.gateCell
-	if o == nil && gl == nil && gc == nil {
-		// Ungated fast path: no per-level branches.
-		for _, level := range e.plan.levels {
-			program.Exec(level[w], st, wb)
-			e.bar.await()
-		}
-		return
-	}
-	nw := e.plan.workers
-	for l, level := range e.plan.levels {
-		if gl != nil && !gl[l] {
-			// Every worker reads the same slice, so all parties elide
-			// this level's barrier together and stay matched.
-			continue
-		}
-		run := gc == nil || gc[l*nw+w]
-		if o == nil {
-			if run {
-				if e.gateRuns != nil {
-					e.execRuns(l*nw+w, level[w], st, wb)
-				} else {
-					program.Exec(level[w], st, wb)
+	st, wb, o, inj := e.st, e.plan.wordBits, e.obs, e.inj
+	gl, runs, off := e.gateLevel, e.runs, e.runOff
+	nw, levels := e.plan.workers, e.plan.levels
+	for ; l < len(levels); l++ {
+		if guarded {
+			if ctx != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					f := resilience.FromContext(engineName, cerr)
+					f.Level, f.Shard = l, w
+					return f
 				}
 			}
-			e.bar.await()
-			continue
-		}
-		t0 := time.Now()
-		n := 0
-		if run {
-			n = len(level[w])
-			if e.gateRuns != nil {
-				n = e.execRuns(l*nw+w, level[w], st, wb)
-			} else {
-				program.Exec(level[w], st, wb)
+			// The injector fires before the gate check on purpose: chaos
+			// tests must be able to panic inside the bookkeeping of a level
+			// the gates are about to skip.
+			if inj != nil {
+				inj.AtLevel(l, w, st)
 			}
 		}
-		t1 := time.Now()
-		if run {
-			o.AddLevel(l, w, t1.Sub(t0), n)
+		if gl != nil && !gl[l] {
+			// Every worker reads the same slice, so all parties elide this
+			// level's barrier together and stay matched.
+			continue
 		}
-		e.bar.await()
-		o.AddWait(w, time.Since(t1))
+		c := l*nw + w
+		var t0 time.Time
+		if o != nil {
+			t0 = time.Now()
+		}
+		n := program.ExecRanges(levels[l][w], runs[2*off[c]:2*off[c+1]], st, wb)
+		var t1 time.Time
+		if o != nil {
+			t1 = time.Now()
+			if off[c+1] > off[c] {
+				o.AddLevel(l, w, t1.Sub(t0), n)
+			}
+		}
+		if e.bar == nil {
+			continue
+		}
+		if !e.bar.await() {
+			return resilience.Quarantined(engineName)
+		}
+		if o != nil {
+			o.AddWait(w, time.Since(t1))
+		}
 	}
-	if gl != nil {
+	if gl != nil && e.bar != nil {
 		// Level gating elides barriers, including — when the trailing
 		// levels are skipped — the crossing that makes Run's return the
 		// helpers' quiescence point. Without it a helper could still be
 		// reading the gate arrays while the caller rewrites them for the
-		// next vector. One unconditional closing barrier (all workers
-		// read the same gl, so all parties reach it) restores the
-		// ordering; the interior eliding is where the savings are.
-		e.bar.await()
+		// next vector. One unconditional closing barrier (all workers read
+		// the same gl, so all parties reach it) restores the ordering; the
+		// interior eliding is where the savings are.
+		if !e.bar.await() {
+			return resilience.Quarantined(engineName)
+		}
 	}
+	return nil
 }
 
-// Close parks and releases the helper workers. The engine must not be
-// run again after Close; Close on a single-worker engine is a no-op.
+// Close releases the helper workers. The engine must not be run again
+// after Close; Close on a single-worker engine only stops the watchdog.
 // If a guarded run abandoned a wedged worker (Leaked), Close does not
 // wait for it: the worker exits on its own when (if) it ever returns
-// and finds its start channel closed.
+// and finds the engine closed.
 func (e *Engine) Close() {
 	e.DisarmStream() // backstop: a quarantined stream may still be armed
-	for _, ch := range e.start {
-		close(ch)
+	e.closed.Store(true)
+	e.seq.Add(1)
+	for _, h := range e.helpers {
+		close(h.wake)
 	}
 	if !e.leaked {
 		e.done.Wait()
@@ -369,7 +369,7 @@ func (e *Engine) Close() {
 		e.wd.Close()
 		e.wd = nil
 	}
-	e.start = nil
+	e.helpers = nil
 }
 
 // Pool is a minimal persistent worker pool for vector-batch parallelism:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"udsim/internal/program"
 	"udsim/internal/resilience"
 )
 
@@ -12,7 +11,9 @@ import (
 // like Run but under supervision — every worker recovers panics into a
 // typed *resilience.EngineFault, a watchdog cancels barrier generations
 // stuck past a per-level budget, and caller contexts cancel mid-run.
-// The unguarded Run path is untouched; guarding is pay-for-what-you-use.
+// Both entries run the same level loop (Engine.run); the guarded work in
+// it is checked per level behind the published guarded flag, so guarding
+// is pay-for-what-you-use.
 //
 // A fault poisons the engine: the barrier state is unrecoverable once a
 // party abandoned a crossing, so after RunCtx returns a non-nil error
@@ -111,7 +112,9 @@ func (e *Engine) DisarmStream() {
 // cancellation/deadlines all surface as a typed *resilience.EngineFault
 // instead of crashing or hanging. A nil return is bit-identical to Run.
 // After a non-nil return the engine is poisoned and supports only Close;
-// if Leaked() additionally reports true, st must be abandoned too.
+// if Leaked() additionally reports true, st must be abandoned too. The
+// exception is a one-worker run ended by its context between levels: it
+// damaged nothing shared, so that engine stays usable.
 func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 	if e.poisoned {
 		return resilience.Quarantined(engineName)
@@ -121,9 +124,6 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 	}
 	if inj := e.inj; inj != nil {
 		inj.BeginRun()
-	}
-	if e.plan.workers == 1 {
-		return e.runSoloGuarded(ctx, st)
 	}
 
 	watch := false
@@ -137,7 +137,7 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 		}
 	} else {
 		e.fault.Store(nil)
-		watch = e.budget > 0 || ctx.Done() != nil
+		watch = e.bar != nil && (e.budget > 0 || ctx.Done() != nil)
 		if watch {
 			e.ensureCallbacks()
 			e.ctx = ctx
@@ -146,13 +146,15 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 		}
 	}
 
-	e.st = st
-	e.guarded = true
-	for _, ch := range e.start {
-		ch <- struct{}{}
+	// A one-worker run has no barrier to watch, so it checks ctx itself
+	// between levels.
+	var solo context.Context
+	if e.bar == nil {
+		solo = ctx
 	}
-	callerClean := e.runShardGuarded(0)
-	if !callerClean || e.fault.Load() != nil {
+	e.publish(st, true)
+	err := e.run(0, solo)
+	if e.bar != nil && (err != nil || e.fault.Load() != nil) {
 		// Faulted run: the poisoned barrier makes every helper abandon
 		// and report in; drain those reports (bounded by the grace) so
 		// no helper can still touch st after we return. A clean run
@@ -165,152 +167,16 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 	if watch {
 		e.wd.Disarm()
 	}
-	if !e.leaked {
-		// A leaked worker's start-token read of e.guarded has no
-		// happens-before edge with writes made here (its fin was never
-		// received), so the flag must not be touched. The engine is
-		// poisoned anyway: only Close may follow.
-		e.guarded = false
-	}
 	if f := e.fault.Load(); f != nil {
 		e.poisoned = true
 		return f
 	}
-	if !callerClean {
+	if err != nil && e.bar != nil {
 		// Unreachable belt-and-braces: a poisoned barrier always has its
 		// fault recorded first (the CAS precedes the cancel).
 		e.poisoned = true
-		return resilience.Quarantined(engineName)
 	}
-	return nil
-}
-
-// runShardGuarded is runShard under a recover: a panic in this worker's
-// slice records the first fault and poisons the barrier so every other
-// party unblocks; a poisoned barrier (someone else died, watchdog fired,
-// context ended) makes this worker abandon the run at its next crossing.
-// It reports whether the worker completed every level cleanly — an
-// abandoning helper sends a fin token so the faulted caller's drain
-// knows when it parked; a clean run sends nothing (the final barrier
-// crossing is the synchronization).
-func (e *Engine) runShardGuarded(w int) (clean bool) {
-	lvl := 0
-	defer func() {
-		if r := recover(); r != nil {
-			clean = false
-			e.fault.CompareAndSwap(nil, resilience.FromPanic(engineName, lvl, w, -1, r))
-			e.bar.cancel()
-		}
-	}()
-	st := e.st
-	wb := e.plan.wordBits
-	o := e.obs
-	inj := e.inj
-	gl, gc := e.gateLevel, e.gateCell
-	nw := e.plan.workers
-	for l, level := range e.plan.levels {
-		lvl = l
-		// The injector fires before the gate check on purpose: chaos
-		// tests must be able to panic inside the bookkeeping of a level
-		// the gates are about to skip.
-		if inj != nil {
-			inj.AtLevel(l, w, st)
-		}
-		if gl != nil && !gl[l] {
-			continue
-		}
-		run := gc == nil || gc[l*nw+w]
-		if o == nil {
-			if run {
-				if e.gateRuns != nil {
-					e.execRuns(l*nw+w, level[w], st, wb)
-				} else {
-					program.Exec(level[w], st, wb)
-				}
-			}
-			if !e.bar.await() {
-				return false
-			}
-			continue
-		}
-		t0 := time.Now()
-		n := 0
-		if run {
-			n = len(level[w])
-			if e.gateRuns != nil {
-				n = e.execRuns(l*nw+w, level[w], st, wb)
-			} else {
-				program.Exec(level[w], st, wb)
-			}
-		}
-		t1 := time.Now()
-		if run {
-			o.AddLevel(l, w, t1.Sub(t0), n)
-		}
-		if !e.bar.await() {
-			return false
-		}
-		o.AddWait(w, time.Since(t1))
-	}
-	if gl != nil {
-		// Closing barrier, mirroring runShard: with trailing levels
-		// gate-skipped the run needs one final crossing so the caller's
-		// return is still the helpers' quiescence point.
-		if !e.bar.await() {
-			return false
-		}
-	}
-	return true
-}
-
-// runSoloGuarded is the workers==1 guarded path: no barrier and no
-// watchdog, just per-level context checks and panic recovery. A context
-// fault does not poison the engine (no shared structure was damaged);
-// a panic does.
-func (e *Engine) runSoloGuarded(ctx context.Context, st []uint64) (err error) {
-	lvl := 0
-	defer func() {
-		if r := recover(); r != nil {
-			e.poisoned = true
-			err = resilience.FromPanic(engineName, lvl, 0, -1, r)
-		}
-	}()
-	wb := e.plan.wordBits
-	o := e.obs
-	inj := e.inj
-	gl, gc := e.gateLevel, e.gateCell
-	for l, level := range e.plan.levels {
-		lvl = l
-		if cerr := ctx.Err(); cerr != nil {
-			f := resilience.FromContext(engineName, cerr)
-			f.Level, f.Shard = l, 0
-			return f
-		}
-		// Injector before gate check, as in runShardGuarded.
-		if inj != nil {
-			inj.AtLevel(l, 0, st)
-		}
-		if gl != nil && !gl[l] || gc != nil && !gc[l] {
-			continue
-		}
-		if o == nil {
-			if e.gateRuns != nil {
-				e.execRuns(l, level[0], st, wb)
-			} else {
-				program.Exec(level[0], st, wb)
-			}
-			continue
-		}
-		t0 := time.Now()
-		n := len(level[0])
-		if e.gateRuns != nil {
-			n = e.execRuns(l, level[0], st, wb)
-		} else {
-			program.Exec(level[0], st, wb)
-		}
-		o.AddLevel(l, 0, time.Since(t0), n)
-	}
-	return nil
+	return err
 }
 
 // drainFin collects one abandon token per helper so a faulted RunCtx
@@ -328,7 +194,7 @@ func (e *Engine) drainFin() {
 	}
 	t := time.NewTimer(grace) // fault path only; never in steady state
 	defer t.Stop()
-	for range e.start {
+	for range e.helpers {
 		select {
 		case <-e.fin:
 		case <-t.C:

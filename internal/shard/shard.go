@@ -501,7 +501,7 @@ func (p *Plan) Workers() int { return p.workers }
 
 // CellCode returns the instruction slice worker w executes at level l —
 // the exact stream (and order) the engine runs, which the activity-gated
-// strategy segments into per-cone instruction ranges (Engine.SetGateRuns).
+// strategy segments into per-cone instruction ranges (Engine.SetGate).
 // The returned slice is the plan's own storage; callers must not mutate it.
 func (p *Plan) CellCode(l, w int) []program.Instr { return p.levels[l][w] }
 

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"udsim/internal/program"
 	"udsim/internal/verify"
@@ -191,6 +194,86 @@ func TestBarrier(t *testing.T) {
 		for r, c := range counts[p] {
 			if c != 1 {
 				t.Fatalf("party %d round %d ran %d times", p, r, c)
+			}
+		}
+	}
+
+	// Poisoning releases the waiters spinning on a generation that can
+	// no longer advance, with false, and refuses every later arrival.
+	b = newBarrier(parties)
+	released := make(chan bool, parties-1)
+	for p := 0; p < parties-1; p++ {
+		go func() { released <- b.await() }()
+	}
+	for b.arrived.Load() != parties-1 {
+		runtime.Gosched()
+	}
+	b.cancel()
+	for p := 0; p < parties-1; p++ {
+		if <-released {
+			t.Fatal("poisoned barrier released a waiter with true")
+		}
+	}
+	if b.await() {
+		t.Fatal("poisoned barrier admitted a new arrival")
+	}
+}
+
+// TestEngineHandoff drives the between-run handoff: back-to-back runs
+// (helpers still polling) alternate with runs that find every helper
+// parked after an idle gap, at 2 and 4 workers, guarded and unguarded,
+// and every run must match sequential execution. Engines are then
+// closed once with every helper parked and once right after a run,
+// while the helpers are still polling; Close must return, which it does
+// only after every helper has exited.
+func TestEngineHandoff(t *testing.T) {
+	waitParked := func(t *testing.T, e *Engine) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for _, h := range e.helpers {
+			for !h.parked.Load() {
+				if time.Now().After(deadline) {
+					t.Fatal("helpers never parked while idle")
+				}
+				time.Sleep(idleWait)
+			}
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		for _, guarded := range []bool{false, true} {
+			plan, st, want := guardFixture(t, 21, workers)
+			init := append([]uint64(nil), st...)
+			for _, parkAtClose := range []bool{true, false} {
+				e := NewEngine(plan)
+				for run := 0; run < 12; run++ {
+					if run%4 == 3 {
+						waitParked(t, e)
+					}
+					copy(st, init)
+					if guarded {
+						if err := e.RunCtx(context.Background(), st); err != nil {
+							t.Fatalf("workers %d run %d: %v", workers, run, err)
+						}
+					} else {
+						e.Run(st)
+					}
+					for i, w := range want {
+						if st[i] != w {
+							t.Fatalf("workers %d guarded=%v run %d: slot %d = %#x, sequential %#x",
+								workers, guarded, run, i, st[i], w)
+						}
+					}
+				}
+				if parkAtClose {
+					waitParked(t, e)
+				}
+				done := make(chan struct{})
+				go func() { e.Close(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("workers %d: Close did not release the helpers", workers)
+				}
 			}
 		}
 	}

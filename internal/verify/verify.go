@@ -374,15 +374,14 @@ func checkPhases(spec *Spec, r *Report) {
 		r.add(Finding{Rule: RulePhase, Severity: SevError, Prog: prog, Instr: i, Slot: slot, Msg: msg})
 	}
 	// write records a value phase landing in dst, checking the static
-	// phase of phased slots.
+	// phase of phased slots. A phase-free value stays phase-free there:
+	// a broadcast word (trimming's saturated words) reads the same at
+	// every phase, so a later carry or operand read of it is aligned.
 	write := func(prog string, i int, dst int32, v phase) {
-		if st := static[dst]; st.exact {
-			if !compat(v, st) {
-				violation(prog, i, dst, fmt.Sprintf("value in phase %d written to %s, which is packed at phase %d",
-					v.t, slotName(spec, dst), st.t))
-			}
-			cur[dst] = st
-			return
+		if st := static[dst]; !compat(v, st) {
+			violation(prog, i, dst, fmt.Sprintf("value in phase %d written to %s, which is packed at phase %d",
+				v.t, slotName(spec, dst), st.t))
+			v = st
 		}
 		cur[dst] = v
 	}

@@ -233,6 +233,17 @@ func TestV004BroadcastsArePhaseFree(t *testing.T) {
 		{Op: program.OpFill, Dst: 4, A: 3, B: program.None, Sh: 7},
 		{Op: program.OpAnd, Dst: 2, A: 0, B: 4},
 	}), Options{}))
+
+	// A fill into a phased slot keeps the slot phase-free, so a later
+	// carry read of it is aligned too: trimming's saturated word read by
+	// the shift of the word above it (c880 at W8 compiles this shape).
+	s := phasedSpec([]program.Instr{
+		{Op: program.OpShlMove, Dst: 4, A: 3, B: 2, Sh: 7},
+	})
+	s.Init = &program.Program{WordBits: 8, NumVars: 5, Code: []program.Instr{
+		{Op: program.OpFill, Dst: 2, A: 3, B: program.None, Sh: 7},
+	}}
+	wantClean(t, Check(s, Options{}))
 }
 
 func TestV005DeadCode(t *testing.T) {

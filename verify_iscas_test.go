@@ -51,9 +51,14 @@ func TestVerifyISCAS85(t *testing.T) {
 // which forces many-word fields, word-boundary carries and gap/low word
 // classifications even on the small profile circuits.
 func TestVerifyNarrowWords(t *testing.T) {
-	c, err := ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
+	names := []string{"c432", "c880"}
+	ckts := make([]*Circuit, len(names))
+	for i, name := range names {
+		c, err := ISCAS85(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckts[i] = c
 	}
 	for _, trim := range []bool{false, true} {
 		for _, se := range []ShiftElimination{NoShiftElimination, PathTracing, CycleBreaking} {
@@ -67,8 +72,10 @@ func TestVerifyNarrowWords(t *testing.T) {
 			name := fmt.Sprintf("trim=%v/se=%d", trim, se)
 			t.Run(name, func(t *testing.T) {
 				// WithVerify makes the compile itself fail on findings.
-				if _, err := openParallelSim(c, opts...); err != nil {
-					t.Fatal(err)
+				for i, c := range ckts {
+					if _, err := openParallelSim(c, opts...); err != nil {
+						t.Fatalf("%s: %v", names[i], err)
+					}
 				}
 			})
 		}
