@@ -10,6 +10,7 @@ package udsim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"udsim/internal/vectors"
@@ -225,9 +226,12 @@ func BenchmarkObservedStream(b *testing.B) {
 }
 
 // BenchmarkParallelExec times the multicore execution strategies on the
-// vector-stream path. One op is a whole 256-vector stream. The steady
-// state must not allocate: run with -benchmem and expect 0 allocs/op for
-// every strategy (clones and worker buffers are built during warm-up).
+// vector-stream path. One op is a whole 256-vector stream: uniformly
+// random vectors, except for the activity-gated case, which runs a
+// stream whose inputs each toggle with probability 1% between vectors
+// (the workload gating exists for). The steady state must not allocate:
+// run with -benchmem and expect 0 allocs/op for every strategy (clones
+// and worker buffers are built during warm-up).
 func BenchmarkParallelExec(b *testing.B) {
 	cfgs := []struct {
 		name     string
@@ -236,6 +240,7 @@ func BenchmarkParallelExec(b *testing.B) {
 		{"seq", ExecSequential},
 		{"sharded", ExecSharded},
 		{"batch", ExecVectorBatch},
+		{"gated", ExecActivityGated},
 	}
 	for _, ckt := range []string{"c1908", "c6288"} {
 		for _, cfg := range cfgs {
@@ -252,20 +257,43 @@ func BenchmarkParallelExec(b *testing.B) {
 				if err := e.ResetConsistent(nil); err != nil {
 					b.Fatal(err)
 				}
-				vecs := vectors.Random(benchVecPool, len(e.Circuit().Inputs), 1990)
-				if err := e.ApplyStream(vecs.Bits); err != nil { // warm-up
+				vecs := vectors.Random(benchVecPool, len(e.Circuit().Inputs), 1990).Bits
+				if cfg.strategy == ExecActivityGated {
+					vecs = toggleStream(benchVecPool, len(e.Circuit().Inputs), 0.01, 1990)
+				}
+				if err := e.ApplyStream(vecs); err != nil { // warm-up
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := e.ApplyStream(vecs.Bits); err != nil {
+					if err := e.ApplyStream(vecs); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+}
+
+// toggleStream draws n vectors of the given width: a uniformly random
+// first vector, after which each input flips with probability rate.
+func toggleStream(n, width int, rate float64, seed int64) [][]bool {
+	r := rand.New(rand.NewSource(seed))
+	cur := make([]bool, width)
+	for i := range cur {
+		cur[i] = r.Intn(2) == 1
+	}
+	vecs := make([][]bool, n)
+	for v := range vecs {
+		for i := range cur {
+			if v > 0 && r.Float64() < rate {
+				cur[i] = !cur[i]
+			}
+		}
+		vecs[v] = append([]bool(nil), cur...)
+	}
+	return vecs
 }
 
 // BenchmarkSequentialSteadyState pins the allocation-free steady state

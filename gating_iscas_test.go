@@ -9,9 +9,11 @@
 package udsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
+	"udsim/internal/obs"
 	"udsim/internal/resilience/chaos"
 	"udsim/internal/vectors"
 	"udsim/internal/verify"
@@ -103,7 +105,9 @@ func TestGatedDeterminismISCAS(t *testing.T) {
 // TestGatedSkipsAreObservable pins the gating counters: a repeated
 // vector must skip shard slices (the observer's skip counter moves) and
 // the decide tallies must report skipped levels, while a fresh random
-// vector keeps everything running.
+// vector keeps everything running. The per-executor counts must show
+// the first vector after a reset on the sequential form and the repeated
+// vector on the caller alone, with no barrier crossed or waited on.
 func TestGatedSkipsAreObservable(t *testing.T) {
 	c, err := ISCAS85("c1908")
 	if err != nil {
@@ -122,15 +126,27 @@ func TestGatedSkipsAreObservable(t *testing.T) {
 	if err := gt.Apply(vec); err != nil { // first vector: everything runs
 		t.Fatal(err)
 	}
-	if skipped := ob.Snapshot().ShardsSkipped; skipped != 0 {
+	snap := ob.Snapshot()
+	if skipped := snap.ShardsSkipped; skipped != 0 {
 		t.Fatalf("first vector skipped %d shard slices, want 0", skipped)
+	}
+	if got := snap.GatedVectors; got != [obs.NumGatedExecutors]int64{obs.GatedSequential: 1} {
+		t.Fatalf("first vector after a reset ran on executors %v, want the sequential form", got)
 	}
 	if err := gt.Apply(vec); err != nil { // identical vector: idle diff
 		t.Fatal(err)
 	}
-	snap := ob.Snapshot()
+	snap = ob.Snapshot()
 	if snap.ShardsSkipped == 0 {
 		t.Fatal("repeated vector skipped no shard slices")
+	}
+	if got := snap.GatedVectors; got != [obs.NumGatedExecutors]int64{obs.GatedSequential: 1, obs.GatedCaller: 1} {
+		t.Fatalf("repeated vector ran on executors %v, want the caller alone", got)
+	}
+	for w, ws := range snap.Worker {
+		if ws.WaitNanos != 0 || ws.Crossings != 0 {
+			t.Fatalf("worker %d booked %d barrier crossings (%d ns waiting) on gated vectors", w, ws.Crossings, ws.WaitNanos)
+		}
 	}
 	vectors2, run, skippedLevels := gt.s.GatingLevels()
 	if vectors2 != 2 {
@@ -141,6 +157,56 @@ func TestGatedSkipsAreObservable(t *testing.T) {
 	}
 	if run == 0 {
 		t.Fatal("no levels ran at all")
+	}
+}
+
+// TestGatedLongLowActivityGuardedStream drives one guarded batch of
+// 3 000 single-bit-delta vectors through the gated engine on c6288 with
+// a 100 ms level budget — far below the batch's length, and above the
+// scheduling delays a loaded 2-vCPU test machine imposes between two
+// levels (5 ms is not: runs descheduled that long stall), ×raceSlowdown
+// under the race detector. No vector crosses a barrier: each runs on
+// the sequential form or on the caller alone, which times its own levels
+// against the budget, so only a level, never the batch, may count
+// against it. The batch must end undegraded, with every net's final
+// equal to sequential execution's.
+func TestGatedLongLowActivityGuardedStream(t *testing.T) {
+	c, err := ISCAS85("c6288")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1990))
+	cur := vectors.Random(1, len(c.Inputs), 1990).Bits[0]
+	vecs := make([][]bool, 3000)
+	for i := range vecs {
+		if i > 0 {
+			k := r.Intn(len(cur))
+			cur[k] = !cur[k]
+		}
+		vecs[i] = append([]bool(nil), cur...)
+	}
+	eng, err := Open(c, TechParallel,
+		WithExec(ExecActivityGated, 2),
+		WithGuard(GuardPolicy{LevelBudget: raceSlowdown * 100 * time.Millisecond, QuarantineGrace: time.Second}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := eng.(*GuardedSim)
+	defer g.Close()
+	if err := g.ResetConsistent(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ApplyStream(vecs); err != nil {
+		t.Fatal(err)
+	}
+	if g.Degraded() {
+		t.Fatalf("low-activity guarded stream degraded: %v", g.LastFault())
+	}
+	want := referenceFinals(t, c, TechParallel, vecs)
+	for n := range want {
+		if got := g.Final(NetID(n)); got != want[n] {
+			t.Fatalf("net %d settled to %v, sequential %v", n, got, want[n])
+		}
 	}
 }
 

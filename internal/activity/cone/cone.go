@@ -97,14 +97,3 @@ func (s *Set) Size(n circuit.NetID) int {
 	}
 	return total
 }
-
-// Intersects reports whether two equal-length bitsets share any bit —
-// the per-vector gate test: cone ∩ changed-inputs ≠ ∅.
-func Intersects(a, b []uint64) bool {
-	for i := range a {
-		if a[i]&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}

@@ -58,6 +58,10 @@ type Gating interface {
 	// Invalidate makes the next gated vector run everything: the state no
 	// longer follows from the previous vector.
 	Invalidate()
+	// SequentialForm reports whether the gate sent the vector being
+	// applied to the core's sequential execution form rather than to the
+	// sharded engine (false when ungated).
+	SequentialForm() bool
 }
 
 // CoreOf returns the core a technique embeds.
@@ -295,6 +299,16 @@ func (c *Core) CaptureFinals() {
 	}
 }
 
+// CaptureFinalsOf records the listed nets' final values in PrevFinal:
+// activity gating's capture, which re-reads only the nets the previous
+// vector can have changed.
+func (c *Core) CaptureFinalsOf(nets []int32) {
+	for _, n := range nets {
+		f := c.final[n]
+		c.PrevFinal[n] = c.St[f.Slot]>>f.Shift&1 == 1
+	}
+}
+
 // RunInit executes the initialization program, booking it and the
 // vector count with the observer when one is attached.
 func (c *Core) RunInit(vectors int64) {
@@ -349,16 +363,19 @@ func (c *Core) WriteInputs(inputs []bool) {
 
 // RunSim executes the simulation program under the configured strategy:
 // the sharded engine's cells, or else the program's sequential execution
-// form. A nil ctx selects the unguarded run; otherwise the run is
-// guarded — the sharded engine's RunCtx, or for sequential execution a
-// context check and the injector, with the ApplyVectorCtx recover for
-// panic isolation. With an observer attached it brackets the run with
-// monotonic-clock reads; the sequential path additionally books the
-// whole program as level 0 of a 1×1 grid so the snapshot's
-// cell/instruction totals stay consistent across strategies (the
-// sharded engine books its own per-level cells).
+// form — which also runs every activity-gated vector the gate sent to it
+// (Gating.SequentialForm). A nil ctx selects the unguarded run; otherwise
+// the run is guarded — the sharded engine's RunCtx, or for the
+// sequential form a context check and the injector (BeginRun, then
+// AtLevel(0, 0)), with the ApplyVectorCtx recover for panic isolation
+// and no stall budget. With an observer attached it brackets the run
+// with monotonic-clock reads; the sequential form additionally books the
+// whole program as level 0 of worker 0, so the snapshot's
+// cell/instruction totals stay consistent across strategies (the sharded
+// engine books its own per-level cells).
 func (c *Core) RunSim(ctx context.Context) error {
-	if ctx != nil && c.exec == nil {
+	seq := c.exec == nil || c.strategy == shard.ActivityGated && c.gating.SequentialForm()
+	if ctx != nil && seq {
 		if err := ctx.Err(); err != nil {
 			return resilience.FromContext(c.label, err)
 		}
@@ -374,7 +391,7 @@ func (c *Core) RunSim(ctx context.Context) error {
 	}
 	var err error
 	switch {
-	case c.exec == nil:
+	case seq:
 		c.seq.Run(c.St)
 	case ctx == nil:
 		c.exec.Run(c.St)
@@ -384,7 +401,7 @@ func (c *Core) RunSim(ctx context.Context) error {
 	if o != nil {
 		d := time.Since(t0)
 		o.AddRun(d)
-		if c.exec == nil {
+		if seq {
 			o.AddLevel(0, 0, d, len(c.simProg.Code))
 		}
 	}

@@ -37,9 +37,10 @@ type BenchRecord struct {
 
 	// Activity-gating columns (the `-exp gating` matrix): the toggle
 	// rate of the driving stream, whether the shard plan was built with
-	// level fusion, barrier crossings per vector (static levels for the
-	// plain sharded strategy, executed levels plus the closing crossing
-	// for the gated one), and shard slices skipped per vector.
+	// level fusion, barrier crossings per vector as the observer counts
+	// them (every level for the plain sharded strategy, none for the
+	// gated one, which runs on the caller alone), and shard slices
+	// skipped per vector.
 	ToggleRate                float64 `json:"toggle_rate,omitempty"`
 	Fused                     bool    `json:"fused,omitempty"`
 	ObsBarriersPerVector      float64 `json:"obs_barriers_per_vector,omitempty"`

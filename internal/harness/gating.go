@@ -78,41 +78,41 @@ type gatingConfig struct {
 // measureGating compiles the parallel technique under one configuration,
 // times the stream (best of repeats), then replays it once observed to
 // fill the barrier/skip columns. The timed pass never carries an
-// observer, mirroring the bench matrix.
-func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingConfig) (BenchRecord, error) {
+// observer, mirroring the bench matrix. It also returns the observed
+// replay's gated vectors per executor (zeros unless gated).
+func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingConfig) (BenchRecord, [obs.NumGatedExecutors]int64, error) {
 	var rec BenchRecord
+	var mix [obs.NumGatedExecutors]int64
 	s, err := parsim.Compile(c, parsim.Config{WordBits: o.WordBits})
 	if err != nil {
-		return rec, err
+		return rec, mix, err
 	}
 	defer s.Close()
 	s.SetLevelFusion(gc.fuse)
 	if gc.strategy != shard.Sequential {
 		if _, err := s.ConfigureExec(gc.strategy, gc.workers); err != nil {
-			return rec, err
+			return rec, mix, err
 		}
 	}
 	d, err := bestOf(o.Repeats, func() error { return s.ResetConsistent(nil) }, vecs,
 		func(vec []bool) error { return s.ApplyVector(vec) })
 	if err != nil {
-		return rec, err
+		return rec, mix, err
 	}
 	rec.NsPerVector = float64(d.Nanoseconds()) / float64(vecs.Len())
 
-	// Observed replay: barrier waits and skip counts come from the
-	// observer, level tallies from the gating decision counters.
+	// Observed replay: barrier crossings and waits, skip counts and the
+	// executor mix all come from the observer.
 	ob := obs.New(obs.Config{})
 	s.SetObserver(ob)
-	_, run0, _ := s.GatingLevels()
 	if err := s.ResetConsistent(nil); err != nil {
-		return rec, err
+		return rec, mix, err
 	}
 	for _, vec := range vecs.Bits {
 		if err := s.ApplyVector(vec); err != nil {
-			return rec, err
+			return rec, mix, err
 		}
 	}
-	_, run1, _ := s.GatingLevels()
 	snap := s.Snapshot()
 	s.SetObserver(nil)
 	n := float64(vecs.Len())
@@ -122,17 +122,10 @@ func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingCo
 	rec.Strategy = gc.strategy.String()
 	rec.Workers = gc.workers
 	rec.Fused = gc.fuse
-	switch {
-	case gc.strategy == shard.Sequential || gc.workers < 2:
-		rec.ObsBarriersPerVector = 0
-	case gc.strategy == shard.ActivityGated:
-		// Each executed level is one crossing per worker, plus the
-		// unconditional closing barrier a gated run always takes.
-		rec.ObsBarriersPerVector = float64(run1-run0)/n + 1
-	default:
-		rec.ObsBarriersPerVector = float64(snap.Levels)
-	}
-	return rec, nil
+	// Every worker crosses every barrier, so worker 0's count is the
+	// run's: one per level sharded, none for a gated vector.
+	rec.ObsBarriersPerVector = float64(snap.Worker[0].Crossings) / n
+	return rec, snap.GatedVectors, nil
 }
 
 // GatingMatrix measures circuit × toggle-rate × strategy and returns the
@@ -165,7 +158,7 @@ func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) 
 		for _, rt := range gatingRates {
 			vecs := toggleVectors(o.Vectors, len(c.Inputs), rt.Rate, o.Seed)
 			for _, gc := range cfgs {
-				rec, err := measureGating(o, c, vecs, gc)
+				rec, _, err := measureGating(o, c, vecs, gc)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s: %w", name, gc.strategy, err)
 				}
@@ -189,7 +182,7 @@ func Gating(o Options) (*Result, error) {
 	t := texttable.New(
 		fmt.Sprintf("Activity gating — toggle-rate sweep (%d vectors, W=%d, %d workers)",
 			o.Vectors, o.WordBits, w),
-		"Circuit", "Rate", "Seq", "Sharded", "Gated", "G+Fuse", "Spd", "Barr", "GBarr", "Skip/vec")
+		"Circuit", "Rate", "Seq", "Sharded", "Gated", "G+Fuse", "Spd", "Barr", "GBarr", "Skip/vec", "GMix")
 	for _, name := range o.Circuits {
 		c, err := benchCircuit(o, name)
 		if err != nil {
@@ -197,19 +190,19 @@ func Gating(o Options) (*Result, error) {
 		}
 		for _, rt := range gatingRates {
 			vecs := toggleVectors(o.Vectors, len(c.Inputs), rt.Rate, o.Seed)
-			seq, err := measureGating(o, c, vecs, gatingConfig{shard.Sequential, 1, false})
+			seq, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sequential, 1, false})
 			if err != nil {
 				return nil, err
 			}
-			sh, err := measureGating(o, c, vecs, gatingConfig{shard.Sharded, w, false})
+			sh, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sharded, w, false})
 			if err != nil {
 				return nil, err
 			}
-			gt, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w, false})
+			gt, mix, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w, false})
 			if err != nil {
 				return nil, err
 			}
-			gf, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w, true})
+			gf, _, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w, true})
 			if err != nil {
 				return nil, err
 			}
@@ -217,17 +210,24 @@ func Gating(o Options) (*Result, error) {
 			if gt.NsPerVector > 0 {
 				spd = fmt.Sprintf("%.1fx", sh.NsPerVector/gt.NsPerVector)
 			}
+			var total int64
+			for _, v := range mix {
+				total += v
+			}
+			pct := func(v int64) int64 { return (100*v + total/2) / max(total, 1) }
 			t.Add(name, rt.Name,
 				nsv(seq.NsPerVector), nsv(sh.NsPerVector), nsv(gt.NsPerVector), nsv(gf.NsPerVector),
 				spd,
 				fmt.Sprintf("%.0f", sh.ObsBarriersPerVector),
 				fmt.Sprintf("%.1f", gf.ObsBarriersPerVector),
-				fmt.Sprintf("%.1f", gt.ObsShardsSkippedPerVector))
+				fmt.Sprintf("%.1f", gt.ObsShardsSkippedPerVector),
+				fmt.Sprintf("%d/%d", pct(mix[obs.GatedSequential]), pct(mix[obs.GatedCaller])))
 		}
 	}
 	return &Result{Table: t, Notes: []string{
 		"gated and fused runs are bit-identical to sequential; Spd = Sharded/Gated ns per vector",
-		"Barr = barrier crossings per vector (sharded); GBarr = same for gated+fused (skipped levels cross no barrier)",
+		"Barr = barrier crossings per vector (sharded); GBarr = same for gated+fused, counted by the observer (gated vectors run on the caller alone)",
+		"GMix = % of gated vectors on the sequential form / the caller alone",
 		"single-core runners: read the barrier and skip columns, not wall clock",
 	}}, nil
 }

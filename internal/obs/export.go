@@ -58,6 +58,10 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	sample("udsim_shards_skipped_total", "", float64(s.ShardsSkipped))
 	family("udsim_gating_overhead_seconds_total", "counter")
 	sample("udsim_gating_overhead_seconds_total", "", secs(s.GatingNanos))
+	family("udsim_gating_vectors_total", "counter")
+	for x, name := range GatedExecutors {
+		sample("udsim_gating_vectors_total", fmt.Sprintf("executor=%q", name), float64(s.GatedVectors[x]))
+	}
 	family("udsim_wall_seconds", "gauge")
 	sample("udsim_wall_seconds", "", secs(s.WallNanos))
 	family("udsim_vectors_per_second", "gauge")
@@ -69,11 +73,13 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		family("udsim_worker_busy_seconds_total", "counter")
 		family("udsim_worker_wait_seconds_total", "counter")
 		family("udsim_worker_instrs_total", "counter")
+		family("udsim_worker_barrier_crossings_total", "counter")
 		for w := range s.Worker {
 			l := fmt.Sprintf("worker=%q", strconv.Itoa(w))
 			sample("udsim_worker_busy_seconds_total", l, secs(s.Worker[w].BusyNanos))
 			sample("udsim_worker_wait_seconds_total", l, secs(s.Worker[w].WaitNanos))
 			sample("udsim_worker_instrs_total", l, float64(s.Worker[w].Instrs))
+			sample("udsim_worker_barrier_crossings_total", l, float64(s.Worker[w].Crossings))
 		}
 	}
 	if len(s.Level) > 0 {

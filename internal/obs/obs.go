@@ -88,13 +88,32 @@ type cell struct {
 	instrs atomic.Int64
 }
 
-// workerCtr accumulates one worker's busy and barrier-wait time, padded
-// so adjacent workers never share a cache line.
+// workerCtr accumulates one worker's busy and barrier-wait time and its
+// barrier crossings, padded so adjacent workers never share a cache line.
 type workerCtr struct {
-	busy atomic.Int64 // nanoseconds executing level slices
-	wait atomic.Int64 // nanoseconds in barrier waits
-	_    [48]byte
+	busy      atomic.Int64 // nanoseconds executing level slices
+	wait      atomic.Int64 // nanoseconds in barrier waits
+	crossings atomic.Int64 // barrier crossings
+	_         [40]byte
 }
+
+// The executors an activity-gated vector can run on, indexing
+// Snapshot.GatedVectors and named by GatedExecutors.
+const (
+	// GatedSequential is the core's sequential execution form, run in
+	// full: a vector after an invalidation, or one activating most of the
+	// program.
+	GatedSequential = iota
+	// GatedCaller is the level loop over the active ranges on the caller
+	// alone, crossing no barrier.
+	GatedCaller
+	// NumGatedExecutors is the number of gated executors.
+	NumGatedExecutors
+)
+
+// GatedExecutors names the gated executors, the executor label of
+// udsim_gating_vectors_total.
+var GatedExecutors = [NumGatedExecutors]string{"sequential", "caller"}
 
 // Observer collects runtime counters for one engine. All Add* methods
 // are safe for concurrent use (shard workers, vector-batch clones) and
@@ -122,6 +141,7 @@ type Observer struct {
 	// the gating decision itself cost.
 	shardsSkipped atomic.Int64
 	gatingNanos   atomic.Int64
+	gated         [NumGatedExecutors]atomic.Int64 // gated vectors per executor
 
 	// Activity (nil unless Config.Activity): transitions per time step,
 	// and per-net toggle/glitch totals across observed vectors.
@@ -198,6 +218,9 @@ func (o *Observer) Attach(s Shape) {
 	o.actVectors.Store(0)
 	o.shardsSkipped.Store(0)
 	o.gatingNanos.Store(0)
+	for i := range o.gated {
+		o.gated[i].Store(0)
+	}
 	o.start = time.Now()
 }
 
@@ -226,9 +249,10 @@ func (o *Observer) AddLevel(level, worker int, d time.Duration, instrs int) {
 	o.workers[worker].busy.Add(int64(d))
 }
 
-// AddWait records worker spending d in a barrier wait.
+// AddWait records worker crossing a barrier after a wait of d.
 func (o *Observer) AddWait(worker int, d time.Duration) {
 	o.workers[worker].wait.Add(int64(d))
+	o.workers[worker].crossings.Add(1)
 }
 
 // AddShardsSkipped counts n shard level-slices skipped by activity
@@ -238,6 +262,10 @@ func (o *Observer) AddShardsSkipped(n int64) { o.shardsSkipped.Add(n) }
 // AddGatingNanos records the bookkeeping cost of one gating decision:
 // diffing the primary inputs and deriving the skip sets.
 func (o *Observer) AddGatingNanos(d time.Duration) { o.gatingNanos.Add(int64(d)) }
+
+// AddGatedVector counts one activity-gated vector run on executor
+// (GatedSequential or GatedCaller).
+func (o *Observer) AddGatedVector(executor int) { o.gated[executor].Add(1) }
 
 // AddTransition counts one net changing value at time step t.
 func (o *Observer) AddTransition(t int) { o.steps[t].Add(1) }

@@ -56,6 +56,8 @@ type WorkerStat struct {
 	BusyNanos int64 `json:"busy_nanos"`
 	// WaitNanos is time spent in barrier waits.
 	WaitNanos int64 `json:"wait_nanos"`
+	// Crossings is the number of barrier crossings.
+	Crossings int64 `json:"crossings"`
 	// Instrs is the total instructions the worker executed.
 	Instrs int64 `json:"instrs"`
 }
@@ -94,12 +96,14 @@ type Snapshot struct {
 	// Level fusion and activity gating: FusedLevels and BarriersDeleted
 	// are static plan properties copied from the shape; ShardsSkipped
 	// counts shard level-slices elided because their input cone was
-	// untouched, and GatingNanos the bookkeeping time the gating
-	// decisions cost.
-	FusedLevels     int   `json:"fused_levels"`
-	BarriersDeleted int   `json:"barriers_deleted"`
-	ShardsSkipped   int64 `json:"shards_skipped"`
-	GatingNanos     int64 `json:"gating_overhead_ns"`
+	// untouched, GatingNanos the bookkeeping time the gating decisions
+	// cost, and GatedVectors the gated vectors per executor (indexed and
+	// named like GatedExecutors).
+	FusedLevels     int                      `json:"fused_levels"`
+	BarriersDeleted int                      `json:"barriers_deleted"`
+	ShardsSkipped   int64                    `json:"shards_skipped"`
+	GatingNanos     int64                    `json:"gating_overhead_ns"`
+	GatedVectors    [NumGatedExecutors]int64 `json:"gated_vectors"`
 
 	Level  []LevelStat  `json:"level"`
 	Worker []WorkerStat `json:"worker"`
@@ -146,6 +150,9 @@ func (o *Observer) Snapshot() *Snapshot {
 		ShardsSkipped:   o.shardsSkipped.Load(),
 		GatingNanos:     o.gatingNanos.Load(),
 	}
+	for i := range o.gated {
+		s.GatedVectors[i] = o.gated[i].Load()
+	}
 	if !o.start.IsZero() {
 		s.WallNanos = int64(time.Since(o.start))
 	}
@@ -170,6 +177,7 @@ func (o *Observer) Snapshot() *Snapshot {
 			}
 			s.Worker[w].BusyNanos = o.workers[w].busy.Load()
 			s.Worker[w].WaitNanos = o.workers[w].wait.Load()
+			s.Worker[w].Crossings = o.workers[w].crossings.Load()
 		}
 	}
 	if o.steps != nil {
@@ -264,6 +272,9 @@ func (s *Snapshot) Merge(t *Snapshot) error {
 	s.Vectors += t.Vectors
 	s.ShardsSkipped += t.ShardsSkipped
 	s.GatingNanos += t.GatingNanos
+	for i := range s.GatedVectors {
+		s.GatedVectors[i] += t.GatedVectors[i]
+	}
 	s.Runs += t.Runs
 	s.RunNanos += t.RunNanos
 	s.InitRuns += t.InitRuns
@@ -281,6 +292,7 @@ func (s *Snapshot) Merge(t *Snapshot) error {
 	for w := range s.Worker {
 		s.Worker[w].BusyNanos += t.Worker[w].BusyNanos
 		s.Worker[w].WaitNanos += t.Worker[w].WaitNanos
+		s.Worker[w].Crossings += t.Worker[w].Crossings
 		s.Worker[w].Instrs += t.Worker[w].Instrs
 	}
 	for i := range s.Steps {

@@ -2,10 +2,12 @@ package parsim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"udsim/internal/activity/cone"
 	"udsim/internal/circuit"
+	"udsim/internal/obs"
 	"udsim/internal/program"
 	"udsim/internal/shard"
 )
@@ -46,50 +48,91 @@ import (
 //     this broadcast form, which is why ConfigureExec rejects gating
 //     for cfg.Align (and cfg.Delays) compiles.
 //
-// The first vector after compile, ResetConsistent, a checkpoint restore
-// or a state detach runs everything (valid == false); from then on the
-// per-vector cost is one primary-input diff, one bitset intersection
-// per group and the flatten writes — all into buffers sized once here,
-// so the steady state stays allocation-free.
+// Each vector then runs on the cheaper of two bit-identical executors,
+// chosen once per vector right after the decision (see decide): the
+// core's sequential execution form over the whole program, or the level
+// loop over the active ranges, which a gated engine runs on the caller
+// alone (shard.Engine.SetGate). The first vector after compile,
+// ResetConsistent, a checkpoint restore or a state detach (valid ==
+// false) runs the sequential form.
+//
+// Bookkeeping is proportional to activity. Per vector it costs one
+// primary-input diff and a branch-free cone intersection per group, then
+// work in the active groups only: their segments are marked in a bitmap
+// whose set bits, walked in order, become the engine's ranges; only the
+// nets of groups that just went idle are flattened (a field stays flat
+// while its group stays idle); and only the nets the previous vector can
+// have changed — ungated nets and the previously active groups' nets —
+// have their finals re-read into PrevFinal (an idle net's final is its
+// previous final); a vector that ran everything is followed by a full
+// re-read instead, which is cheaper there. Flattening stays proportional
+// after a vector on the sequential form too, because the whole program
+// writes an idle group's field as exactly the broadcast flattening
+// would: only a vector whose activity is unknown — the first after an
+// invalidation, or one sent to the sequential form before the scan — is
+// followed by a flatten of every idle group. All per-group lists are
+// flat CSR arrays and every buffer is sized here, so the steady state
+// allocates nothing.
 type gater struct {
-	cones *cone.Set
-	words int // primary-input bitset words
-
 	levels  int
 	workers int
 
-	// Plan-time structure.
-	netGroup  []int32 // per net: gate group, -1 = ungated (inputs, always-run nets)
+	// The gate groups' activation cones: primary-input bitsets stored
+	// word-major, word w of group g at [w*numGroups+g], so the scan
+	// streams one contiguous array per changed word.
 	numGroups int
-	groupCone []uint64 // group-major PI bitsets [g*words : (g+1)*words]
+	groupCone []uint64
 
 	// Segmentation: each (level, shard) cell's slice cut into contiguous
 	// per-group segments — per-cone segments on plain plans, one
 	// whole-cell segment per working cell on level-fused ones. Segment i
-	// of cell c spans [segEnd[i-1], segEnd[i]) of the cell's code (0 at a
-	// cell boundary), for i in [cellSegOff[c], cellSegOff[c+1]); segGrp[i]
-	// is its gate group, -1 = always active.
-	segGrp     []int32
-	segEnd     []int32
-	cellSegOff []int32
+	// lies in cell segCell[i] and spans code[segSpan[2i]:segSpan[2i+1]]
+	// of it; segCost[i] is its price in op units (see segmentOps). The
+	// init program is cut the same way into initSpan segments.
+	segCell  []int32
+	segSpan  []int32
+	segCost  []int32
+	initSpan []int32
 
-	// Init-program segmentation, the same way: contiguous runs of
-	// instructions initializing the same net's group (-1 = always run),
-	// so the gated init is O(nets) bookkeeping instead of O(instructions).
-	initSegGrp []int32
-	initSegEnd []int32
+	// Per group g, as CSR slices [off[g]:off[g+1]]: its cell segments,
+	// its init segments and its nets; grpCost[g] is the summed segCost.
+	grpSegOff, grpSegs   []int32
+	grpInitOff, grpInits []int32
+	grpNetOff, grpNets   []int32
+	grpCost              []int64
+
+	// Always-active work: the segments of no group (as bitmaps the
+	// per-vector marks start from) and their cost, and the ungated nets
+	// whose finals are re-read every vector.
+	segBase, initBase []uint64
+	baseCost          int64
+	ungated           []int32
+	seqCost           int64 // estimated cost at which the sequential form takes over
+
+	// piCost[i] is the estimated cost of a vector that changes primary
+	// input i alone: a lower bound on the cost of any vector changing it,
+	// which sends a vector to the sequential form before the cone scan.
+	piCost []int64
 
 	// Reusable per-vector buffers.
-	changed     []uint64
-	groupActive []bool
-	runLevel    []bool  // the engine's level gates
-	runs        []int32 // the engine's active-range pairs
-	runOff      []int32 // per-cell offsets into runs
-	initRuns    []int32 // the init program's active-range pairs
-	netFlat     []bool  // per net: field already holds the settled broadcast
+	changed  []uint64
+	nz       []int32  // the nonzero words of changed
+	actOn    []uint64 // group bitmap: active in this (then the previous) vector
+	active   []int32  // the same groups as a list
+	flat     []int32  // groups to flatten this vector
+	segOn    []uint64
+	initOn   []uint64
+	runLevel []bool  // the engine's level gates
+	runs     []int32 // the engine's active-range pairs
+	runOff   []int32 // per-cell offsets into runs
+	initRuns []int32 // the init program's active-range pairs
 
-	valid     bool // false forces the next vector to run everything
-	allActive bool // this vector: every group active (the common hot case)
+	valid bool // false forces the next vector onto the sequential form
+	// unknown: the previous vector ran everything without a cone scan
+	// (after an invalidation, or sent to the sequential form by piCost),
+	// so its activity is unknown.
+	unknown bool
+	exec    int // this vector's executor: obs.GatedSequential or obs.GatedCaller
 
 	// Cumulative gating tallies since ConfigureExec, read by
 	// GatingLevels: vectors decided, levels run, levels skipped
@@ -97,6 +140,24 @@ type gater struct {
 	// goroutine before any worker is dispatched.
 	decVectors, decLevelsRun, decLevelsSkipped int64
 }
+
+// The executor choice's cost model, in the plan's op units (shard.OpCost).
+// A gated vector's estimated cost is the op cost of its active segments
+// plus segmentOps per active segment, for the range each segment adds to
+// the level loop and to the init run. The level loop runs cells in
+// emission order, in short ranges, through program.Exec's
+// per-instruction switch; the sequential form runs the whole program
+// through its opcode-clustered loop. Timed vector by vector in lockstep
+// on the ten profiles (sim-proved's compile pipeline, toggle rates 0.3%
+// to 40%), the gated path costs 3.0–4.2× the sequential form per op at
+// full activity and breaks even at about 10–15% of the program's ops
+// active, so a vector whose estimate reaches sequentialShare of the
+// program's op cost runs on the sequential form. EXPERIMENTS.md
+// ("Activity-gated executor choice") has the sweep that chose both.
+const (
+	segmentOps      = 4
+	sequentialShare = 0.2
+)
 
 // invalidate forces the next vector to run (and re-materialize) every
 // group — the reset after any operation that makes the state array's
@@ -152,6 +213,10 @@ func (s *Sim) Gate(e *shard.Engine) error {
 // Invalidate implements engine.Gating: the next gated vector runs every
 // group.
 func (s *Sim) Invalidate() { s.gate.invalidate() }
+
+// SequentialForm implements engine.Gating: whether the vector being
+// applied runs on the core's sequential execution form.
+func (s *Sim) SequentialForm() bool { return s.gate != nil && s.gate.exec == obs.GatedSequential }
 
 // buildGater derives the gating structure for a configured plan: the
 // fine per-cone segmentation for plain plans, the cell-coarse grouping
@@ -325,7 +390,7 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 		}
 	}
 
-	return s.newGater(slotNet, netGroup, int(numGroups), levels, workers, segGrp, segEnd, cellSegOff)
+	return s.newGater(plan, slotNet, netGroup, int(numGroups), segGrp, segEnd, cellSegOff)
 }
 
 // buildGaterCoarse is the level-fused grouping: it walks the augmented
@@ -430,26 +495,61 @@ func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
 		segEnd = append(segEnd, int32(n))
 	}
 	cellSegOff[numCells] = int32(len(segEnd))
-	return s.newGater(slotNet, netGroup, int(numGroups), levels, workers, segGrp, segEnd, cellSegOff)
+	return s.newGater(plan, slotNet, netGroup, int(numGroups), segGrp, segEnd, cellSegOff)
 }
 
 // newGater builds the path-independent gating state from a plan's
-// segmentation: activation cones, the init program's segmentation and
-// the per-vector buffers.
-func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int, segGrp, segEnd, cellSegOff []int32) *gater {
+// segmentation: activation cones, segment spans and costs, the init
+// program's segmentation, the per-group CSR lists and the per-vector
+// buffers.
+func (s *Sim) newGater(plan *shard.Plan, slotNet, netGroup []int32, numGroups int, segGrp, segEnd, cellSegOff []int32) *gater {
 	numNets := s.Circuit().NumNets()
 	scratchStart := s.ScratchStart()
 	init, _ := s.Programs()
+	workers := plan.Workers()
+	numCells := len(cellSegOff) - 1
+	g := &gater{
+		levels:    numCells / workers,
+		workers:   workers,
+		numGroups: numGroups,
+	}
 
 	// Group activation cones: the union over the group's output nets.
 	cones := cone.ComputeOrdered(s.Circuit(), s.Analysis().LevelOrder)
 	words := cones.Words()
-	groupCone := make([]uint64, numGroups*words)
+	byGroup := make([]uint64, numGroups*words)
 	for n := 0; n < numNets; n++ {
-		if g := netGroup[n]; g >= 0 {
-			cones.OrInto(groupCone[int(g)*words:(int(g)+1)*words], circuit.NetID(n))
+		if grp := netGroup[n]; grp >= 0 {
+			cones.OrInto(byGroup[int(grp)*words:(int(grp)+1)*words], circuit.NetID(n))
 		}
 	}
+	g.groupCone = make([]uint64, len(byGroup))
+	for grp := 0; grp < numGroups; grp++ {
+		for w := 0; w < words; w++ {
+			g.groupCone[w*numGroups+grp] = byGroup[grp*words+w]
+		}
+	}
+
+	// Segment spans and costs, cell by cell.
+	numSegs := len(segEnd)
+	g.segCell = make([]int32, numSegs)
+	g.segSpan = make([]int32, 2*numSegs)
+	g.segCost = make([]int32, numSegs)
+	var total int64
+	for c := 0; c < numCells; c++ {
+		code := plan.CellCode(c/workers, c%workers)
+		start := int32(0)
+		for i := cellSegOff[c]; i < cellSegOff[c+1]; i++ {
+			cost := int32(segmentOps)
+			for _, in := range code[start:segEnd[i]] {
+				cost += int32(shard.OpCost(in.Op))
+			}
+			g.segCell[i], g.segSpan[2*i], g.segSpan[2*i+1], g.segCost[i] = int32(c), start, segEnd[i], cost
+			total += int64(cost - segmentOps)
+			start = segEnd[i]
+		}
+	}
+	g.seqCost = int64(sequentialShare * float64(total))
 
 	// Init instructions are tagged with their destination net's group so
 	// the gated init run skips exactly the nets the simulation skips.
@@ -457,8 +557,7 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 	// instructions cannot starve an active one. The tags are collapsed to
 	// contiguous segments: the compiler emits a net's init instructions
 	// together, so the segment count is O(nets).
-	var initSegGrp, initSegEnd []int32
-	prev := int32(-1)
+	var initSegGrp []int32
 	for i := range init.Code {
 		in := &init.Code[i]
 		grp := int32(-1)
@@ -467,149 +566,237 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 				grp = netGroup[n]
 			}
 		}
-		if i == 0 || grp != prev {
+		if i == 0 || grp != initSegGrp[len(initSegGrp)-1] {
 			initSegGrp = append(initSegGrp, grp)
-			initSegEnd = append(initSegEnd, 0)
+			g.initSpan = append(g.initSpan, int32(i), 0)
 		}
-		initSegEnd[len(initSegEnd)-1] = int32(i + 1)
-		prev = grp
+		g.initSpan[len(g.initSpan)-1] = int32(i + 1)
 	}
 
-	return &gater{
-		cones:       cones,
-		words:       words,
-		levels:      levels,
-		workers:     workers,
-		netGroup:    netGroup,
-		numGroups:   numGroups,
-		groupCone:   groupCone,
-		segGrp:      segGrp,
-		segEnd:      segEnd,
-		cellSegOff:  cellSegOff,
-		initSegGrp:  initSegGrp,
-		initSegEnd:  initSegEnd,
-		changed:     make([]uint64, words),
-		groupActive: make([]bool, numGroups),
-		runLevel:    make([]bool, levels),
-		runs:        make([]int32, 2*len(segEnd)),
-		runOff:      make([]int32, levels*workers+1),
-		initRuns:    make([]int32, 2*len(initSegEnd)+2),
-		netFlat:     make([]bool, numNets),
+	// Per-group lists and the always-active remainder.
+	g.grpSegOff, g.grpSegs = groupLists(segGrp, numGroups)
+	g.grpInitOff, g.grpInits = groupLists(initSegGrp, numGroups)
+	g.grpNetOff, g.grpNets = groupLists(netGroup, numGroups)
+	g.grpCost = make([]int64, numGroups)
+	g.segBase = make([]uint64, (numSegs+63)/64)
+	for i, grp := range segGrp {
+		if grp >= 0 {
+			g.grpCost[grp] += int64(g.segCost[i])
+		} else {
+			g.segBase[i>>6] |= 1 << (uint(i) & 63)
+			g.baseCost += int64(g.segCost[i])
+		}
 	}
+	g.initBase = make([]uint64, (len(initSegGrp)+63)/64)
+	for i, grp := range initSegGrp {
+		if grp < 0 {
+			g.initBase[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	for n, grp := range netGroup {
+		if grp < 0 {
+			g.ungated = append(g.ungated, int32(n))
+		}
+	}
+	g.piCost = make([]int64, len(s.Circuit().Inputs))
+	for i := range g.piCost {
+		g.piCost[i] = g.baseCost
+		for grp := 0; grp < numGroups; grp++ {
+			if g.groupCone[(i>>6)*numGroups+grp]>>(uint(i)&63)&1 != 0 {
+				g.piCost[i] += g.grpCost[grp]
+			}
+		}
+	}
+
+	g.changed = make([]uint64, words)
+	g.nz = make([]int32, 0, words)
+	g.actOn = make([]uint64, (numGroups+63)/64)
+	g.active = make([]int32, 0, numGroups)
+	g.flat = make([]int32, 0, numGroups)
+	g.segOn = make([]uint64, len(g.segBase))
+	g.initOn = make([]uint64, len(g.initBase))
+	g.runLevel = make([]bool, g.levels)
+	g.runs = make([]int32, 2*numSegs)
+	g.runOff = make([]int32, numCells+1)
+	g.initRuns = make([]int32, len(g.initSpan))
+	return g
+}
+
+// groupLists returns the CSR lists of the items keyed by group: item i
+// belongs to group key[i] (none when negative), and group g's items are
+// idx[off[g]:off[g+1]], in increasing order.
+func groupLists(key []int32, numGroups int) (off, idx []int32) {
+	off = make([]int32, numGroups+1)
+	for _, k := range key {
+		if k >= 0 {
+			off[k+1]++
+		}
+	}
+	for k := 0; k < numGroups; k++ {
+		off[k+1] += off[k]
+	}
+	idx = make([]int32, off[numGroups])
+	next := append([]int32(nil), off[:numGroups]...)
+	for i, k := range key {
+		if k >= 0 {
+			idx[next[k]] = int32(i)
+			next[k]++
+		}
+	}
+	return off, idx
 }
 
 // decide computes this vector's group activity from the primary-input
-// diff and fills the engine gate arrays. prev is the previous vector's
-// inputs (read before the caller overwrites them). Returns the number
-// of segments skipped (whole cells on level-fused plans), for the
-// observer.
+// diff, chooses its executor and, unless that is the sequential form,
+// fills the engine gate arrays and queues the groups to flatten. prev is
+// the previous vector's inputs (read before the caller overwrites them).
+// Returns the number of segments skipped (whole cells on level-fused
+// plans), for the observer.
+//
+// The executor is the sequential form after an invalidation and
+// whenever the estimated gated cost reaches seqCost (see segmentOps),
+// and the level loop on the caller alone otherwise. A changed input
+// whose piCost alone reaches seqCost decides for the sequential form
+// before the scan: on sim-proved's profiles that skips the scan for most
+// busy vectors, which makes gated streams 1.3× faster at a 1% toggle
+// rate and 1.5–1.6× at 10% and 40% (EXPERIMENTS.md, "Activity-gated
+// executor choice").
 func (g *gater) decide(inputs, prev []bool) (skipped int64) {
+	g.decVectors++
 	if !g.valid {
 		// First vector after an invalidation: the state array's relation
 		// to prev is unknown, so everything runs (and every field is
 		// freshly materialized).
-		for i := range g.groupActive {
-			g.groupActive[i] = true
-		}
-		g.allActive = true
-	} else {
-		for i := range g.changed {
-			g.changed[i] = 0
-		}
-		for i := range inputs {
-			if inputs[i] != prev[i] {
-				g.changed[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		all := true
-		if g.words == 1 {
-			// Single-word cones (≤64 primary inputs) dominate the
-			// benchmark set; the inlined test keeps the per-group cost
-			// at a load and an AND.
-			ch := g.changed[0]
-			for gi := range g.groupActive {
-				a := g.groupCone[gi]&ch != 0
-				g.groupActive[gi] = a
-				if !a {
-					all = false
-				}
-			}
-		} else {
-			for gi := range g.groupActive {
-				a := cone.Intersects(g.groupCone[gi*g.words:(gi+1)*g.words], g.changed)
-				g.groupActive[gi] = a
-				if !a {
-					all = false
-				}
-			}
-		}
-		g.allActive = all
+		g.valid, g.unknown = true, true
+		return g.runAll()
 	}
-	g.valid = true
-	ri := int32(0)
-	for l := 0; l < g.levels; l++ {
-		levelRuns := false
-		for c := l * g.workers; c < (l+1)*g.workers; c++ {
-			// The cell's active segments become the engine's instruction
-			// ranges; a fully idle cell skips its slice, a fully idle
-			// level skips its barrier.
-			g.runOff[c] = ri
-			var n int64
-			ri, n = g.coalesce(g.runs, ri, g.segGrp, g.segEnd, g.cellSegOff[c], g.cellSegOff[c+1])
-			skipped += n
-			if ri > g.runOff[c] {
-				levelRuns = true
+	for i := range g.changed {
+		g.changed[i] = 0
+	}
+	for i := range inputs {
+		if inputs[i] != prev[i] {
+			if g.piCost[i] >= g.seqCost {
+				g.unknown = true
+				return g.runAll()
+			}
+			g.changed[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+
+	// The cone scan, into a group bitmap: each group's test is a load and
+	// an AND per changed bitset word — one word on every vector of a
+	// circuit with at most 64 inputs, and on most low-activity vectors of
+	// wider ones — and a branch-free bit insert.
+	nz := g.nz[:0]
+	for w, ch := range g.changed {
+		if ch != 0 {
+			nz = append(nz, int32(w))
+		}
+	}
+	// Per block of 64 groups: the active bits, then the active list and
+	// its cost, then the groups to flatten — those the previous vector
+	// left materialized and this one leaves idle.
+	act, flat := g.active[:0], g.flat[:0]
+	cost := g.baseCost
+	for b := range g.actOn {
+		lo := b << 6
+		hi := min(lo+64, g.numGroups)
+		var on uint64
+		if len(nz) == 1 {
+			w := int(nz[0])
+			ch := g.changed[w]
+			for gi, c := range g.groupCone[w*g.numGroups+lo : w*g.numGroups+hi] {
+				t := c & ch
+				on |= (t | -t) >> 63 << uint(gi)
+			}
+		} else if len(nz) > 1 {
+			for gi := lo; gi < hi; gi++ {
+				var t uint64
+				for _, w := range nz {
+					t |= g.groupCone[int(w)*g.numGroups+gi] & g.changed[w]
+				}
+				on |= (t | -t) >> 63 << uint(gi-lo)
 			}
 		}
-		g.runLevel[l] = levelRuns
-		if levelRuns {
+		idle := g.actOn[b] &^ on
+		if g.unknown {
+			idle = ^on & (1<<uint(hi-lo) - 1)
+		}
+		g.actOn[b] = on
+		for ; on != 0; on &= on - 1 {
+			gi := lo | bits.TrailingZeros64(on)
+			act = append(act, int32(gi))
+			cost += g.grpCost[gi]
+		}
+		for ; idle != 0; idle &= idle - 1 {
+			flat = append(flat, int32(lo|bits.TrailingZeros64(idle)))
+		}
+	}
+	g.active, g.flat = act, flat
+	g.unknown = false
+	if cost >= g.seqCost {
+		return g.runAll()
+	}
+
+	// Mark the active segments, then walk the marks in order: each
+	// cell's marked segments become its ranges (adjacent ones merged).
+	copy(g.segOn, g.segBase)
+	for _, gi := range act {
+		for _, si := range g.grpSegs[g.grpSegOff[gi]:g.grpSegOff[gi+1]] {
+			g.segOn[si>>6] |= 1 << (uint(si) & 63)
+		}
+	}
+	ri, next, marked := int32(0), int32(0), 0
+	for wi, word := range g.segOn {
+		for ; word != 0; word &= word - 1 {
+			si := wi<<6 | bits.TrailingZeros64(word)
+			marked++
+			c := g.segCell[si]
+			for ; next <= c; next++ {
+				g.runOff[next] = ri
+			}
+			a, b := g.segSpan[2*si], g.segSpan[2*si+1]
+			if ri > g.runOff[c] && g.runs[2*ri-1] == a {
+				g.runs[2*ri-1] = b
+			} else {
+				g.runs[2*ri], g.runs[2*ri+1] = a, b
+				ri++
+			}
+		}
+	}
+	for ; int(next) < len(g.runOff); next++ {
+		g.runOff[next] = ri
+	}
+
+	// Level gates.
+	for l := 0; l < g.levels; l++ {
+		run := g.runOff[(l+1)*g.workers] > g.runOff[l*g.workers]
+		g.runLevel[l] = run
+		if run {
 			g.decLevelsRun++
 		} else {
 			g.decLevelsSkipped++
 		}
 	}
-	g.runOff[len(g.runOff)-1] = ri
-	g.decVectors++
-	return skipped
+	g.exec = obs.GatedCaller
+	return int64(len(g.segCell) - marked)
 }
 
-// coalesce writes into runs, from pair ri on, the active ranges of the
-// segments [lo, hi): segment i spans [end[i-1], end[i]) of its code (0
-// for i == lo) and is active when grp[i] < 0 or its group is active;
-// adjacent active segments merge into one range. It returns the next
-// free pair and the number of inactive segments. Cell and init segments
-// both go through it.
-func (g *gater) coalesce(runs []int32, ri int32, grp, end []int32, lo, hi int32) (int32, int64) {
-	var skipped int64
-	open, prevEnd := int32(-1), int32(0)
-	for si := lo; si < hi; si++ {
-		if gi := grp[si]; gi < 0 || g.groupActive[gi] {
-			if open < 0 {
-				open = prevEnd
-			}
-		} else {
-			skipped++
-			if open >= 0 {
-				runs[2*ri], runs[2*ri+1] = open, prevEnd
-				ri++
-				open = -1
-			}
-		}
-		prevEnd = end[si]
-	}
-	if open >= 0 {
-		runs[2*ri], runs[2*ri+1] = open, prevEnd
-		ri++
-	}
-	return ri, skipped
+// runAll sends this vector to the sequential form: every level runs and
+// nothing is skipped or flattened.
+func (g *gater) runAll() int64 {
+	g.exec = obs.GatedSequential
+	g.flat = g.flat[:0]
+	g.decLevelsRun += int64(g.levels)
+	return 0
 }
 
 // GatingLevels reports the activity-gated strategy's cumulative level
 // tally since ConfigureExec: vectors decided, levels executed, and
-// levels skipped barrier-included. A skipped level is a deleted barrier
-// crossing per worker (each gated vector additionally crosses one
-// closing barrier when workers > 1). All zeros when the configured
-// strategy is not ActivityGated.
+// levels skipped. A vector on the sequential form runs every level. No
+// gated vector crosses a barrier (the observer counts crossings in
+// obs.WorkerStat.Crossings, and the vectors per executor). All zeros
+// when the configured strategy is not ActivityGated.
 func (s *Sim) GatingLevels() (vectors, run, skipped int64) {
 	if s.gate == nil {
 		return 0, 0, 0
@@ -617,11 +804,13 @@ func (s *Sim) GatingLevels() (vectors, run, skipped int64) {
 	return s.gate.decVectors, s.gate.decLevelsRun, s.gate.decLevelsSkipped
 }
 
-// gatedInit is the gated apply's init phase: decide which gate groups
-// this vector can touch (reading PrevPI before WriteInputs overwrites
-// it), then run the init program minus the skipped nets.
+// gatedInit is the gated apply's init phase: re-read the finals the
+// previous vector can have changed, decide which gate groups this vector
+// can touch and where it runs (reading PrevPI before WriteInputs
+// overwrites it), then run the init program minus the skipped nets.
 func (s *Sim) gatedInit(inputs []bool) {
 	g := s.gate
+	s.captureGated()
 	o := s.Observer()
 	if o == nil {
 		g.decide(inputs, s.PrevPI)
@@ -633,63 +822,84 @@ func (s *Sim) gatedInit(inputs []bool) {
 	skipped := g.decide(inputs, s.PrevPI)
 	o.AddGatingNanos(time.Since(t0))
 	o.AddShardsSkipped(skipped)
+	o.AddGatedVector(g.exec)
 	t1 := time.Now()
 	s.runGatedInit()
 	o.AddInit(time.Since(t1))
 }
 
-// runGatedInit executes the init program minus the instructions that
-// initialize skipped nets, as coalesced sub-slices of the original
-// stream — no instruction copying, and when every group is active a
-// single range over the whole program.
+// captureGated keeps PrevFinal exact at the cost of the previous
+// vector's activity: it re-reads the ungated nets and the nets of the
+// groups active in the previous vector — an idle net's final is its
+// previous final, already in PrevFinal — and every net after a vector
+// that ran everything (the sequential form) or an invalidation (reset,
+// restore, detach).
+func (s *Sim) captureGated() {
+	g := s.gate
+	if !g.valid || g.exec == obs.GatedSequential {
+		s.CaptureFinals()
+		return
+	}
+	s.CaptureFinalsOf(g.ungated)
+	for _, gi := range g.active {
+		s.CaptureFinalsOf(g.grpNets[g.grpNetOff[gi]:g.grpNetOff[gi+1]])
+	}
+}
+
+// runGatedInit executes the init program: whole for a vector on the
+// sequential form, otherwise minus the instructions that initialize
+// skipped nets, as ranges of the original stream built from the active
+// groups' init segments the way decide builds the cell ranges.
 func (s *Sim) runGatedInit() {
 	g := s.gate
 	init, _ := s.Programs()
-	n := int32(1)
-	if g.allActive {
-		g.initRuns[0], g.initRuns[1] = 0, int32(len(init.Code))
-	} else {
-		n, _ = g.coalesce(g.initRuns, 0, g.initSegGrp, g.initSegEnd, 0, int32(len(g.initSegEnd)))
+	if g.exec == obs.GatedSequential {
+		init.Run(s.St)
+		return
+	}
+	copy(g.initOn, g.initBase)
+	for _, gi := range g.active {
+		for _, si := range g.grpInits[g.grpInitOff[gi]:g.grpInitOff[gi+1]] {
+			g.initOn[si>>6] |= 1 << (uint(si) & 63)
+		}
+	}
+	n := 0
+	for wi, word := range g.initOn {
+		for word != 0 {
+			si := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			a, b := g.initSpan[2*si], g.initSpan[2*si+1]
+			if n > 0 && g.initRuns[2*n-1] == a {
+				g.initRuns[2*n-1] = b
+			} else {
+				g.initRuns[2*n], g.initRuns[2*n+1] = a, b
+				n++
+			}
+		}
 	}
 	program.ExecRanges(init.Code, g.initRuns[:2*n], s.St, s.cfg.WordBits)
 }
 
-// flattenInactive rewrites every skipped net's field to the broadcast
-// of its settled value — exactly the words sequential execution would
-// produce for a net whose cone inputs did not change. Fields that were
-// already flattened by an earlier vector are left alone, so a net that
-// stays idle costs nothing after its first skipped vector. Must run
-// before the engine: active cells may read skipped nets' fields.
+// flattenInactive rewrites the fields of the groups decide queued — the
+// groups idle in this vector that were active in the previous one (or,
+// after a vector of unknown activity, every idle group) — to the
+// broadcast of their settled values: exactly the words sequential execution would
+// produce for a net whose cone inputs did not change. A field stays flat
+// while its group stays idle, so an idle net costs nothing after its
+// first skipped vector. Must run before the engine: active cells may
+// read skipped nets' fields.
 func (s *Sim) flattenInactive() {
 	g := s.gate
-	if g.allActive {
-		// Everything runs and rewrites its field, so no flag survives;
-		// the range clear compiles to a memclr.
-		for i := range g.netFlat {
-			g.netFlat[i] = false
-		}
-		return
-	}
 	mask := s.Mask()
-	for n := range g.netGroup {
-		grp := g.netGroup[n]
-		if grp < 0 {
-			continue
+	for _, gi := range g.flat {
+		for _, n := range g.grpNets[g.grpNetOff[gi]:g.grpNetOff[gi+1]] {
+			var v uint64
+			if s.PrevFinal[n] {
+				v = mask
+			}
+			for w := s.base[n]; w < s.base[n]+s.words[n]; w++ {
+				s.St[w] = v
+			}
 		}
-		if g.groupActive[grp] {
-			g.netFlat[n] = false
-			continue
-		}
-		if g.netFlat[n] {
-			continue
-		}
-		var v uint64
-		if s.PrevFinal[n] {
-			v = mask
-		}
-		for w := int32(0); w < s.words[n]; w++ {
-			s.St[s.base[n]+w] = v
-		}
-		g.netFlat[n] = true
 	}
 }

@@ -1,6 +1,8 @@
 package parsim
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +10,7 @@ import (
 	"udsim/internal/align"
 	"udsim/internal/circuit"
 	"udsim/internal/ckttest"
+	"udsim/internal/obs"
 	"udsim/internal/shard"
 	"udsim/internal/vectors"
 )
@@ -82,6 +85,102 @@ func TestGatedMatchesSequential(t *testing.T) {
 	}
 }
 
+// FuzzGatedMatchesSequential fuzzes the per-vector executor choice. The
+// circuit seed picks a random circuit and compile configuration, the
+// stream seed and the toggle byte a vector stream whose inputs each flip
+// with probability toggle/255 — from exact repeats to complements, so
+// streams cross the sequential-form threshold in both directions — and
+// the mode byte leaves the choice to the cost model or pins every
+// vector after the first to the level loop, unguarded or guarded. Every
+// net's complete waveform after every vector must equal sequential
+// execution's, at 1 and 2 workers, plain and level-fused.
+func FuzzGatedMatchesSequential(f *testing.F) {
+	for mode := uint8(0); mode < 4; mode++ {
+		f.Add(int64(mode), int64(100+mode), uint8(3), mode)
+		f.Add(int64(10+mode), int64(200+mode), uint8(40), mode)
+	}
+	f.Add(int64(7), int64(7), uint8(0), uint8(1))
+	f.Add(int64(8), int64(8), uint8(255), uint8(2))
+	f.Fuzz(func(t *testing.T, cseed, vseed int64, toggle, mode uint8) {
+		r := rand.New(rand.NewSource(cseed))
+		c := ckttest.Random(r, 20+r.Intn(40), 3+r.Intn(8))
+		cfg := []Config{{}, {Trim: true}, {WordBits: 8, Trim: true}}[r.Intn(3)]
+		numPI := len(c.Normalize().Inputs)
+		vr := rand.New(rand.NewSource(vseed))
+		vecs := make([][]bool, 16)
+		cur := make([]bool, numPI)
+		for i := range cur {
+			cur[i] = vr.Intn(2) == 1
+		}
+		for v := range vecs {
+			for i := range cur {
+				if v > 0 && vr.Intn(255) < int(toggle) {
+					cur[i] = !cur[i]
+				}
+			}
+			vecs[v] = append([]bool(nil), cur...)
+		}
+		var ctx context.Context
+		if mode/2%2 == 1 {
+			ctx = context.Background()
+		}
+		ref, err := Compile(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := applyGated(t, ref, vecs, nil)
+		for _, fuse := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				s, err := Compile(c, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetLevelFusion(fuse)
+				if _, err := s.ConfigureExec(shard.ActivityGated, workers); err != nil {
+					t.Fatal(err)
+				}
+				pinned := mode%2 == 1
+				if pinned {
+					s.gate.seqCost = math.MaxInt64
+				}
+				ob := obs.New(obs.Config{})
+				s.SetObserver(ob)
+				got := applyGated(t, s, vecs, ctx)
+				s.Close()
+				if mix := ob.Snapshot().GatedVectors; pinned && (mix[obs.GatedSequential] != 1 || mix[obs.GatedCaller] != int64(len(vecs)-1)) {
+					t.Fatalf("fuse=%v workers=%d mode=%d: executor mix %v", fuse, workers, mode, mix)
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("fuse=%v workers=%d mode=%d: waveform diverges at %d", fuse, workers, mode, j)
+					}
+				}
+			}
+		}
+	})
+}
+
+// applyGated is applyAll through Apply, guarded when ctx is non-nil.
+func applyGated(t *testing.T, s *Sim, vecs [][]bool, ctx context.Context) []bool {
+	t.Helper()
+	if err := s.ResetConsistent(nil); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Circuit()
+	var out []bool
+	for _, vec := range vecs {
+		if err := s.Apply(ctx, vec); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < c.NumNets(); n++ {
+			for tm := 0; tm <= s.Depth(); tm++ {
+				out = append(out, s.ValueAt(circuit.NetID(n), tm))
+			}
+		}
+	}
+	return out
+}
+
 // TestGatedRejectsAligned: shift-eliminated layouts break the settled-
 // field flatten rule, so configuring the gated strategy must fail.
 func TestGatedRejectsAligned(t *testing.T) {
@@ -137,10 +236,8 @@ func TestGatedSkipsAndStaysCorrect(t *testing.T) {
 	// After the first (run-everything) vector the repeats change no
 	// primary input, so every gated group must be idle.
 	g := s.gate
-	for gi := range g.groupActive {
-		if g.groupActive[gi] {
-			t.Fatalf("group %d active on a repeated vector", gi)
-		}
+	for _, gi := range g.active {
+		t.Fatalf("group %d active on a repeated vector", gi)
 	}
 	for n := 0; n < c.Normalize().NumNets(); n++ {
 		for tm := 0; tm <= s.Depth(); tm++ {

@@ -217,27 +217,28 @@ func (s *Sim) ApplyVector(inputs []bool) error { return s.Apply(nil, inputs) }
 
 // Apply is the per-vector body behind ApplyVector and the core's stream
 // and guarded paths (engine.Technique); a nil ctx selects the unguarded
-// run. Under activity gating it decides which gate groups the vector can
-// touch (reading PrevPI before WriteInputs overwrites it), runs the init
-// program minus the skipped nets and flattens the skipped fields to
-// their settled broadcasts before the engine runs the rest.
+// run. Under activity gating it re-reads the finals the previous vector
+// can have changed, decides which gate groups the vector can touch and
+// which executor runs it (reading PrevPI before WriteInputs overwrites
+// it), runs the init program minus the skipped nets and flattens the
+// fields of newly idle groups to their settled broadcasts before RunSim
+// runs the rest; a fault leaves the gating invalid, so the next vector
+// runs everything.
 func (s *Sim) Apply(ctx context.Context, inputs []bool) error {
 	if len(inputs) != len(s.Circuit().Inputs) {
 		return fmt.Errorf("parsim: %d input values for %d primary inputs", len(inputs), len(s.Circuit().Inputs))
 	}
-	// Capture the previous finals before anything is overwritten, for
-	// every net: gating's flattenInactive reads them all.
-	s.CaptureFinals()
 	if s.gate != nil {
 		s.gatedInit(inputs)
-	} else {
-		s.RunInit(1)
-	}
-	s.WriteInputs(inputs)
-	if s.gate != nil {
+		s.WriteInputs(inputs)
 		s.flattenInactive()
+	} else {
+		s.CaptureFinals()
+		s.RunInit(1)
+		s.WriteInputs(inputs)
 	}
 	if err := s.RunSim(ctx); err != nil {
+		s.gate.invalidate()
 		return err
 	}
 	if s.Observer().ActivityEnabled() {

@@ -87,8 +87,10 @@ func (k FaultKind) String() string {
 
 // Sentinel causes wrapped by EngineFault.
 var (
-	// ErrBarrierStall marks a watchdog-detected barrier generation stuck
-	// past the per-level budget.
+	// ErrBarrierStall marks a guarded sharded run stuck past the
+	// per-level budget: a barrier generation the watchdog saw stop
+	// advancing, or a level of a solo run (one worker, or activity-gated)
+	// that the run itself timed past the budget.
 	ErrBarrierStall = errors.New("resilience: barrier generation stalled past level budget")
 	// ErrQuarantined marks an attempt to run an engine that already
 	// faulted; a faulted sharded engine supports only Close.
@@ -223,7 +225,7 @@ func FromContext(engine string, err error) *EngineFault {
 	return &EngineFault{Kind: k, Engine: engine, Level: -1, Shard: -1, Instr: -1, Err: err}
 }
 
-// Stall builds the watchdog's barrier-stall fault at the given level.
+// Stall builds the barrier-stall fault at the given level.
 func Stall(engine string, level int) *EngineFault {
 	return &EngineFault{Kind: FaultDeadline, Engine: engine, Level: level, Shard: -1, Instr: -1, Err: ErrBarrierStall}
 }
@@ -272,9 +274,17 @@ func Protocol(engine string, frame int64, stderr string, err error) *EngineFault
 // cancellation but runs no watchdog, no retries and no cross-checks;
 // DefaultPolicy enables the full ladder with conservative budgets.
 type Policy struct {
-	// LevelBudget is the barrier watchdog's stall budget: a guarded
-	// sharded run whose barrier generation does not advance within the
-	// budget is canceled with a FaultDeadline. 0 disables the watchdog.
+	// LevelBudget is the sharded engine's per-level stall budget. A
+	// guarded run on several workers whose barrier generation does not
+	// advance within the budget is canceled by the watchdog; a solo run
+	// (one worker, or an activity-gated vector on the level loop), which
+	// crosses no barrier, times each level itself and stops after one
+	// that overran. Either way the fault is a FaultDeadline wrapping
+	// ErrBarrierStall. Work outside the engine's levels has no budget
+	// of its own: a watchdog armed for a whole batch counts the work
+	// between two vectors toward the next crossing, and the sequential
+	// strategy and gated vectors on the sequential form are not
+	// budgeted at all. 0 disables it.
 	LevelBudget time.Duration
 	// MaxRetries bounds sequential-replay retries of a transient fault.
 	MaxRetries int

@@ -79,8 +79,9 @@ type helper struct {
 
 // Engine executes a shard plan on a persistent worker pool: one goroutine
 // per shard beyond the caller's own, waiting between runs, with one
-// barrier crossing per level. Run is bit-identical to executing the
-// original program sequentially.
+// barrier crossing per level — or, gated (SetGate), on the caller alone
+// with no crossing. Run is bit-identical to executing the original
+// program sequentially.
 //
 // An Engine is not safe for concurrent Run calls; Close releases the
 // workers.
@@ -95,11 +96,11 @@ type Engine struct {
 	st      []uint64
 	obs     *obs.Observer // nil = observability disabled
 
-	// Activity gates (see SetGate), published to the helpers with st.
-	// Cell c = level*workers+shard executes code[runs[2i]:runs[2i+1]] for
-	// i in [runOff[c], runOff[c+1]); ungated, runs and runOff are the
-	// whole-cell ranges cellRuns and cellOff.
-	gateLevel         []bool // per level: false = skip the whole level, barrier included
+	// Activity gates (see SetGate). Cell c = level*workers+shard executes
+	// code[runs[2i]:runs[2i+1]] for i in [runOff[c], runOff[c+1]);
+	// ungated, runs and runOff are the whole-cell ranges cellRuns and
+	// cellOff.
+	gateLevel         []bool // per level: false = skip the whole level; non-nil = gated
 	runs, runOff      []int32
 	cellRuns, cellOff []int32
 
@@ -188,11 +189,12 @@ func (e *Engine) wait(h *helper, seen *uint32) bool {
 }
 
 // publish hands a run over st to the helpers. The run-sequence advance
-// publishes st, the gates and the guarded flag (Go's atomics are
-// sequentially consistent), and wakes the helpers that parked.
+// publishes st and the guarded flag (Go's atomics are sequentially
+// consistent), and wakes the helpers that parked. A solo run publishes
+// nothing: the helpers keep waiting.
 func (e *Engine) publish(st []uint64, guarded bool) {
 	e.st, e.guarded = st, guarded
-	if e.helpers == nil {
+	if e.solo() {
 		return
 	}
 	e.seq.Add(1)
@@ -213,31 +215,37 @@ func (e *Engine) Plan() *Plan { return e.plan }
 // the next run publishes it to the helper workers.
 func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
 
-// SetGate installs activity gates for subsequent runs. level[l] == false
-// skips level l outright on every worker — its barrier included, which
-// is safe because all parties read the same slice and elide the same
-// crossings; nil runs every level. Cell c = l*Workers()+w of a running
-// level executes the half-open ranges code[runs[2i]:runs[2i+1]], i in
-// [off[c], off[c+1]), of its slice, so off has Levels()*Workers()+1
-// entries; a cell with no range skips its slice but keeps its barrier.
-// runs == nil restores whole-cell execution. The slices are published to
-// the helper workers with the state array, so SetGate must not be called
-// concurrently with Run or RunCtx, and the caller may rewrite the same
-// backing arrays between runs without allocating.
+// SetGate installs activity gates for subsequent runs, or with a nil
+// level removes them. level[l] == false skips level l outright. Cell c =
+// l*Workers()+w of a running level executes the half-open ranges
+// code[runs[2i]:runs[2i+1]], i in [off[c], off[c+1]), of its slice, so
+// off has Levels()*Workers()+1 entries; runs == nil runs whole cells.
+// SetGate must not be called concurrently with Run or RunCtx; the caller
+// may rewrite the same backing arrays between runs without allocating.
+//
+// A gated engine runs solo: the Run or RunCtx caller alone executes
+// every shard's ranges of each level in shard order, and no barrier is
+// crossed. That is bit-identical to a run on every worker, because the
+// cells of one level are race-free (rules V008 and V012, and V015 for a
+// level-fused plan's replicas). It is also cheaper: the activity gate's
+// segments are one or two instructions long, so no active level carries
+// enough work to pay for a crossing (see the activity-gated strategy in
+// DESIGN.md).
 //
 // Correctness is the caller's contract: every instruction outside the
 // ranges must provably leave its outputs unchanged from the previous run
 // (see the activity-gated strategy in internal/parsim, which derives the
-// gates from primary-input cones and proves the skip sound). With level
-// gates installed the watchdog's stall-level attribution becomes
-// approximate — skipped levels advance no generation — which affects
-// fault metadata only.
+// gates from primary-input cones and proves the skip sound).
 func (e *Engine) SetGate(level []bool, runs, off []int32) {
 	if runs == nil {
 		runs, off = e.cellRuns, e.cellOff
 	}
 	e.gateLevel, e.runs, e.runOff = level, runs, off
 }
+
+// solo reports whether runs execute on the caller alone, crossing no
+// barrier: a one-worker plan, or a gated engine.
+func (e *Engine) solo() bool { return e.bar == nil || e.gateLevel != nil }
 
 // Levels returns the number of bulk-synchronous levels in the plan —
 // the first dimension of the observer's cell grid.
@@ -248,8 +256,9 @@ func (e *Engine) StateSize() int { return e.plan.StateSize() }
 
 // Run executes the plan over st, which must have at least StateSize()
 // words; the first NumVars words are the program state and the rest are
-// the shards' private scratch arenas. The caller's final barrier crossing
-// orders every helper's writes before Run returns.
+// the shards' private scratch arenas. On several workers the caller's
+// final barrier crossing orders every helper's writes before Run
+// returns; a solo run involves no helper.
 func (e *Engine) Run(st []uint64) {
 	e.publish(st, false)
 	e.run(0, nil)
@@ -258,26 +267,29 @@ func (e *Engine) Run(st []uint64) {
 // run is the level loop, executed by every worker of every run: the Run
 // or RunCtx caller as worker 0 and each helper as worker w. It executes
 // the worker's active ranges of each level and crosses the barrier after
-// each. With an observer attached it brackets each level slice and each
-// crossing with monotonic-clock reads — three time.Now() calls per
-// (level, worker), no allocation.
+// each. A solo run (see solo) is worker 0 executing every shard's ranges
+// of each level in shard order and crossing nothing. With an observer
+// attached it brackets each level slice and each crossing with
+// monotonic-clock reads — three time.Now() calls per (level, worker), no
+// allocation.
 //
 // The guarded run's extra work is checked per level, never per
 // instruction: the injector, a recover that records a panic as the
-// engine's fault and poisons the barrier, and — for a one-worker run,
-// which has no watchdog — the per-level check of ctx (nil otherwise). A
-// run that ends early returns a non-nil error: the context fault of a
-// one-worker run, or a quarantine error when the worker gave up at a
+// engine's fault and poisons the barrier, and — for a solo run, which
+// has no watchdog — the per-level check of ctx (nil otherwise) and of
+// the SetGuard budget. A run that ends early returns a non-nil error: the
+// context fault of a solo run, the stall fault of a solo run that
+// overran its budget, or a quarantine error when the worker gave up at a
 // poisoned crossing or panicked. An abandoning guarded helper then
 // reports in on fin so the faulted caller's drain knows it stopped; a
 // clean run sends nothing, its final crossing is the synchronization.
 func (e *Engine) run(w int, ctx context.Context) (err error) {
 	guarded := e.guarded
-	l := 0
+	l, s := 0, w // the (level, shard) being run: a fault's witness
 	if guarded {
 		defer func() {
 			if r := recover(); r != nil {
-				e.fault.CompareAndSwap(nil, resilience.FromPanic(engineName, l, w, -1, r))
+				e.fault.CompareAndSwap(nil, resilience.FromPanic(engineName, l, s, -1, r))
 				if e.bar != nil {
 					e.bar.cancel()
 				}
@@ -291,6 +303,16 @@ func (e *Engine) run(w int, ctx context.Context) (err error) {
 	st, wb, o, inj := e.st, e.plan.wordBits, e.obs, e.inj
 	gl, runs, off := e.gateLevel, e.runs, e.runOff
 	nw, levels := e.plan.workers, e.plan.levels
+	solo := e.solo()
+	first, last := w, w+1 // the shards this worker runs
+	if solo {
+		first, last = 0, nw
+	}
+	var budget time.Duration // a solo guarded run's own stall budget
+	var mark time.Time
+	if guarded && solo && e.budget > 0 {
+		budget, mark = e.budget, time.Now()
+	}
 	for ; l < len(levels); l++ {
 		if guarded {
 			if ctx != nil {
@@ -304,28 +326,43 @@ func (e *Engine) run(w int, ctx context.Context) (err error) {
 			// tests must be able to panic inside the bookkeeping of a level
 			// the gates are about to skip.
 			if inj != nil {
-				inj.AtLevel(l, w, st)
+				for s = first; s < last; s++ {
+					inj.AtLevel(l, s, st)
+					if budget > 0 {
+						if f := e.overrun(l, s, budget, &mark); f != nil {
+							return f
+						}
+					}
+				}
+				s = w
 			}
 		}
 		if gl != nil && !gl[l] {
-			// Every worker reads the same slice, so all parties elide this
-			// level's barrier together and stay matched.
-			continue
+			continue // gated, hence solo: no crossing to keep matched
 		}
-		c := l*nw + w
 		var t0 time.Time
 		if o != nil {
 			t0 = time.Now()
 		}
-		n := program.ExecRanges(levels[l][w], runs[2*off[c]:2*off[c+1]], st, wb)
+		n := 0
+		for s = first; s < last; s++ {
+			c := l*nw + s
+			n += program.ExecRanges(levels[l][s], runs[2*off[c]:2*off[c+1]], st, wb)
+		}
+		s = w
 		var t1 time.Time
 		if o != nil {
 			t1 = time.Now()
-			if off[c+1] > off[c] {
+			if off[l*nw+last] > off[l*nw+first] {
 				o.AddLevel(l, w, t1.Sub(t0), n)
 			}
 		}
-		if e.bar == nil {
+		if solo {
+			if budget > 0 {
+				if f := e.overrun(l, w, budget, &mark); f != nil {
+					return f
+				}
+			}
 			continue
 		}
 		if !e.bar.await() {
@@ -333,18 +370,6 @@ func (e *Engine) run(w int, ctx context.Context) (err error) {
 		}
 		if o != nil {
 			o.AddWait(w, time.Since(t1))
-		}
-	}
-	if gl != nil && e.bar != nil {
-		// Level gating elides barriers, including — when the trailing
-		// levels are skipped — the crossing that makes Run's return the
-		// helpers' quiescence point. Without it a helper could still be
-		// reading the gate arrays while the caller rewrites them for the
-		// next vector. One unconditional closing barrier (all workers read
-		// the same gl, so all parties reach it) restores the ordering; the
-		// interior eliding is where the savings are.
-		if !e.bar.await() {
-			return resilience.Quarantined(engineName)
 		}
 	}
 	return nil

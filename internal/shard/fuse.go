@@ -513,7 +513,7 @@ func (f *fuser) build() (*Plan, error) {
 	loads := make([]int64, workers)
 	var totalCost, bulkCost int64
 	for _, in := range p.Code {
-		totalCost += opCost(in.Op)
+		totalCost += OpCost(in.Op)
 	}
 
 	arenaRemap := func(in program.Instr, w int32) program.Instr {
@@ -536,7 +536,7 @@ func (f *fuser) build() (*Plan, error) {
 		aug.Code = append(aug.Code, in)
 		aug.Level = append(aug.Level, nl)
 		aug.Shard = append(aug.Shard, w)
-		loads[w] += opCost(in.Op)
+		loads[w] += OpCost(in.Op)
 	}
 
 	for nl := int32(0); nl < numNew; nl++ {

@@ -13,7 +13,11 @@ import (
 // stuck past a per-level budget, and caller contexts cancel mid-run.
 // Both entries run the same level loop (Engine.run); the guarded work in
 // it is checked per level behind the published guarded flag, so guarding
-// is pay-for-what-you-use.
+// is pay-for-what-you-use. A solo run — a one-worker plan, or an
+// activity-gated one, which runs on the caller alone — crosses no
+// barrier for the watchdog to see stuck, so it checks its context and
+// times its levels against the budget itself, and it is never watched:
+// ArmStream leaves a solo engine unarmed.
 //
 // A fault poisons the engine: the barrier state is unrecoverable once a
 // party abandoned a crossing, so after RunCtx returns a non-nil error
@@ -25,10 +29,10 @@ import (
 const engineName = "shard"
 
 // SetGuard configures the guarded run path: budget is the per-level
-// barrier-stall budget enforced by the watchdog (0 disables stall
-// detection), grace bounds how long a faulted run waits for in-flight
-// workers before abandoning them (0 means one second). Must not be
-// called concurrently with RunCtx.
+// stall budget, enforced by the watchdog or by a solo run itself (0
+// disables stall detection), grace bounds how long a faulted run waits
+// for in-flight workers before abandoning them (0 means one second).
+// Must not be called concurrently with RunCtx.
 func (e *Engine) SetGuard(budget, grace time.Duration) {
 	e.budget = budget
 	e.grace = grace
@@ -83,9 +87,10 @@ func (e *Engine) ensureCallbacks() {
 // it, which any sane budget dwarfs. DisarmStream must be called when
 // the stream ends, before Quarantine or Close (Close disarms as a
 // backstop). A context/watchdog fault between runs poisons the barrier
-// and is surfaced by the next RunCtx.
+// and is surfaced by the next RunCtx. A no-op on a solo engine, whose
+// runs supervise themselves.
 func (e *Engine) ArmStream(ctx context.Context) {
-	if e.streamArmed || e.poisoned || e.plan.workers == 1 {
+	if e.streamArmed || e.poisoned || e.solo() {
 		return
 	}
 	if e.budget <= 0 && ctx.Done() == nil {
@@ -113,8 +118,10 @@ func (e *Engine) DisarmStream() {
 // instead of crashing or hanging. A nil return is bit-identical to Run.
 // After a non-nil return the engine is poisoned and supports only Close;
 // if Leaked() additionally reports true, st must be abandoned too. The
-// exception is a one-worker run ended by its context between levels: it
-// damaged nothing shared, so that engine stays usable.
+// exception is a solo run ended by its context between levels: it
+// damaged nothing shared, so that engine stays usable. A solo run that
+// overruns the budget at one level is a stall fault witnessed by its
+// (level, shard), and poisons the engine like a stuck crossing.
 func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 	if e.poisoned {
 		return resilience.Quarantined(engineName)
@@ -126,6 +133,7 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 		inj.BeginRun()
 	}
 
+	solo := e.solo()
 	watch := false
 	if e.streamArmed {
 		// A watchdog or context fault that fired between runs already
@@ -137,7 +145,7 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 		}
 	} else {
 		e.fault.Store(nil)
-		watch = e.bar != nil && (e.budget > 0 || ctx.Done() != nil)
+		watch = !solo && (e.budget > 0 || ctx.Done() != nil)
 		if watch {
 			e.ensureCallbacks()
 			e.ctx = ctx
@@ -146,15 +154,15 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 		}
 	}
 
-	// A one-worker run has no barrier to watch, so it checks ctx itself
+	// A solo run has no barrier to watch, so it checks ctx itself
 	// between levels.
-	var solo context.Context
-	if e.bar == nil {
-		solo = ctx
+	var soloCtx context.Context
+	if solo {
+		soloCtx = ctx
 	}
 	e.publish(st, true)
-	err := e.run(0, solo)
-	if e.bar != nil && (err != nil || e.fault.Load() != nil) {
+	err := e.run(0, soloCtx)
+	if !solo && (err != nil || e.fault.Load() != nil) {
 		// Faulted run: the poisoned barrier makes every helper abandon
 		// and report in; drain those reports (bounded by the grace) so
 		// no helper can still touch st after we return. A clean run
@@ -171,12 +179,28 @@ func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 		e.poisoned = true
 		return f
 	}
-	if err != nil && e.bar != nil {
+	if err != nil && !solo {
 		// Unreachable belt-and-braces: a poisoned barrier always has its
 		// fault recorded first (the CAS precedes the cancel).
 		e.poisoned = true
 	}
 	return err
+}
+
+// overrun is a solo guarded run's own stall check, made after each
+// level and each injector call: it records a stall fault witnessed by
+// (level, shard) once more than the budget has passed since the previous
+// check at *mark, and otherwise moves the mark.
+func (e *Engine) overrun(level, shard int, budget time.Duration, mark *time.Time) *resilience.EngineFault {
+	now := time.Now()
+	if now.Sub(*mark) <= budget {
+		*mark = now
+		return nil
+	}
+	f := resilience.Stall(engineName, level)
+	f.Shard = shard
+	e.fault.CompareAndSwap(nil, f)
+	return e.fault.Load()
 }
 
 // drainFin collects one abandon token per helper so a faulted RunCtx

@@ -84,30 +84,40 @@ func TestRunCtxPanicFault(t *testing.T) {
 	}
 }
 
-// TestRunCtxStall: a worker wedged past the level budget trips the
-// watchdog; the run is abandoned with a barrier-stall fault instead of
-// hanging forever.
+// TestRunCtxStall: a worker wedged past the level budget is a barrier
+// stall fault instead of a hang. With several workers the watchdog sees
+// the crossing stuck; a one-worker run crosses no barrier, so it checks
+// the budget between levels itself and names the wedged (level, shard).
 func TestRunCtxStall(t *testing.T) {
-	plan, st, _ := guardFixture(t, 13, 4)
-	e := NewEngine(plan)
-	defer e.Close()
-	e.SetGuard(20*time.Millisecond, 5*time.Second)
-	e.SetInjector(chaos.Delay(1, 0, 1, 300*time.Millisecond))
+	for _, workers := range []int{4, 1} {
+		plan, st, _ := guardFixture(t, 13, workers)
+		e := NewEngine(plan)
+		e.SetGuard(20*time.Millisecond, 5*time.Second)
+		shard := min(1, workers-1)
+		e.SetInjector(chaos.Delay(1, 0, shard, 300*time.Millisecond))
 
-	t0 := time.Now()
-	err := e.RunCtx(context.Background(), st)
-	f, ok := resilience.AsFault(err)
-	if !ok {
-		t.Fatalf("RunCtx returned %v, want *EngineFault", err)
-	}
-	if f.Kind != resilience.FaultDeadline || !errors.Is(f, resilience.ErrBarrierStall) {
-		t.Fatalf("fault = %v, want a barrier stall", f)
-	}
-	if e.Leaked() {
-		t.Fatal("generous grace should have drained the sleeper")
-	}
-	if d := time.Since(t0); d > 2*time.Second {
-		t.Fatalf("stall detection took %v; the watchdog is not working", d)
+		t0 := time.Now()
+		err := e.RunCtx(context.Background(), st)
+		f, ok := resilience.AsFault(err)
+		if !ok {
+			t.Fatalf("workers %d: RunCtx returned %v, want *EngineFault", workers, err)
+		}
+		if f.Kind != resilience.FaultDeadline || !errors.Is(f, resilience.ErrBarrierStall) {
+			t.Fatalf("workers %d: fault = %v, want a barrier stall", workers, f)
+		}
+		if workers == 1 && (f.Level != 0 || f.Shard != shard) {
+			t.Fatalf("solo stall witnessed at level %d shard %d, want level 0 shard %d", f.Level, f.Shard, shard)
+		}
+		if e.Leaked() {
+			t.Fatalf("workers %d: generous grace should have drained the sleeper", workers)
+		}
+		if d := time.Since(t0); d > 2*time.Second {
+			t.Fatalf("workers %d: stall detection took %v; the watchdog is not working", workers, d)
+		}
+		if !errors.Is(e.RunCtx(context.Background(), st), resilience.ErrQuarantined) {
+			t.Fatalf("workers %d: engine not quarantined after a stall", workers)
+		}
+		e.Close()
 	}
 }
 
@@ -239,5 +249,78 @@ func TestRunCtxCorruptionIsSilentHere(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("corruption injector had no effect")
+	}
+}
+
+// TestRunCtxCallerOnly: a gated engine runs on the caller alone and is
+// supervised like a one-worker run of the same plan. It is bit-identical
+// to sequential execution, alternating with ungated runs on every
+// worker; a panic is recorded with its (level, shard) and poisons the
+// engine; an overrun of the budget is a stall fault at the wedged
+// (level, shard); and a context ending between levels returns a fault
+// without poisoning. ArmStream leaves a gated engine unarmed, so all of
+// this holds inside a guarded batch too.
+func TestRunCtxCallerOnly(t *testing.T) {
+	plan, st, want := guardFixture(t, 19, 4)
+	init := append([]uint64(nil), st...)
+	e := NewEngine(plan)
+	for run := 0; run < 8; run++ {
+		copy(st, init)
+		gateAll(e, run%2 == 0)
+		var err error
+		if run%4 < 2 {
+			err = e.RunCtx(context.Background(), st)
+		} else {
+			e.Run(st)
+		}
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for i, w := range want {
+			if st[i] != w {
+				t.Fatalf("run %d (caller-only %v): slot %d = %#x, sequential %#x", run, run%2 == 0, i, st[i], w)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	e.SetInjector(chaos.CancelAfter(cancel, 1))
+	gateAll(e, true)
+	e.ArmStream(ctx)
+	if e.streamArmed {
+		t.Fatal("ArmStream armed the watchdog of a gated engine")
+	}
+	if f, ok := resilience.AsFault(e.RunCtx(ctx, st)); !ok || f.Kind != resilience.FaultCanceled {
+		t.Fatalf("canceled caller-only run returned %v, want FaultCanceled", f)
+	}
+	e.DisarmStream()
+	e.SetInjector(nil)
+	if err := e.RunCtx(context.Background(), st); err != nil {
+		t.Fatalf("caller-only engine unusable after cancellation: %v", err)
+	}
+
+	e.SetInjector(chaos.PanicAt(1, 1, 2))
+	f, ok := resilience.AsFault(e.RunCtx(context.Background(), st))
+	if !ok || f.Kind != resilience.FaultPanic || f.Level != 1 || f.Shard != 2 {
+		t.Fatalf("caller-only panic = %v, want a panic at level 1 shard 2", f)
+	}
+	if e.Fault() != f || e.Leaked() {
+		t.Fatalf("Fault() = %v, Leaked() = %v after a caller-only panic", e.Fault(), e.Leaked())
+	}
+	if !errors.Is(e.RunCtx(context.Background(), st), resilience.ErrQuarantined) {
+		t.Fatal("caller-only engine not quarantined after a panic")
+	}
+	e.Close()
+
+	e = NewEngine(plan)
+	defer e.Close()
+	gateAll(e, true)
+	e.SetGuard(20*time.Millisecond, 5*time.Second)
+	e.SetInjector(chaos.Delay(1, 0, 3, 100*time.Millisecond))
+	e.ArmStream(context.Background())
+	defer e.DisarmStream()
+	f, ok = resilience.AsFault(e.RunCtx(context.Background(), st))
+	if !ok || !errors.Is(f, resilience.ErrBarrierStall) || f.Level != 0 || f.Shard != 3 {
+		t.Fatalf("caller-only stall = %v, want a barrier stall at level 0 shard 3", f)
 	}
 }

@@ -46,12 +46,13 @@ const (
 	// Auto picks Sharded or VectorBatch from the shard plan's
 	// critical-path/width ratio (see Plan.Recommend).
 	Auto
-	// ActivityGated is the Sharded engine plus per-vector activity
+	// ActivityGated is the Sharded plan plus per-vector activity
 	// gating: the caller diffs each vector's primary inputs against the
 	// previous vector and skips every shard cell — and every whole
 	// level — whose static input cone is untouched (Maurer's Table 3:
-	// most gates are idle on most vectors). Bit-identical to Sequential;
-	// the first vector after a reset conservatively runs everything.
+	// most gates are idle on most vectors), running the rest on the
+	// caller alone (Engine.SetGate). Bit-identical to Sequential; the
+	// first vector after a reset conservatively runs everything.
 	ActivityGated
 	// Native runs the circuit's validated codegen output as a supervised
 	// out-of-process subprocess (internal/native): the generated Go is
@@ -100,9 +101,11 @@ func ParseStrategy(s string) (Strategy, error) {
 	return 0, fmt.Errorf("shard: unknown strategy %q", s)
 }
 
-// opCost weighs an instruction for load balancing: plain word operations
-// cost 1, shift/carry operations cost 2 (two reads, a shift and a merge).
-func opCost(op program.Op) int64 {
+// OpCost weighs an instruction in the plan's cost model: plain word
+// operations cost 1, shift/carry operations cost 2 (two reads, a shift
+// and a merge). Load balancing, EstimatedSpeedup and the activity-gated
+// strategy's per-vector executor choice all price code with it.
+func OpCost(op program.Op) int64 {
 	switch op {
 	case program.OpNop:
 		return 0
@@ -340,7 +343,7 @@ func analyze(p *program.Program, scratchStart int32, workers int) (*buildState, 
 		}
 		for i := lo; i < hi; i++ {
 			in := &p.Code[i]
-			cost[c] += opCost(in.Op)
+			cost[c] += OpCost(in.Op)
 			rbuf = in.ReadSlots(rbuf[:0])
 			for _, s := range rbuf {
 				if s < scratchStart && readersMax[s] < lvl {
@@ -446,7 +449,7 @@ func (bs *buildState) build() *Plan {
 		assign.Level[i] = l
 		assign.Shard[i] = w
 		in := p.Code[i]
-		totalCost += opCost(in.Op)
+		totalCost += OpCost(in.Op)
 		if workers > 1 {
 			if in.Writes() && in.Dst >= scratchStart {
 				in.Dst += scratchBase(w)

@@ -68,8 +68,9 @@ func genProgram(tb testing.TB, rng *rand.Rand, numPersist, numScratch, groups in
 }
 
 // TestEngineEquivalence is the core planner/engine check: for random
-// gate-style programs, sharded execution must leave the persistent state
-// bit-identical to sequential execution, for every worker count.
+// gate-style programs, sharded execution — on every worker, or gated and
+// so on the caller alone — must leave the persistent state bit-identical
+// to sequential execution, for every worker count.
 func TestEngineEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -85,19 +86,37 @@ func TestEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
-			st := make([]uint64, plan.StateSize())
-			copy(st, init)
-			e := NewEngine(plan)
-			e.Run(st)
-			e.Close()
-			for i := 0; i < int(scratchStart); i++ {
-				if st[i] != want[i] {
-					t.Fatalf("seed %d workers %d: slot %d = %#x, sequential %#x",
-						seed, workers, i, st[i], want[i])
+			for _, callerOnly := range []bool{false, true} {
+				st := make([]uint64, plan.StateSize())
+				copy(st, init)
+				e := NewEngine(plan)
+				gateAll(e, callerOnly)
+				e.Run(st)
+				e.Close()
+				for i := 0; i < int(scratchStart); i++ {
+					if st[i] != want[i] {
+						t.Fatalf("seed %d workers %d caller-only %v: slot %d = %#x, sequential %#x",
+							seed, workers, callerOnly, i, st[i], want[i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// gateAll installs gates that run every level's whole cells, which puts
+// the engine's runs on the caller alone, or with on == false removes
+// them.
+func gateAll(e *Engine, on bool) {
+	if !on {
+		e.SetGate(nil, nil, nil)
+		return
+	}
+	all := make([]bool, e.Levels())
+	for l := range all {
+		all[l] = true
+	}
+	e.SetGate(all, nil, nil)
 }
 
 // TestPlanPassesV008 checks that every generated plan satisfies the

@@ -302,12 +302,13 @@ const (
 	// ExecActivityGated runs the level-sharded plan with per-vector
 	// activity gating (parallel technique, flat/trimmed layouts only):
 	// each vector's primary inputs are diffed against the previous
-	// vector's, and shard slices — whole levels, barriers included —
-	// whose input cones are untouched are skipped, their fields flattened
-	// to the settled values sequential execution would produce. Bit-
-	// identical to ExecSequential; the first vector after a reset or
-	// restore runs everything. Combine with WithLevelFusion to delete
-	// barriers between merged levels as well.
+	// vector's, and shard slices — whole levels included — whose input
+	// cones are untouched are skipped, their fields flattened to the
+	// settled values sequential execution would produce. The rest runs
+	// on the calling goroutine alone, crossing no barrier, or as the
+	// whole program's sequential form when much of it is active anyway.
+	// Bit-identical to ExecSequential; the first vector after a reset or
+	// restore runs everything.
 	ExecActivityGated = shard.ActivityGated
 	// ExecNative runs the compiled programs as genuinely straight-line
 	// native code: the validated codegen output is `go build`-ed out of
