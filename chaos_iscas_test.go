@@ -35,10 +35,13 @@ func chaosCircuits() []string {
 }
 
 // chaosPolicy is the guard configuration the scenarios run under:
-// fast watchdog, sequential retries, per-vector output cross-checks.
+// fast watchdog, sequential retries, per-vector output cross-checks. The
+// level budget is ×raceSlowdown under the race detector, where 25 ms let
+// a 4-worker sharded run on a loaded 2-vCPU machine stall spuriously and
+// quarantine the plan before the planted fault was reached.
 func chaosPolicy() GuardPolicy {
 	return GuardPolicy{
-		LevelBudget:     25 * time.Millisecond,
+		LevelBudget:     raceSlowdown * 25 * time.Millisecond,
 		MaxRetries:      2,
 		RetryBackoff:    time.Millisecond,
 		CrossCheckEvery: 1,
@@ -217,7 +220,8 @@ func TestChaosStallISCAS(t *testing.T) {
 				t.Fatal(err)
 			}
 			vecs := vectors.Random(6, len(c.Inputs), 303).Bits
-			inj := chaos.Delay(3, 0, 1, 150*time.Millisecond)
+			// Six times chaosPolicy's level budget, at either race setting.
+			inj := chaos.Delay(3, 0, 1, raceSlowdown*150*time.Millisecond)
 			g, ob := openGuarded(t, c, TechParallel, inj, chaosPolicy())
 			defer g.Close()
 

@@ -10,12 +10,11 @@
 //	udlint -gen c432
 //	udlint -bench mycircuit.bench -wordbits 8 -dead
 //	udlint -gen c6288 -technique parallel-pt-trim
-//	udlint -gen c880 -workers 4        # verify the shard plan (rules V008, V012)
-//	udlint -gen c880 -workers 4 -fuse  # level-fused plan: replicated cones too (V015)
-//	udlint -gen c499 -resub            # optimize first: V013/V014 certificate replay
-//	udlint -gen c432 -codegen          # translation-validate the emitted source (V016–V018)
-//	udlint -gen c432 -format=json      # stable machine-readable report
-//	udlint -gen c432 -format=sarif     # SARIF 2.1.0 for CI annotators
+//	udlint -gen c880 -workers 4    # verify the shard plan (rules V008, V012)
+//	udlint -gen c499 -resub        # optimize first: V013/V014 certificate replay
+//	udlint -gen c432 -codegen      # translation-validate the emitted source (V016–V018)
+//	udlint -gen c432 -format=json  # stable machine-readable report
+//	udlint -gen c432 -format=sarif # SARIF 2.1.0 for CI annotators
 package main
 
 import (
@@ -44,8 +43,7 @@ func main() {
 		technique = flag.String("technique", "", "comma-separated technique subset (default: all verifiable)")
 		dead      = flag.Bool("dead", false, "also report dead instructions as info findings")
 		constProp = flag.Bool("const", false, "also report constant-propagation results (rule V010) as info findings")
-		workers   = cliflags.Workers(flag.CommandLine, 0, "builds a sharded plan to verify via rules V008, V012 and, with -fuse, V015; 0 lints sequential programs only")
-		fuse      = cliflags.Fuse(flag.CommandLine, "rule V015 then checks the replicated cones; requires -workers")
+		workers   = cliflags.Workers(flag.CommandLine, 0, "builds a sharded plan to verify via rules V008 and V012; 0 lints sequential programs only")
 		resub     = flag.Bool("resub", false, "run the simulation-guided resubstitution pass first: replay its certificate (rules V013, V014) and lint the optimized netlist")
 		codegen   = flag.Bool("codegen", false, "translation-validate each technique's generated source: lift the Go emission back to an instruction stream, prove it equivalent, replay the emission certificate and re-check AST hygiene (rules V016-V018)")
 		format    = flag.String("format", "text", "output format: text, json or sarif")
@@ -97,11 +95,8 @@ func main() {
 		reports = append(reports, rep)
 		c = res.Optimized
 	}
-	if *fuse && *workers <= 0 {
-		fail(fmt.Errorf("-fuse requires -workers"))
-	}
 	for _, tech := range techs {
-		rep, err := lintOne(c, tech, *wordBits, *workers, *fuse, *codegen, opts)
+		rep, err := lintOne(c, tech, *wordBits, *workers, *codegen, opts)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", tech, err))
 		}
@@ -170,32 +165,23 @@ type taggedFinding struct {
 
 // lintOne compiles the circuit with one technique at the requested word
 // width and runs the analyzer. With workers > 0 the engine is built with
-// a sharded execution plan so the analyzer also checks rule V008; with
-// fuse additionally set, parallel techniques build the level-fused plan
-// so the replicated cones are checked too (rule V015). With codegen set,
-// the technique's generated source is translation-validated and any
-// V016-V018 finding is merged into the report.
-func lintOne(c *udsim.Circuit, tech string, wordBits, workers int, fuse, codegen bool, opts udsim.VerifyOptions) (*udsim.VerifyReport, error) {
+// a sharded execution plan so the analyzer also checks rules V008 and
+// V012. With codegen set, the technique's generated source is
+// translation-validated and any V016-V018 finding is merged into the
+// report.
+func lintOne(c *udsim.Circuit, tech string, wordBits, workers int, codegen bool, opts udsim.VerifyOptions) (*udsim.VerifyReport, error) {
 	var (
 		e   udsim.Engine
 		err error
+		po  []udsim.Option
 	)
+	if workers > 0 {
+		po = append(po, udsim.WithExec(udsim.ExecSharded, workers))
+	}
 	if tech == "pcset" {
-		// Level fusion is a parallel-technique option; the PC-set plan is
-		// linted unfused even under -fuse.
-		var po []udsim.Option
-		if workers > 0 {
-			po = append(po, udsim.WithExec(udsim.ExecSharded, workers))
-		}
 		e, err = udsim.Open(c, udsim.TechPCSet, po...)
 	} else {
-		po := []udsim.Option{udsim.WithWordBits(wordBits)}
-		if workers > 0 {
-			po = append(po, udsim.WithExec(udsim.ExecSharded, workers))
-			if fuse {
-				po = append(po, udsim.WithLevelFusion())
-			}
-		}
+		po = append(po, udsim.WithWordBits(wordBits))
 		switch tech {
 		case "parallel":
 		case "parallel-trim":

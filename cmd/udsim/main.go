@@ -36,7 +36,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress per-vector output (timing runs)")
 		execFlag  = cliflags.Exec(flag.CommandLine)
 		workers   = cliflags.Workers(flag.CommandLine, 0)
-		fuse      = cliflags.Fuse(flag.CommandLine)
 		obsFlag   = flag.Bool("obs", false, "attach a runtime observer and print its text export after the run (compiled engines)")
 		guard     = cliflags.Guard(flag.CommandLine)
 		deadline  = cliflags.Deadline(flag.CommandLine, 0, "requires -guard")
@@ -62,9 +61,6 @@ func main() {
 			fail(err)
 		}
 		topts = append(topts, udsim.WithExec(strategy, *workers))
-	}
-	if *fuse {
-		topts = append(topts, udsim.WithLevelFusion())
 	}
 	var ob *udsim.Observer
 	if *obsFlag {

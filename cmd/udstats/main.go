@@ -97,32 +97,21 @@ func main() {
 	ta.Add("cycle-breaking", cb.RetainedShifts(), cb.MaxWidthBits(), cb.TotalWords(*wordBits))
 	fmt.Println(ta)
 
-	// Shard plan overview: levels, fusion yield and the speedup model's
-	// recommendation at a few worker counts. The fused row shows how many
-	// barriers the level-fusion pass deletes (merged sparse levels plus
-	// replicated producer cones); the activity-gated strategy additionally
+	// Shard plan overview: levels and the speedup model's recommendation
+	// at a few worker counts. The activity-gated strategy additionally
 	// skips idle levels per vector, which is a dynamic property reported
 	// by `udbench -exp gating`, not here.
-	tp := texttable.New("shard plan (level fusion)", "workers", "plan", "levels", "fused", "barriers deleted", "est speedup", "recommend")
+	tp := texttable.New("shard plan", "workers", "levels", "est speedup", "recommend")
 	for _, w := range []int{2, 4} {
 		ps2, err := parsim.Compile(norm, parsim.Config{WordBits: *wordBits})
 		if err != nil {
 			fail(err)
 		}
-		for _, fused := range []bool{false, true} {
-			ps2.SetLevelFusion(fused)
-			if _, err := ps2.ConfigureExec(udsim.ExecSharded, w); err != nil {
-				fail(err)
-			}
-			st := ps2.ExecPlan().Stats()
-			label := "plain"
-			if fused {
-				label = "fused"
-			}
-			tp.Add(w, label, st.Levels, st.FusedLevels, st.BarriersDeleted,
-				fmt.Sprintf("%.2fx", ps2.ExecPlan().EstimatedSpeedup()),
-				ps2.ExecPlan().Recommend())
+		if _, err := ps2.ConfigureExec(udsim.ExecSharded, w); err != nil {
+			fail(err)
 		}
+		plan := ps2.ExecPlan()
+		tp.Add(w, plan.Stats().Levels, fmt.Sprintf("%.2fx", plan.EstimatedSpeedup()), plan.Recommend())
 		ps2.Close()
 	}
 	fmt.Println(tp)

@@ -1,11 +1,9 @@
-// Facade tests for the activity-gated execution strategy and the
-// level-fusion planner pass: gated execution (with and without fusion)
-// must be bit-for-bit identical to sequential execution on every
-// benchmark circuit under the streams gating cares about — repeated
-// vectors (everything skippable) and single-bit deltas (one input cone
-// active) — and a fused plan must actually delete barriers while
-// staying clean under the replica rule V015. The chaos leg drives a
-// panic into the bookkeeping of a level the gates are about to skip.
+// Facade tests for the activity-gated execution strategy: gated
+// execution must be bit-for-bit identical to sequential execution on
+// every benchmark circuit under the streams gating cares about —
+// repeated vectors (everything skippable) and single-bit deltas (one
+// input cone active). The chaos leg drives a panic into the bookkeeping
+// of a level the gates are about to skip.
 package udsim
 
 import (
@@ -16,7 +14,6 @@ import (
 	"udsim/internal/obs"
 	"udsim/internal/resilience/chaos"
 	"udsim/internal/vectors"
-	"udsim/internal/verify"
 )
 
 // gatingStream builds the stream the gated engine must survive: a random
@@ -42,12 +39,12 @@ func gatingStream(c *Circuit, seed int64) *vectors.Set {
 	return s
 }
 
-// TestGatedDeterminismISCAS compares the activity-gated strategy — plain
-// and level-fused, bare, guarded and observed — against the sequential
-// baseline on every synthesized ISCAS-85 profile, at worker counts
-// {1, 2, 4}, over the repeat/delta stream: identical finals on every net
-// after every vector and identical primary-output waveforms (a skipped
-// cone must read back its held value, not a stale or unflattened field).
+// TestGatedDeterminismISCAS compares the activity-gated strategy — bare,
+// guarded and observed — against the sequential baseline on every
+// synthesized ISCAS-85 profile, at worker counts {1, 2, 4}, over the
+// repeat/delta stream: identical finals on every net after every vector
+// and identical primary-output waveforms (a skipped cone must read back
+// its held value, not a stale or unflattened field).
 // The guarded runs must finish without a fault, so they are compared on
 // the gated engine itself rather than on a degraded fallback.
 func TestGatedDeterminismISCAS(t *testing.T) {
@@ -68,34 +65,27 @@ func TestGatedDeterminismISCAS(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []string{"unguarded", "guarded", "observed"} {
-				for _, fused := range []bool{false, true} {
-					for _, w := range []int{1, 2, 4} {
-						opts := []Option{WithExec(ExecActivityGated, w)}
-						label := mode + "/plain"
-						if fused {
-							opts = append(opts, WithLevelFusion())
-							label = mode + "/fused"
-						}
-						switch mode {
-						case "guarded":
-							opts = append(opts, WithGuard(GuardPolicy{LevelBudget: time.Second, QuarantineGrace: time.Second}))
-						case "observed":
-							opts = append(opts, WithObserver(NewObserver(ObserverConfig{})))
-						}
-						e, err := Open(c, TechParallel, opts...)
-						if err != nil {
-							t.Fatalf("%s workers=%d: %v", label, w, err)
-						}
-						gt := e.(compiledEngine)
-						if got := gt.ExecStrategy(); got != ExecActivityGated {
-							t.Fatalf("%s workers=%d: strategy %v, want %v", label, w, got, ExecActivityGated)
-						}
-						compareParallel(t, ref, gt, vecs, w)
-						if g, ok := e.(*GuardedSim); ok && g.Degraded() {
-							t.Fatalf("%s workers=%d: guarded run faulted: %v", label, w, g.LastFault())
-						}
-						gt.Close()
+				for _, w := range []int{1, 2, 4} {
+					opts := []Option{WithExec(ExecActivityGated, w)}
+					switch mode {
+					case "guarded":
+						opts = append(opts, WithGuard(GuardPolicy{LevelBudget: time.Second, QuarantineGrace: time.Second}))
+					case "observed":
+						opts = append(opts, WithObserver(NewObserver(ObserverConfig{})))
 					}
+					e, err := Open(c, TechParallel, opts...)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", mode, w, err)
+					}
+					gt := e.(compiledEngine)
+					if got := gt.ExecStrategy(); got != ExecActivityGated {
+						t.Fatalf("%s workers=%d: strategy %v, want %v", mode, w, got, ExecActivityGated)
+					}
+					compareParallel(t, ref, gt, vecs, w)
+					if g, ok := e.(*GuardedSim); ok && g.Degraded() {
+						t.Fatalf("%s workers=%d: guarded run faulted: %v", mode, w, g.LastFault())
+					}
+					gt.Close()
 				}
 			}
 		})
@@ -210,58 +200,6 @@ func TestGatedLongLowActivityGuardedStream(t *testing.T) {
 	}
 }
 
-// TestLevelFusionDeletesBarriers checks the fusion pass has teeth on the
-// deep profiles — the fused plan must have at least 30% fewer levels
-// (each level is one barrier crossing per worker) — and that the fused
-// plan's exported assignment carries replicated cones for rule V015,
-// which must then report the plan clean.
-func TestLevelFusionDeletesBarriers(t *testing.T) {
-	// Measured reductions on these deep profiles: c880 24→13 (46%),
-	// c1355 27→11 (59%), c1908 40→28 (30%). The assertion keeps slack
-	// below the measured values because the fusion budget derives from
-	// CalibrateBarrier, which varies with machine load.
-	for _, name := range []string{"c880", "c1355", "c1908"} {
-		t.Run(name, func(t *testing.T) {
-			c, err := ISCAS85(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := openParallelSim(c, WithExec(ExecSharded, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer plain.Close()
-			fused, err := openParallelSim(c, WithExec(ExecSharded, 2), WithLevelFusion())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fused.Close()
-
-			before := plain.s.ExecPlan().Stats().Levels
-			st := fused.s.ExecPlan().Stats()
-			if st.Levels > before*3/4 {
-				t.Errorf("fusion left %d of %d levels (>75%%); barriers deleted = %d",
-					st.Levels, before, st.BarriersDeleted)
-			}
-			if st.BarriersDeleted == 0 || st.FusedLevels == 0 {
-				t.Errorf("fusion stats empty: %+v", st)
-			}
-
-			spec := fused.s.Spec()
-			if spec.Shards == nil || spec.Shards.Aug == nil || len(spec.Shards.Aug.Replicas) == 0 {
-				t.Fatal("fused plan exports no replicas; rule V015 has nothing to check")
-			}
-			rep, err := Verify(fused, VerifyOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := rep.Count(verify.SevError); n != 0 {
-				t.Fatalf("fused plan has %d verification errors:\n%v", n, rep)
-			}
-		})
-	}
-}
-
 // TestChaosGatedSkippedShard is the gating leg of the chaos suite: the
 // injector fires in the per-level bookkeeping *before* the gate check,
 // so a panic planted at a level the repeat-vector diff is about to skip
@@ -285,7 +223,6 @@ func TestChaosGatedSkippedShard(t *testing.T) {
 				WithGuard(chaosPolicy()),
 				WithFaultInjection(inj),
 				WithExec(ExecActivityGated, 2),
-				WithLevelFusion(),
 				WithObserver(ob))
 			if err != nil {
 				t.Fatal(err)

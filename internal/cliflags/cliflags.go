@@ -1,5 +1,5 @@
 // Package cliflags registers the execution-related flags every udsim
-// CLI shares — -exec, -workers, -fuse, -guard, -deadline — with one
+// CLI shares — -exec, -workers, -guard, -deadline — with one
 // canonical spelling and help text each, so udsim, udbench, udlint,
 // udchaos and udserve stay word-for-word consistent. Tool-specific
 // nuance goes in an optional note appended to the canonical usage
@@ -59,12 +59,6 @@ func ParseWorkersList(s string) ([]int, error) {
 		out = append(out, w)
 	}
 	return out, nil
-}
-
-// Fuse registers -fuse: the barrier-deleting level-fusion pass.
-func Fuse(fs *flag.FlagSet, note ...string) *bool {
-	return fs.Bool("fuse", false, usage(
-		"merge sparse shard-plan levels and delete their barriers (parallel technique; sharded/activity-gated/auto -exec)", note))
 }
 
 // Guard registers -guard: the guarded supervisor.

@@ -13,16 +13,15 @@ func TestRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	exec := Exec(fs)
 	workers := Workers(fs, 0)
-	fuse := Fuse(fs)
 	guard := Guard(fs)
 	deadline := Deadline(fs, 0)
 	err := fs.Parse([]string{
-		"-exec", "sharded", "-workers", "4", "-fuse", "-guard", "-deadline", "2s"})
+		"-exec", "sharded", "-workers", "4", "-guard", "-deadline", "2s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *exec != "sharded" || *workers != 4 || !*fuse || !*guard || *deadline != 2*time.Second {
-		t.Fatalf("parsed %q %d %v %v %v", *exec, *workers, *fuse, *guard, *deadline)
+	if *exec != "sharded" || *workers != 4 || !*guard || *deadline != 2*time.Second {
+		t.Fatalf("parsed %q %d %v %v", *exec, *workers, *guard, *deadline)
 	}
 }
 

@@ -44,14 +44,11 @@ type Technique interface {
 	Spec() *verify.Spec
 }
 
-// Gating is implemented by a technique with its own shard plans and
-// activity gating: the parallel technique's level fusion and its
-// shard.ActivityGated strategy. ConfigureExec reaches both through it.
-// Without it, plans are plain shard.Partition and ActivityGated is
+// Gating is implemented by a technique with activity gating: the
+// parallel technique's shard.ActivityGated strategy. ConfigureExec
+// reaches it through this interface; without it, ActivityGated is
 // rejected.
 type Gating interface {
-	// Partition builds the simulation program's shard plan.
-	Partition(workers int) (*shard.Plan, error)
 	// Gate installs activity gating on the sharded engine e, or drops it
 	// when e is nil. It fails when the compiled layout cannot be gated.
 	Gate(e *shard.Engine) error
@@ -435,12 +432,8 @@ func (c *Core) SetObserver(o *obs.Observer) {
 	shape.SimWords, shape.SimScratch = c.simProg.TouchStats(c.scratchStart)
 	shape.InitWords, _ = c.initProg.TouchStats(c.scratchStart)
 	if c.exec != nil {
-		plan := c.exec.Plan()
-		st := plan.Stats()
 		shape.Levels = c.exec.Levels()
-		shape.Workers = plan.Workers()
-		shape.FusedLevels = st.FusedLevels
-		shape.BarriersDeleted = st.BarriersDeleted
+		shape.Workers = c.exec.Plan().Workers()
 	}
 	o.Attach(shape)
 }

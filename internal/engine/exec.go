@@ -25,11 +25,7 @@ func (c *Core) ConfigureExec(strategy shard.Strategy, workers int) (shard.Strate
 	var plan *shard.Plan
 	if strategy == shard.Auto || strategy == shard.Sharded || strategy == shard.ActivityGated {
 		var err error
-		if c.gating != nil {
-			plan, err = c.gating.Partition(workers)
-		} else {
-			plan, err = shard.Partition(c.simProg, c.scratchStart, workers)
-		}
+		plan, err = shard.Partition(c.simProg, c.scratchStart, workers)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", c.label, err)
 		}

@@ -36,13 +36,11 @@ type BenchRecord struct {
 	ObsBarrierWaitNsPerVector float64 `json:"obs_barrier_wait_ns_per_vector,omitempty"`
 
 	// Activity-gating columns (the `-exp gating` matrix): the toggle
-	// rate of the driving stream, whether the shard plan was built with
-	// level fusion, barrier crossings per vector as the observer counts
-	// them (every level for the plain sharded strategy, none for the
-	// gated one, which runs on the caller alone), and shard slices
-	// skipped per vector.
+	// rate of the driving stream, barrier crossings per vector as the
+	// observer counts them (every level for the sharded strategy, none
+	// for the gated one, which runs on the caller alone), and shard
+	// slices skipped per vector.
 	ToggleRate                float64 `json:"toggle_rate,omitempty"`
-	Fused                     bool    `json:"fused,omitempty"`
 	ObsBarriersPerVector      float64 `json:"obs_barriers_per_vector,omitempty"`
 	ObsShardsSkippedPerVector float64 `json:"obs_shards_skipped_per_vector,omitempty"`
 

@@ -15,13 +15,11 @@ import (
 
 // This file is the activity-gating study: the same circuits driven by
 // vector streams of controlled toggle rate, comparing the sequential
-// baseline, the plain level-sharded strategy, and the activity-gated
-// strategy with and without level fusion. Real workloads rarely change
-// every input every vector — the paper's uniformly random streams are
-// the worst case for gating — so the sweep makes the activity knob
-// explicit: at low toggle rates most input cones are untouched and the
-// gated engine skips their shard slices (and, when a whole fused level
-// goes idle, its barrier crossing too).
+// baseline, the level-sharded strategy and the activity-gated strategy.
+// Real workloads rarely change every input every vector — the paper's
+// uniformly random streams are the worst case for gating — so the sweep
+// makes the activity knob explicit: at low toggle rates most input cones
+// are untouched and the gated engine skips their shard slices.
 
 // gatingRates is the toggle-rate sweep: the probability that each
 // primary input flips between consecutive vectors.
@@ -72,7 +70,6 @@ func toggleVectors(n, width int, rate float64, seed int64) *vectors.Set {
 type gatingConfig struct {
 	strategy shard.Strategy
 	workers  int
-	fuse     bool
 }
 
 // measureGating compiles the parallel technique under one configuration,
@@ -88,7 +85,6 @@ func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingCo
 		return rec, mix, err
 	}
 	defer s.Close()
-	s.SetLevelFusion(gc.fuse)
 	if gc.strategy != shard.Sequential {
 		if _, err := s.ConfigureExec(gc.strategy, gc.workers); err != nil {
 			return rec, mix, err
@@ -121,7 +117,6 @@ func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingCo
 	rec.ObsLevels = snap.Levels
 	rec.Strategy = gc.strategy.String()
 	rec.Workers = gc.workers
-	rec.Fused = gc.fuse
 	// Every worker crosses every barrier, so worker 0's count is the
 	// run's: one per level sharded, none for a gated vector.
 	rec.ObsBarriersPerVector = float64(snap.Worker[0].Crossings) / n
@@ -130,7 +125,7 @@ func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingCo
 
 // GatingMatrix measures circuit × toggle-rate × strategy and returns the
 // machine-readable bench file (`udbench -json FILE -exp gating`). The
-// per-record toggle_rate, fused, obs_barriers_per_vector and
+// per-record toggle_rate, obs_barriers_per_vector and
 // obs_shards_skipped_per_vector columns carry the study's results; the
 // schema is shared with the plain bench matrix.
 func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) {
@@ -144,11 +139,9 @@ func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) 
 		Vectors:    o.Vectors,
 	}
 	cfgs := []gatingConfig{
-		{shard.Sequential, 1, false},
-		{shard.Sharded, w, false},
-		{shard.Sharded, w, true},
-		{shard.ActivityGated, w, false},
-		{shard.ActivityGated, w, true},
+		{shard.Sequential, 1},
+		{shard.Sharded, w},
+		{shard.ActivityGated, w},
 	}
 	for _, name := range o.Circuits {
 		c, err := benchCircuit(o, name)
@@ -173,7 +166,7 @@ func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) 
 }
 
 // Gating reproduces the activity-gating table (`udbench -exp gating`):
-// for each circuit and toggle rate, ns/vector under the four parallel
+// for each circuit and toggle rate, ns/vector under the three
 // configurations plus the barrier and skip deltas that survive even a
 // single-core runner.
 func Gating(o Options) (*Result, error) {
@@ -182,7 +175,7 @@ func Gating(o Options) (*Result, error) {
 	t := texttable.New(
 		fmt.Sprintf("Activity gating — toggle-rate sweep (%d vectors, W=%d, %d workers)",
 			o.Vectors, o.WordBits, w),
-		"Circuit", "Rate", "Seq", "Sharded", "Gated", "G+Fuse", "Spd", "Barr", "GBarr", "Skip/vec", "GMix")
+		"Circuit", "Rate", "Seq", "Sharded", "Gated", "Spd", "Barr", "Skip/vec", "GMix")
 	for _, name := range o.Circuits {
 		c, err := benchCircuit(o, name)
 		if err != nil {
@@ -190,19 +183,15 @@ func Gating(o Options) (*Result, error) {
 		}
 		for _, rt := range gatingRates {
 			vecs := toggleVectors(o.Vectors, len(c.Inputs), rt.Rate, o.Seed)
-			seq, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sequential, 1, false})
+			seq, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sequential, 1})
 			if err != nil {
 				return nil, err
 			}
-			sh, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sharded, w, false})
+			sh, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sharded, w})
 			if err != nil {
 				return nil, err
 			}
-			gt, mix, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w, false})
-			if err != nil {
-				return nil, err
-			}
-			gf, _, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w, true})
+			gt, mix, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w})
 			if err != nil {
 				return nil, err
 			}
@@ -216,17 +205,16 @@ func Gating(o Options) (*Result, error) {
 			}
 			pct := func(v int64) int64 { return (100*v + total/2) / max(total, 1) }
 			t.Add(name, rt.Name,
-				nsv(seq.NsPerVector), nsv(sh.NsPerVector), nsv(gt.NsPerVector), nsv(gf.NsPerVector),
+				nsv(seq.NsPerVector), nsv(sh.NsPerVector), nsv(gt.NsPerVector),
 				spd,
 				fmt.Sprintf("%.0f", sh.ObsBarriersPerVector),
-				fmt.Sprintf("%.1f", gf.ObsBarriersPerVector),
 				fmt.Sprintf("%.1f", gt.ObsShardsSkippedPerVector),
 				fmt.Sprintf("%d/%d", pct(mix[obs.GatedSequential]), pct(mix[obs.GatedCaller])))
 		}
 	}
 	return &Result{Table: t, Notes: []string{
-		"gated and fused runs are bit-identical to sequential; Spd = Sharded/Gated ns per vector",
-		"Barr = barrier crossings per vector (sharded); GBarr = same for gated+fused, counted by the observer (gated vectors run on the caller alone)",
+		"gated runs are bit-identical to sequential; Spd = Sharded/Gated ns per vector",
+		"Barr = barrier crossings per vector (sharded), counted by the observer; gated vectors run on the caller alone and cross none",
 		"GMix = % of gated vectors on the sequential form / the caller alone",
 		"single-core runners: read the barrier and skip columns, not wall clock",
 	}}, nil

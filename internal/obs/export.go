@@ -50,10 +50,6 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	sample("udsim_state_words_total", "", float64(s.Words))
 	family("udsim_scratch_refs_total", "counter")
 	sample("udsim_scratch_refs_total", "", float64(s.Scratch))
-	family("udsim_fused_levels", "gauge")
-	sample("udsim_fused_levels", "", float64(s.FusedLevels))
-	family("udsim_barriers_deleted", "gauge")
-	sample("udsim_barriers_deleted", "", float64(s.BarriersDeleted))
 	family("udsim_shards_skipped_total", "counter")
 	sample("udsim_shards_skipped_total", "", float64(s.ShardsSkipped))
 	family("udsim_gating_overhead_seconds_total", "counter")

@@ -74,11 +74,6 @@ type Shape struct {
 	// accumulated by adding these constants — no per-instruction
 	// metering in the hot loop.
 	SimWords, InitWords, SimScratch int64
-	// FusedLevels is the number of merged levels that absorbed at least
-	// one neighbor during level fusion, and BarriersDeleted how many
-	// barrier crossings per run the fusion removed. Static plan
-	// properties (zero without level fusion).
-	FusedLevels, BarriersDeleted int
 }
 
 // cell accumulates one (level, worker) pair's execution time and

@@ -93,17 +93,13 @@ type Snapshot struct {
 	Words   int64 `json:"words"`
 	Scratch int64 `json:"scratch"`
 
-	// Level fusion and activity gating: FusedLevels and BarriersDeleted
-	// are static plan properties copied from the shape; ShardsSkipped
-	// counts shard level-slices elided because their input cone was
-	// untouched, GatingNanos the bookkeeping time the gating decisions
-	// cost, and GatedVectors the gated vectors per executor (indexed and
-	// named like GatedExecutors).
-	FusedLevels     int                      `json:"fused_levels"`
-	BarriersDeleted int                      `json:"barriers_deleted"`
-	ShardsSkipped   int64                    `json:"shards_skipped"`
-	GatingNanos     int64                    `json:"gating_overhead_ns"`
-	GatedVectors    [NumGatedExecutors]int64 `json:"gated_vectors"`
+	// Activity gating: ShardsSkipped counts shard level-slices elided
+	// because their input cone was untouched, GatingNanos the bookkeeping
+	// time the gating decisions cost, and GatedVectors the gated vectors
+	// per executor (indexed and named like GatedExecutors).
+	ShardsSkipped int64                    `json:"shards_skipped"`
+	GatingNanos   int64                    `json:"gating_overhead_ns"`
+	GatedVectors  [NumGatedExecutors]int64 `json:"gated_vectors"`
 
 	Level  []LevelStat  `json:"level"`
 	Worker []WorkerStat `json:"worker"`
@@ -145,10 +141,8 @@ func (o *Observer) Snapshot() *Snapshot {
 		Guard:     o.guardStats(),
 		Native:    o.nativeStats(),
 
-		FusedLevels:     o.shape.FusedLevels,
-		BarriersDeleted: o.shape.BarriersDeleted,
-		ShardsSkipped:   o.shardsSkipped.Load(),
-		GatingNanos:     o.gatingNanos.Load(),
+		ShardsSkipped: o.shardsSkipped.Load(),
+		GatingNanos:   o.gatingNanos.Load(),
 	}
 	for i := range o.gated {
 		s.GatedVectors[i] = o.gated[i].Load()

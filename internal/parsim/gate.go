@@ -24,18 +24,12 @@ import (
 //     primary-input cones intersects the set of inputs that changed
 //     since the previous vector. Cones are supersets of true
 //     dependence, so a skipped group's nets provably settle at their
-//     previous finals. For plain (unfused) plans the grouping is fine:
-//     one group per net's instruction cluster, unioned only where a
-//     scratch-slot dependence crosses clusters, and each (level, shard)
-//     cell is cut into contiguous per-group segments the engine
-//     executes as active ranges (Engine.SetGate) — so a level that
-//     must run for one hot cone still skips every cold one. For
-//     level-fused plans the grouping is cell-coarse: two cells share a
-//     group when they write words of the same net's bit-field, and a
-//     replica's seed cell joins its consumer's group (the seeds refresh
-//     the replica slots the copy accumulates into); each such cell is
-//     one whole-cell segment, so both plans gate through the same
-//     segment ranges.
+//     previous finals. Groups are fine-grained: one per net's
+//     instruction cluster, unioned only where a scratch-slot dependence
+//     crosses clusters, and each (level, shard) cell is cut into
+//     contiguous per-group segments the engine executes as active
+//     ranges (Engine.SetGate) — so a level that must run for one hot
+//     cone still skips every cold one.
 //  2. Flattening. A skipped net's field still holds the previous
 //     vector's waveform, which downstream readers and History would see.
 //     Under the flat and trimmed layouts the correct field of a settled
@@ -84,11 +78,10 @@ type gater struct {
 	groupCone []uint64
 
 	// Segmentation: each (level, shard) cell's slice cut into contiguous
-	// per-group segments — per-cone segments on plain plans, one
-	// whole-cell segment per working cell on level-fused ones. Segment i
-	// lies in cell segCell[i] and spans code[segSpan[2i]:segSpan[2i+1]]
-	// of it; segCost[i] is its price in op units (see segmentOps). The
-	// init program is cut the same way into initSpan segments.
+	// per-group segments. Segment i lies in cell segCell[i] and spans
+	// code[segSpan[2i]:segSpan[2i+1]] of it; segCost[i] is its price in
+	// op units (see segmentOps). The init program is cut the same way
+	// into initSpan segments.
 	segCell  []int32
 	segSpan  []int32
 	segCost  []int32
@@ -168,29 +161,6 @@ func (g *gater) invalidate() {
 	}
 }
 
-// SetLevelFusion makes subsequent ConfigureExec calls build plans with
-// the barrier-deleting level-fusion pass (shard.PartitionFused): sparse
-// adjacent levels merge and cheap producer cones are replicated across
-// shards so the merged levels need no barrier between them. Fused plans
-// remain bit-identical to sequential execution (rules V008/V012/V015
-// check the augmented stream). Takes effect at the next ConfigureExec.
-func (s *Sim) SetLevelFusion(on bool) { s.fuseLevels = on }
-
-// LevelFusion reports whether level fusion is enabled for plan building.
-func (s *Sim) LevelFusion() bool { return s.fuseLevels }
-
-// Partition implements engine.Gating: the simulation program's shard
-// plan, level-fused under SetLevelFusion with this machine's measured
-// barrier cost as the fusion budget.
-func (s *Sim) Partition(workers int) (*shard.Plan, error) {
-	_, sim := s.Programs()
-	if s.fuseLevels {
-		return shard.PartitionFused(sim, s.ScratchStart(), workers,
-			shard.FuseOptions{BarrierOps: shard.CalibrateBarrier(workers)})
-	}
-	return shard.Partition(sim, s.ScratchStart(), workers)
-}
-
 // Gate implements engine.Gating: it builds the activity gating for the
 // sharded engine's plan and installs it, or drops it when e is nil.
 func (s *Sim) Gate(e *shard.Engine) error {
@@ -218,15 +188,19 @@ func (s *Sim) Invalidate() { s.gate.invalidate() }
 // applied runs on the core's sequential execution form.
 func (s *Sim) SequentialForm() bool { return s.gate != nil && s.gate.exec == obs.GatedSequential }
 
-// buildGater derives the gating structure for a configured plan: the
-// fine per-cone segmentation for plain plans, the cell-coarse grouping
-// for level-fused ones (replica slots make sub-cell skipping unsound
-// there — a skipped original would leave its replicas stale and
-// unflattened, so fused cells gate as whole-cell segments).
+// buildGater derives the gating structure for a configured plan: one
+// gate group per net's instruction cluster, unioned only where a
+// scratch-slot dependence crosses clusters, with every cell cut into
+// contiguous per-group segments for the engine's active-range execution.
 func (s *Sim) buildGater(plan *shard.Plan) *gater {
-	// Persistent slot → net, via the disjoint bit-field layout (V003).
+	scratchStart := s.ScratchStart()
+	workers := plan.Workers()
+	levels := plan.Stats().Levels
 	numNets := s.Circuit().NumNets()
-	slotNet := make([]int32, s.ScratchStart())
+	numCells := levels * workers
+
+	// Persistent slot → net, via the disjoint bit-field layout (V003).
+	slotNet := make([]int32, scratchStart)
 	for i := range slotNet {
 		slotNet[i] = -1
 	}
@@ -235,22 +209,6 @@ func (s *Sim) buildGater(plan *shard.Plan) *gater {
 			slotNet[s.base[n]+w] = int32(n)
 		}
 	}
-	if plan.Assignment().Aug == nil {
-		return s.buildGaterFine(plan, slotNet)
-	}
-	return s.buildGaterCoarse(plan, slotNet)
-}
-
-// buildGaterFine is the unfused-plan grouping: one gate group per net's
-// instruction cluster, unioned only where a scratch-slot dependence
-// crosses clusters, with every cell cut into contiguous per-group
-// segments for the engine's active-range execution.
-func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
-	scratchStart := s.ScratchStart()
-	workers := plan.Workers()
-	levels := plan.Stats().Levels
-	numNets := s.Circuit().NumNets()
-	numCells := levels * workers
 
 	// Union-find over nets; index numNets is the virtual always-run
 	// class that collects instructions no net can own.
@@ -393,112 +351,7 @@ func (s *Sim) buildGaterFine(plan *shard.Plan, slotNet []int32) *gater {
 	return s.newGater(plan, slotNet, netGroup, int(numGroups), segGrp, segEnd, cellSegOff)
 }
 
-// buildGaterCoarse is the level-fused grouping: it walks the augmented
-// stream, so replica and seed instructions land in the cells the engine
-// actually executes them in, and whole cells gate together.
-func (s *Sim) buildGaterCoarse(plan *shard.Plan, slotNet []int32) *gater {
-	scratchStart := s.ScratchStart()
-	asg := plan.Assignment()
-	workers := plan.Workers()
-	code, lv, sh, levels := asg.Aug.Code, asg.Aug.Level, asg.Aug.Shard, asg.Aug.Levels
-	numNets := s.Circuit().NumNets()
-
-	// Union-find over cells: cells sharing a net's field words gate
-	// together, since a field's gap fills and carry words read words
-	// written in earlier cells of the same field.
-	numCells := levels * workers
-	uf := make([]int32, numCells)
-	for i := range uf {
-		uf[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		if ra, rb := find(a), find(b); ra != rb {
-			uf[ra] = rb
-		}
-	}
-
-	netCell := make([]int32, numNets)
-	for i := range netCell {
-		netCell[i] = -1
-	}
-	for i := range code {
-		cell := lv[i]*int32(workers) + sh[i]
-		in := &code[i]
-		if !in.Writes() || in.Dst >= scratchStart {
-			continue // scratch, replica slots and seed moves carry no net
-		}
-		n := slotNet[in.Dst]
-		if n < 0 {
-			continue
-		}
-		if netCell[n] < 0 {
-			netCell[n] = cell
-		} else {
-			union(netCell[n], cell)
-		}
-	}
-	if asg.Aug != nil {
-		// A replica accumulates from seed moves placed one level earlier
-		// on its shard; skipping the seeds while running the copy would
-		// leave the replica slots stale, so both cells gate together.
-		for i := range asg.Aug.Replicas {
-			r := &asg.Aug.Replicas[i]
-			if len(r.Seeds) == 0 || r.Level == 0 {
-				continue
-			}
-			union(r.Level*int32(workers)+r.Shard, (r.Level-1)*int32(workers)+r.Shard)
-		}
-	}
-
-	groupOf := make(map[int32]int32) // union-find root cell → group
-	netGroup := make([]int32, numNets)
-	for n := range netGroup {
-		netGroup[n] = -1
-	}
-	var numGroups int32
-	for n := 0; n < numNets; n++ {
-		if netCell[n] < 0 {
-			continue
-		}
-		root := find(netCell[n])
-		g, ok := groupOf[root]
-		if !ok {
-			g = numGroups
-			numGroups++
-			groupOf[root] = g
-		}
-		netGroup[n] = g
-	}
-	// One whole-cell segment per working cell, in the group of its
-	// union-find class (-1 = always run).
-	var segGrp, segEnd []int32
-	cellSegOff := make([]int32, numCells+1)
-	for c := int32(0); c < int32(numCells); c++ {
-		cellSegOff[c] = int32(len(segEnd))
-		n := len(plan.CellCode(int(c)/workers, int(c)%workers))
-		if n == 0 {
-			continue
-		}
-		grp, ok := groupOf[find(c)]
-		if !ok {
-			grp = -1
-		}
-		segGrp = append(segGrp, grp)
-		segEnd = append(segEnd, int32(n))
-	}
-	cellSegOff[numCells] = int32(len(segEnd))
-	return s.newGater(plan, slotNet, netGroup, int(numGroups), segGrp, segEnd, cellSegOff)
-}
-
-// newGater builds the path-independent gating state from a plan's
+// newGater builds the gating state from buildGater's grouping and
 // segmentation: activation cones, segment spans and costs, the init
 // program's segmentation, the per-group CSR lists and the per-vector
 // buffers.
@@ -650,8 +503,7 @@ func groupLists(key []int32, numGroups int) (off, idx []int32) {
 // diff, chooses its executor and, unless that is the sequential form,
 // fills the engine gate arrays and queues the groups to flatten. prev is
 // the previous vector's inputs (read before the caller overwrites them).
-// Returns the number of segments skipped (whole cells on level-fused
-// plans), for the observer.
+// Returns the number of segments skipped, for the observer.
 //
 // The executor is the sequential form after an invalidation and
 // whenever the estimated gated cost reaches seqCost (see segmentOps),

@@ -43,8 +43,8 @@ func gatedStream(r *rand.Rand, numPI, n int) [][]bool {
 
 // TestGatedMatchesSequential: the complete waveform of every net over a
 // stream with repeats and single-bit deltas is identical between
-// sequential execution and the activity-gated strategy, with and
-// without level fusion, across worker counts.
+// sequential execution and the activity-gated strategy, across worker
+// counts.
 func TestGatedMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -57,23 +57,20 @@ func TestGatedMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := applyAll(t, ref, vecs)
-			for _, fuse := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 4} {
-					s, err := Compile(c, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.SetLevelFusion(fuse)
-					if _, err := s.ConfigureExec(shard.ActivityGated, workers); err != nil {
-						t.Fatalf("ConfigureExec(gated, %d): %v", workers, err)
-					}
-					got := applyAll(t, s, vecs)
-					s.Close()
-					for j := range want {
-						if got[j] != want[j] {
-							t.Logf("seed %d fuse=%v workers=%d: waveform diverges at %d", seed, fuse, workers, j)
-							return false
-						}
+			for _, workers := range []int{1, 2, 4} {
+				s, err := Compile(c, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.ConfigureExec(shard.ActivityGated, workers); err != nil {
+					t.Fatalf("ConfigureExec(gated, %d): %v", workers, err)
+				}
+				got := applyAll(t, s, vecs)
+				s.Close()
+				for j := range want {
+					if got[j] != want[j] {
+						t.Logf("seed %d workers=%d: waveform diverges at %d", seed, workers, j)
+						return false
 					}
 				}
 			}
@@ -93,7 +90,7 @@ func TestGatedMatchesSequential(t *testing.T) {
 // the mode byte leaves the choice to the cost model or pins every
 // vector after the first to the level loop, unguarded or guarded. Every
 // net's complete waveform after every vector must equal sequential
-// execution's, at 1 and 2 workers, plain and level-fused.
+// execution's, at 1 and 2 workers.
 func FuzzGatedMatchesSequential(f *testing.F) {
 	for mode := uint8(0); mode < 4; mode++ {
 		f.Add(int64(mode), int64(100+mode), uint8(3), mode)
@@ -129,31 +126,28 @@ func FuzzGatedMatchesSequential(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := applyGated(t, ref, vecs, nil)
-		for _, fuse := range []bool{false, true} {
-			for _, workers := range []int{1, 2} {
-				s, err := Compile(c, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.SetLevelFusion(fuse)
-				if _, err := s.ConfigureExec(shard.ActivityGated, workers); err != nil {
-					t.Fatal(err)
-				}
-				pinned := mode%2 == 1
-				if pinned {
-					s.gate.seqCost = math.MaxInt64
-				}
-				ob := obs.New(obs.Config{})
-				s.SetObserver(ob)
-				got := applyGated(t, s, vecs, ctx)
-				s.Close()
-				if mix := ob.Snapshot().GatedVectors; pinned && (mix[obs.GatedSequential] != 1 || mix[obs.GatedCaller] != int64(len(vecs)-1)) {
-					t.Fatalf("fuse=%v workers=%d mode=%d: executor mix %v", fuse, workers, mode, mix)
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("fuse=%v workers=%d mode=%d: waveform diverges at %d", fuse, workers, mode, j)
-					}
+		for _, workers := range []int{1, 2} {
+			s, err := Compile(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ConfigureExec(shard.ActivityGated, workers); err != nil {
+				t.Fatal(err)
+			}
+			pinned := mode%2 == 1
+			if pinned {
+				s.gate.seqCost = math.MaxInt64
+			}
+			ob := obs.New(obs.Config{})
+			s.SetObserver(ob)
+			got := applyGated(t, s, vecs, ctx)
+			s.Close()
+			if mix := ob.Snapshot().GatedVectors; pinned && (mix[obs.GatedSequential] != 1 || mix[obs.GatedCaller] != int64(len(vecs)-1)) {
+				t.Fatalf("workers=%d mode=%d: executor mix %v", workers, mode, mix)
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("workers=%d mode=%d: waveform diverges at %d", workers, mode, j)
 				}
 			}
 		}

@@ -63,11 +63,8 @@ type Sim struct {
 	width   []int   // per net: valid field width in bits
 
 	// Activity gating (gate.go): non-nil exactly when the configured
-	// strategy is shard.ActivityGated. fuseLevels makes ConfigureExec
-	// build plans with the barrier-deleting level-fusion pass
-	// (SetLevelFusion).
-	gate       *gater
-	fuseLevels bool
+	// strategy is shard.ActivityGated.
+	gate *gater
 }
 
 // Compile builds the parallel-technique program for a combinational

@@ -172,8 +172,6 @@ type BatchOptions struct {
 	// and Workers its worker count (0 = GOMAXPROCS).
 	Exec    string `json:"exec,omitempty"`
 	Workers int    `json:"workers,omitempty"`
-	// Fuse enables the barrier-deleting level-fusion pass.
-	Fuse bool `json:"fuse,omitempty"`
 	// WordBits is the parallel technique's logical word width.
 	WordBits int `json:"wordbits,omitempty"`
 	// DeadStore strips provably-dead instructions after compilation.
@@ -184,8 +182,8 @@ type BatchOptions struct {
 
 // canonical renders the options as the cache-key fragment.
 func (o BatchOptions) canonical() string {
-	return fmt.Sprintf("exec=%s,workers=%d,fuse=%t,wordbits=%d,deadstore=%t,resub=%t",
-		o.Exec, o.Workers, o.Fuse, o.WordBits, o.DeadStore, o.Resub)
+	return fmt.Sprintf("exec=%s,workers=%d,wordbits=%d,deadstore=%t,resub=%t",
+		o.Exec, o.Workers, o.WordBits, o.DeadStore, o.Resub)
 }
 
 // BatchRequest is the body of POST /v1/batches. Exactly one of
@@ -361,6 +359,10 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 
 	var br BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// A field the server does not know (a typo, or an option it no
+	// longer has) would otherwise be dropped silently and the batch run
+	// under a different configuration than the client asked for.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&br); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
@@ -514,9 +516,6 @@ func (s *Server) buildProgram(key string, rc *regCircuit, techName string, bo Ba
 			return nil, err
 		}
 		topts = append(topts, udsim.WithExec(strat, bo.Workers))
-	}
-	if bo.Fuse {
-		topts = append(topts, udsim.WithLevelFusion())
 	}
 	if bo.DeadStore {
 		topts = append(topts, udsim.WithDeadStoreElimination())

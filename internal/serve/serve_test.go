@@ -209,7 +209,7 @@ func TestCacheKeySplitsByConfiguration(t *testing.T) {
 
 	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Vectors: vecs}, nil)
 	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Technique: "pcset", Vectors: vecs}, nil)
-	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Options: BatchOptions{Fuse: true, Exec: "sharded", Workers: 2}, Vectors: vecs}, nil)
+	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Options: BatchOptions{Exec: "sharded", Workers: 2}, Vectors: vecs}, nil)
 	if st := srv.Stats(); st.Compiles != 3 {
 		t.Fatalf("3 configurations compiled %d programs", st.Compiles)
 	}
@@ -572,6 +572,32 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode >= 500 {
 			t.Errorf("%s: %s, want a 4xx", tc.label, resp.Status)
 		}
+	}
+}
+
+// TestUnknownFieldsRejected: a batch naming a field the server does not
+// know — an option it no longer has, or a misspelled top-level field —
+// is refused with a 400 that names the field, before anything compiles,
+// instead of running under a configuration the client did not ask for.
+func TestUnknownFieldsRejected(t *testing.T) {
+	srv, hs := newTestServer(t, Config{})
+	vec := `["` + strings.Repeat("0", 36) + `"]`
+	cases := []struct{ field, body string }{
+		{"fuse", `{"gen":"c432","options":{"exec":"sharded","workers":2,"fuse":true},"vectors":` + vec + `}`},
+		{"tecnique", `{"gen":"c432","tecnique":"pcset","vectors":` + vec + `}`},
+	}
+	for _, tc := range cases {
+		var er errorResponse
+		resp := post(t, hs, "/v1/batches", "", json.RawMessage(tc.body), &er)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s, want 400", tc.field, resp.Status)
+		}
+		if !strings.Contains(er.Error, `"`+tc.field+`"`) {
+			t.Errorf("%s: error %q does not name the field", tc.field, er.Error)
+		}
+	}
+	if st := srv.Stats(); st.Compiles != 0 {
+		t.Errorf("rejected batches compiled %d programs", st.Compiles)
 	}
 }
 

@@ -128,18 +128,6 @@ type Stats struct {
 	// BulkCost is the bulk-synchronous critical path: the sum over levels
 	// of the most expensive shard in that level.
 	BulkCost int64
-	// FusedLevels is the number of merged levels that absorbed at least
-	// one neighbor during level fusion (0 for unfused plans).
-	FusedLevels int
-	// BarriersDeleted is how many barriers level fusion removed: the
-	// original level count minus Levels.
-	BarriersDeleted int
-	// Replicas is the number of cluster copies fusion placed in consumer
-	// shards to cut cross-shard dependencies.
-	Replicas int
-	// ReplicaCost is the total op-unit cost of those copies — redundant
-	// work traded for deleted barriers.
-	ReplicaCost int64
 }
 
 // Width returns the average parallel width in op units per level — the
@@ -176,12 +164,8 @@ type Plan struct {
 	assign       *verify.ShardAssignment
 	stats        Stats
 	// barrierOps, when > 0, is a measured per-crossing barrier cost in op
-	// units that replaces the barrierCostOps constant in the cost model
-	// and the fusion profitability rule.
+	// units that replaces the barrierCostOps constant in the cost model.
 	barrierOps int64
-	// extraSlots is state beyond the scratch arenas: replica slots
-	// allocated by level fusion.
-	extraSlots int
 }
 
 // Partition builds a load-balanced shard plan for p across the given
@@ -192,32 +176,6 @@ type Plan struct {
 // state — Engine.Run on such an array is bit-identical to p.Run on its
 // prefix.
 func Partition(p *program.Program, scratchStart int32, workers int) (*Plan, error) {
-	bs, err := analyze(p, scratchStart, workers)
-	if err != nil {
-		return nil, err
-	}
-	return bs.build(), nil
-}
-
-// buildState is the partitioner's intermediate result — clusters,
-// levels, per-level shard assignment — shared by the plain executable
-// build and the level-fusion pass.
-type buildState struct {
-	p            *program.Program
-	scratchStart int32
-	workers      int
-	clusterOf    []int32 // per instruction
-	level        []int32 // per cluster
-	shardOf      []int32 // per cluster
-	cost         []int64 // per cluster
-	nClusters    int32
-	numLevels    int32
-	bulkCost     int64
-}
-
-// analyze runs cluster formation, leveling and per-level LPT shard
-// assignment without building the executable.
-func analyze(p *program.Program, scratchStart int32, workers int) (*buildState, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -390,41 +348,14 @@ func analyze(p *program.Program, scratchStart int32, workers int) (*buildState, 
 		}
 		bulkCost += max
 	}
-	return &buildState{
-		p:            p,
-		scratchStart: scratchStart,
-		workers:      workers,
-		clusterOf:    clusterOf,
-		level:        level,
-		shardOf:      shardOf,
-		cost:         cost,
-		nClusters:    nClusters,
-		numLevels:    numLevels,
-		bulkCost:     bulkCost,
-	}, nil
-}
-
-// arena returns the per-shard scratch stride (0 for a single worker)
-// and the remap base function.
-func (bs *buildState) arena() (int32, func(w int32) int32) {
+	// ---- Assembly: per level, per shard, a contiguous copy of the member
+	// clusters' instructions in original order, with scratch operands
+	// remapped into the shard's private arena (cache-line padded).
 	stride := int32(0)
-	if bs.workers > 1 {
-		stride = (int32(bs.p.NumVars) - bs.scratchStart + 7) &^ 7 // cache-line padding
+	if workers > 1 {
+		stride = (int32(p.NumVars) - scratchStart + 7) &^ 7
 	}
-	return stride, func(w int32) int32 {
-		return int32(bs.p.NumVars) + w*stride - bs.scratchStart
-	}
-}
-
-// build assembles the executable plan: per level, per shard, a
-// contiguous copy of the member clusters' instructions in original
-// order, with scratch operands remapped into the shard's private arena.
-func (bs *buildState) build() *Plan {
-	p, scratchStart, workers := bs.p, bs.scratchStart, bs.workers
-	n := len(p.Code)
-	clusterOf, level, shardOf := bs.clusterOf, bs.level, bs.shardOf
-	numLevels := bs.numLevels
-	stride, scratchBase := bs.arena()
+	scratchBase := func(w int32) int32 { return int32(p.NumVars) + w*stride - scratchStart }
 	pl := &Plan{
 		wordBits:     p.WordBits,
 		numVars:      p.NumVars,
@@ -466,22 +397,21 @@ func (bs *buildState) build() *Plan {
 	pl.assign = assign
 	pl.stats = Stats{
 		Instrs:    n,
-		Clusters:  int(bs.nClusters),
+		Clusters:  int(nClusters),
 		Levels:    int(numLevels),
 		TotalCost: totalCost,
-		BulkCost:  bs.bulkCost,
+		BulkCost:  bulkCost,
 	}
-	return pl
+	return pl, nil
 }
 
 // StateSize returns the state-array length Engine.Run requires: the
-// program's NumVars plus one private scratch arena per shard, plus any
-// replica slots allocated by level fusion.
-func (p *Plan) StateSize() int { return p.numVars + p.workers*int(p.stride) + p.extraSlots }
+// program's NumVars plus one private scratch arena per shard.
+func (p *Plan) StateSize() int { return p.numVars + p.workers*int(p.stride) }
 
 // SetBarrierCost installs a measured per-crossing barrier cost in op
 // units (see CalibrateBarrier); <= 0 restores the static default. It
-// feeds EstimatedSpeedup, Recommend, and the fusion profitability rule.
+// feeds EstimatedSpeedup and Recommend.
 func (p *Plan) SetBarrierCost(ops int64) {
 	if ops < 0 {
 		ops = 0
@@ -522,14 +452,6 @@ func (p *Plan) Assignment() *verify.ShardAssignment { return p.assign }
 // be the one the plan was partitioned from.
 func (p *Plan) Races(prog *program.Program) ([]dataflow.Race, error) {
 	a := p.assign
-	if a.Aug != nil {
-		// Fused plans are proved over the execution-ordered augmented
-		// stream, which includes the replicas and seed moves the
-		// original code does not contain.
-		return dataflow.CheckSchedule(a.Aug.Code, p.scratchStart, &dataflow.Schedule{
-			Workers: a.Workers, Levels: a.Aug.Levels, Level: a.Aug.Level, Shard: a.Aug.Shard,
-		})
-	}
 	return dataflow.CheckSchedule(prog.Code, p.scratchStart, &dataflow.Schedule{
 		Workers: a.Workers, Levels: a.Levels, Level: a.Level, Shard: a.Shard,
 	})

@@ -140,15 +140,8 @@ func checkIntervals(spec *Spec, r *Report) {
 // violation.
 func checkRaces(spec *Spec, r *Report) {
 	sh := spec.Shards
-	// A fused plan is proved over its augmented stream — the code the
-	// engine actually executes, replicas and seed moves included.
-	code := spec.Sim.Code
-	sch := &dataflow.Schedule{Workers: sh.Workers, Levels: sh.Levels, Level: sh.Level, Shard: sh.Shard}
-	if aug := sh.Aug; aug != nil {
-		code = aug.Code
-		sch = &dataflow.Schedule{Workers: sh.Workers, Levels: aug.Levels, Level: aug.Level, Shard: aug.Shard}
-	}
-	races, err := dataflow.CheckSchedule(code, spec.ScratchStart, sch)
+	races, err := dataflow.CheckSchedule(spec.Sim.Code, spec.ScratchStart,
+		&dataflow.Schedule{Workers: sh.Workers, Levels: sh.Levels, Level: sh.Level, Shard: sh.Shard})
 	if err != nil {
 		r.add(Finding{Rule: RuleRace, Severity: SevError, Prog: "spec", Instr: -1, Slot: -1, Msg: err.Error()})
 		return

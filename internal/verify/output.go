@@ -29,7 +29,6 @@ var RuleDocs = []RuleDoc{
 	{RuleRace, "happens-before races: all conflicting shard accesses are ordered"},
 	{RuleRewrite, "resubstitution rewrite: optimized netlist structurally valid, boundary preserved, net map consistent"},
 	{RuleCert, "resubstitution certificate: merge and constant proofs replay, original and optimized circuits equivalent"},
-	{RuleReplica, "replicated cones: every fused-plan copy is read-only, privately written, and bit-identical to its original"},
 	{RuleLift, "translation validation: emitted source lifts back to an instruction stream equivalent to the compiled program"},
 	{RuleLiftCert, "emission certificate: per-statement lift decisions replay from scratch and hashes match the emitted source"},
 	{RuleEmitHygiene, "emitted-code hygiene: single fresh assignment per persistent slot and no reads of unwritten scratch, proven on the lifted AST"},

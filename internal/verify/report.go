@@ -46,7 +46,6 @@ const (
 	RuleConst     = "V010"
 	RuleInterval  = "V011"
 	RuleRace      = "V012"
-	RuleReplica   = "V015"
 	// RuleLift through RuleEmitHygiene are the translation-validation
 	// rules over emitted source (package codegen/validate): V016 proves
 	// the lifted instruction stream equivalent to the compiled one, V017

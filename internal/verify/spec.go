@@ -48,13 +48,7 @@
 //	V012  happens-before races: every conflicting access pair in a shard
 //	      plan must be ordered by the plan's happens-before relation;
 //	      violations carry complete witnesses (slot, both instruction
-//	      addresses, both level/shard coordinates).
-//	V015  replicated cones: when level fusion copies a producer cluster
-//	      into a consumer's shard (ShardAssignment.Aug), every copy must
-//	      be instruction-identical to its original modulo the declared
-//	      replica-slot remap, write only private replica slots, and read
-//	      only state no other instruction writes within the fused level
-//	      — so all copies are provably bit-identical. (V013/V014, the
+//	      addresses, both level/shard coordinates). (V013/V014, the
 //	      resubstitution rules, live in resub.go.)
 package verify
 
@@ -142,57 +136,6 @@ type ShardAssignment struct {
 	Level []int32
 	// Shard is the per-instruction shard index in [0,Workers).
 	Shard []int32
-
-	// Aug, when non-nil, marks the plan as level-fused: the engine does
-	// not execute Sim.Code instruction-for-instruction but the augmented
-	// stream below, which adds replicated producer clusters and their
-	// seed moves. The dataflow rules (V008, V012) then check Aug instead
-	// of Sim, and rule V015 checks the replicas themselves. Level and
-	// Shard above still carry each original Sim instruction's fused
-	// placement for bookkeeping.
-	Aug *FusedSchedule
-}
-
-// FusedSchedule is the execution-ordered instruction stream of a
-// level-fused shard plan, with scratch operands unremapped (the private
-// arenas are modeled by the dataflow rules, not materialized here).
-// Replica-slot operands, by contrast, appear as the engine executes
-// them: fresh slots at or beyond the original program's NumVars.
-type FusedSchedule struct {
-	// Levels is the fused level count.
-	Levels int
-	// Code is the full stream — original clusters, replicas, seed moves
-	// — ordered so that instructions sharing a (level, shard) cell
-	// appear in their execution order.
-	Code []program.Instr
-	// Level and Shard give each Code instruction's placement.
-	Level []int32
-	Shard []int32
-	// Replicas describes every replicated cluster copy for rule V015.
-	Replicas []Replica
-	// BarriersDeleted is the number of barriers fusion removed.
-	BarriersDeleted int
-}
-
-// Replica records one cluster copy placed in a consumer shard by level
-// fusion: the original's and the copy's index ranges in the augmented
-// stream, the copy's placement, and the slot remap that renames the
-// original's persistent writes to private replica slots.
-type Replica struct {
-	// SrcLo:SrcHi is the original cluster's half-open range in Aug.Code.
-	SrcLo, SrcHi int
-	// DstLo:DstHi is the copy's half-open range in Aug.Code.
-	DstLo, DstHi int
-	// Level and Shard place the copy (the original keeps its own shard).
-	Level, Shard int32
-	// Orig[i] is renamed to Repl[i] in the copy — the original cluster's
-	// persistent write slots and their private replica slots.
-	Orig, Repl []int32
-	// Seeds lists Aug.Code indices of the copy's seed moves: one
-	// OpMove Repl[i] ← Orig[i] per accumulated slot, placed in an
-	// earlier level so the copy's accumulation starts from the same
-	// pre-level value the original reads.
-	Seeds []int
 }
 
 // numVars returns the state-array size shared by both programs.

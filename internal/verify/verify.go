@@ -62,9 +62,6 @@ func Check(spec *Spec, opts Options) *Report {
 	if spec.Shards != nil && !opts.disabled(RuleRace) {
 		checkRaces(spec, r)
 	}
-	if spec.Shards != nil && spec.Shards.Aug != nil && !opts.disabled(RuleReplica) {
-		checkReplicas(spec, r)
-	}
 	if !opts.disabled(RuleDead) {
 		checkLiveness(spec, r, opts)
 	}
@@ -590,21 +587,7 @@ func checkShards(spec *Spec, r *Report) {
 		bad(fmt.Sprintf("shard plan has %d workers, %d levels", sh.Workers, sh.Levels))
 		return
 	}
-	// A fused plan's engine executes the augmented stream (replicas and
-	// seed moves included), so the dataflow walk must cover that stream,
-	// not the original sim code — checking the original against the
-	// merged level assignment would flag exactly the cross-shard reads
-	// the replicas repair.
 	code, level, shard, levels := spec.Sim.Code, sh.Level, sh.Shard, sh.Levels
-	if aug := sh.Aug; aug != nil {
-		if len(aug.Level) != len(aug.Code) || len(aug.Shard) != len(aug.Code) {
-			bad(fmt.Sprintf("fused schedule covers %d/%d placements for %d instructions",
-				len(aug.Level), len(aug.Shard), len(aug.Code)))
-			return
-		}
-		code, level, shard, levels = aug.Code, aug.Level, aug.Shard, aug.Levels
-	}
-	n = len(code)
 	for i := 0; i < n; i++ {
 		if level[i] < 0 || int(level[i]) >= levels || shard[i] < 0 || int(shard[i]) >= sh.Workers {
 			bad(fmt.Sprintf("sim[%d] assigned to level %d shard %d, outside %d levels x %d workers",
@@ -613,17 +596,7 @@ func checkShards(spec *Spec, r *Report) {
 		}
 	}
 
-	// Replica slots live beyond the original program's NumVars, so the
-	// per-slot arrays must span the augmented stream's highest operand.
 	nv := spec.numVars()
-	for i := range code {
-		in := &code[i]
-		for _, s := range []int32{in.Dst, in.A, in.B} {
-			if int(s) >= nv {
-				nv = int(s) + 1
-			}
-		}
-	}
 	lastWriter := make([]int32, nv) // 1 + last sim write index, 0 = none
 	// Per-slot concurrent-reader summary for the write-after-read check:
 	// the latest level any instruction read the slot in, and the single

@@ -7,6 +7,7 @@ package udsim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"udsim/internal/shard"
@@ -298,6 +299,61 @@ func TestAutoStrategyResolves(t *testing.T) {
 				}
 			}
 			e.(Closer).Close()
+		}
+	}
+}
+
+// TestPlansReproducible pins that a shard plan is a pure function of
+// (program, workers): on every profile, two independent Opens, sharded
+// and activity-gated at 2 workers, build plans with identical cells,
+// assignment, state size and statistics, each equal to shard.Partition
+// applied directly to the engine's simulation program. Only the measured
+// barrier cost, and the speedup estimate derived from it, may differ.
+func TestPlansReproducible(t *testing.T) {
+	for _, name := range ISCAS85Names() {
+		c, err := ISCAS85(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strategy := range []ExecStrategy{ExecSharded, ExecActivityGated} {
+			label := fmt.Sprintf("%s/%v", name, strategy)
+			var plans [2]*shard.Plan
+			for i := range plans {
+				e, err := openParallelSim(c, WithExec(strategy, 2))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				core := e.unwrap().core
+				plans[i] = core.ExecPlan()
+				_, sim := core.Programs()
+				direct, err := shard.Partition(sim, core.ScratchStart(), 2)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				samePlan(t, label+" vs shard.Partition", plans[i], direct)
+				e.Close()
+			}
+			samePlan(t, label+" across Opens", plans[0], plans[1])
+		}
+	}
+}
+
+// samePlan fails unless two plans execute the same cells under the same
+// assignment, state size and statistics.
+func samePlan(t *testing.T, label string, a, b *shard.Plan) {
+	t.Helper()
+	if a.Stats() != b.Stats() || a.StateSize() != b.StateSize() || a.Workers() != b.Workers() {
+		t.Fatalf("%s: stats %+v / %+v, state %d / %d, workers %d / %d",
+			label, a.Stats(), b.Stats(), a.StateSize(), b.StateSize(), a.Workers(), b.Workers())
+	}
+	if !reflect.DeepEqual(a.Assignment(), b.Assignment()) {
+		t.Fatalf("%s: assignments differ", label)
+	}
+	for l := 0; l < a.Stats().Levels; l++ {
+		for w := 0; w < a.Workers(); w++ {
+			if !reflect.DeepEqual(a.CellCode(l, w), b.CellCode(l, w)) {
+				t.Fatalf("%s: cell (level %d, shard %d) differs", label, l, w)
+			}
 		}
 	}
 }

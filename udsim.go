@@ -374,7 +374,6 @@ type options struct {
 	exec        ExecStrategy
 	execWorkers int
 	execSet     bool
-	fuseLevels  bool
 	observer    *Observer
 	monitor     []NetID
 	monitorSet  bool
@@ -471,20 +470,6 @@ func WithDeadStoreElimination() Option { return func(o *options) { o.deadStore =
 // release the workers.
 func WithExec(strategy ExecStrategy, workers int) Option {
 	return func(o *options) { o.exec, o.execWorkers, o.execSet = strategy, workers, true }
-}
-
-// WithLevelFusion makes the shard planner merge adjacent sparse levels,
-// replicating cheap producer cones across shards so the merged levels
-// need no cross-shard barrier (parallel technique only; effective with
-// the sharded, activity-gated and auto strategies of WithExec). Fused
-// plans are re-checked by the dataflow rules V008/V012 and the replica
-// rule V015 and remain bit-identical to sequential execution; the win is
-// fewer barrier crossings per vector on deep, narrow circuits.
-func WithLevelFusion() Option {
-	return func(o *options) {
-		o.fuseLevels = true
-		o.parallelOnly = append(o.parallelOnly, "WithLevelFusion")
-	}
 }
 
 // WithActivityGating selects the activity-gated execution strategy
@@ -597,8 +582,6 @@ func openCompiled(c *Circuit, tech Technique, o options) (compiledEngine, error)
 			init, prog := core.Programs()
 			return validateEmission(sim.Spec(), init, prog)
 		}},
-		// Only the parallel technique accepts WithLevelFusion.
-		{o.fuseLevels, func() error { sim.(*parsim.Sim).SetLevelFusion(true); return nil }},
 		{o.execSet, func() error { _, err := core.ConfigureExec(o.exec, o.execWorkers); return err }},
 		{o.observer != nil, func() error { core.SetObserver(o.observer); return nil }},
 		{rs != nil, func() error {
