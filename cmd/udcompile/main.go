@@ -1,6 +1,8 @@
 // Command udcompile emits the straight-line C or Go source a compiled
 // unit-delay simulator generates for a circuit — the textual form of the
-// paper's code-generation techniques.
+// paper's code-generation techniques. The unit-delay engines' programs
+// are translation-validated first (udsim.ValidateCodegen), and any
+// finding stops the tool with exit status 1 before anything is written.
 //
 // Usage:
 //
@@ -52,6 +54,17 @@ func main() {
 	initP, simP, ok := udsim.Programs(e)
 	if !ok {
 		fail(fmt.Errorf("engine %s is interpreted; nothing to emit", e.EngineName()))
+	}
+	// The zero-delay LCC program has no unit-delay spec to validate
+	// against; every other engine's emission is validated.
+	if _, lcc := e.(*udsim.ZeroDelaySim); !lcc {
+		rep, err := udsim.ValidateCodegen(e)
+		if err != nil {
+			fail(err)
+		}
+		if err := rep.Err(); err != nil {
+			fail(err)
+		}
 	}
 
 	var language codegen.Language

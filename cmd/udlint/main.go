@@ -10,9 +10,9 @@
 //	udlint -gen c432
 //	udlint -bench mycircuit.bench -wordbits 8 -dead
 //	udlint -gen c6288 -technique parallel-pt-trim
-//	udlint -gen c880 -workers 4    # verify the shard plan (rules V008, V012)
+//	udlint -gen c880 -workers 4    # verify the shard plan (rule V012)
 //	udlint -gen c499 -resub        # optimize first: V013/V014 certificate replay
-//	udlint -gen c432 -codegen      # translation-validate the emitted source (V016–V018)
+//	udlint -gen c432 -codegen      # translation-validate the emitted source (V016)
 //	udlint -gen c432 -format=json  # stable machine-readable report
 //	udlint -gen c432 -format=sarif # SARIF 2.1.0 for CI annotators
 package main
@@ -42,10 +42,9 @@ func main() {
 		wordBits  = flag.Int("wordbits", 32, "parallel-technique word width")
 		technique = flag.String("technique", "", "comma-separated technique subset (default: all verifiable)")
 		dead      = flag.Bool("dead", false, "also report dead instructions as info findings")
-		constProp = flag.Bool("const", false, "also report constant-propagation results (rule V010) as info findings")
-		workers   = cliflags.Workers(flag.CommandLine, 0, "builds a sharded plan to verify via rules V008 and V012; 0 lints sequential programs only")
+		workers   = cliflags.Workers(flag.CommandLine, 0, "builds a sharded plan to verify via rule V012; 0 lints sequential programs only")
 		resub     = flag.Bool("resub", false, "run the simulation-guided resubstitution pass first: replay its certificate (rules V013, V014) and lint the optimized netlist")
-		codegen   = flag.Bool("codegen", false, "translation-validate each technique's generated source: lift the Go emission back to an instruction stream, prove it equivalent, replay the emission certificate and re-check AST hygiene (rules V016-V018)")
+		codegen   = flag.Bool("codegen", false, "translation-validate each technique's generated source: lift the Go emission back to an instruction stream and prove it equal to the compiled programs (rule V016)")
 		format    = flag.String("format", "text", "output format: text, json or sarif")
 	)
 	flag.Parse()
@@ -78,7 +77,7 @@ func main() {
 		techs = strings.Split(*technique, ",")
 	}
 
-	opts := udsim.VerifyOptions{ReportDead: *dead, ReportConst: *constProp}
+	opts := udsim.VerifyOptions{ReportDead: *dead}
 	var reports []*udsim.VerifyReport
 	errors := 0
 	if *resub {
@@ -165,10 +164,9 @@ type taggedFinding struct {
 
 // lintOne compiles the circuit with one technique at the requested word
 // width and runs the analyzer. With workers > 0 the engine is built with
-// a sharded execution plan so the analyzer also checks rules V008 and
-// V012. With codegen set, the technique's generated source is
-// translation-validated and any V016-V018 finding is merged into the
-// report.
+// a sharded execution plan so the analyzer also checks rule V012. With
+// codegen set, the technique's generated source is translation-validated
+// and any V016 finding is merged into the report.
 func lintOne(c *udsim.Circuit, tech string, wordBits, workers int, codegen bool, opts udsim.VerifyOptions) (*udsim.VerifyReport, error) {
 	var (
 		e   udsim.Engine
@@ -213,8 +211,11 @@ func lintOne(c *udsim.Circuit, tech string, wordBits, workers int, codegen bool,
 	if err != nil {
 		return nil, err
 	}
+	// ValidateCodegen re-runs the analyzer first; rep holds its findings.
 	for _, f := range crep.Findings {
-		rep.Add(f)
+		if f.Rule == verify.RuleLift {
+			rep.Add(f)
+		}
 	}
 	rep.Sort()
 	return rep, nil

@@ -6,10 +6,10 @@
 // package's dispatch loop.
 //
 // Both language backends render from the language-neutral statement IR
-// in codegen/ir; the translation validator in codegen/validate lifts the
-// Go rendering back to an instruction stream and proves it equivalent to
-// the compiled program, which certifies the C rendering transitively
-// (same IR, per-statement re-render comparison).
+// in codegen/ir. The translation validator in codegen/validate lifts the
+// Go rendering back to an instruction stream and proves it equal to the
+// compiled program; this package's tests compile the C rendering and run
+// it against the same programs.
 //
 // Generated-code volume is itself one of the paper's observations (the
 // PC-set method emitted over 100 000 lines for c6288, §3), so LineCount
@@ -17,14 +17,11 @@
 package codegen
 
 import (
-	"fmt"
 	"go/parser"
 	"go/token"
 	"io"
 
 	"udsim/internal/codegen/ir"
-	"udsim/internal/codegen/validate"
-	"udsim/internal/verify"
 )
 
 // Language selects the output language.
@@ -41,13 +38,6 @@ const (
 // exposes an init program (run once per input vector) and a sim program.
 type Unit = ir.Source
 
-// Build constructs the language-neutral statement IR for the units
-// without rendering it — the validator's entry point for comparing both
-// language backends against one validated stream.
-func Build(units []Unit) (*ir.IR, error) {
-	return ir.Build(units)
-}
-
 // Emit writes a self-contained source file containing one function per
 // unit, each taking the state array. name is the C file prefix or Go
 // package name. It returns the number of generated statements (the
@@ -63,30 +53,6 @@ func Emit(w io.Writer, lang Language, name string, units []Unit) (int, error) {
 	}
 	_, err = io.WriteString(w, src)
 	return stmts, err
-}
-
-// EmitChecked runs the static analyzer over the simulator's spec before
-// emitting, refusing to generate source from programs with any warning or
-// error finding — broken generated code is far harder to debug than a
-// structured diagnostic. It then translation-validates the emission: the
-// Go rendering is lifted back to an instruction stream and proven
-// equivalent to the compiled programs, and the C rendering is checked
-// against the same validated IR (rules V016/V018). A nil spec skips both
-// analyses.
-func EmitChecked(w io.Writer, lang Language, name string, units []Unit, spec *verify.Spec, opts verify.Options) (int, error) {
-	if spec != nil {
-		if err := verify.Check(spec, opts).Err(); err != nil {
-			return 0, fmt.Errorf("codegen: %w", err)
-		}
-		res, err := validate.CheckUnits(name, units, spec)
-		if err != nil {
-			return 0, fmt.Errorf("codegen: %w", err)
-		}
-		if err := res.Report.Err(); err != nil {
-			return 0, fmt.Errorf("codegen: translation validation: %w", err)
-		}
-	}
-	return Emit(w, lang, name, units)
 }
 
 // CheckGo parses Go source text, returning any syntax error — the tests

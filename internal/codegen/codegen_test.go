@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,7 +14,6 @@ import (
 	"udsim/internal/parsim"
 	"udsim/internal/pcset"
 	"udsim/internal/program"
-	"udsim/internal/verify"
 )
 
 // allUnits compiles Fig. 4 with every technique and collects the programs.
@@ -276,42 +274,5 @@ func TestEmitErrors(t *testing.T) {
 func TestLanguageString(t *testing.T) {
 	if C.String() != "C" || Go.String() != "Go" {
 		t.Error("language names wrong")
-	}
-}
-
-func TestEmitChecked(t *testing.T) {
-	c := ckttest.Fig4()
-	par, err := parsim.Compile(c, parsim.Config{WordBits: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, ps := par.Programs()
-	units := []Unit{{Name: "initvec", Prog: pi}, {Name: "sim", Prog: ps}}
-
-	// A clean spec emits normally.
-	var b strings.Builder
-	n, err := EmitChecked(&b, Go, "gen", units, par.Spec(), verify.Options{})
-	if err != nil {
-		t.Fatalf("EmitChecked on clean spec: %v", err)
-	}
-	if n == 0 || b.Len() == 0 {
-		t.Fatal("no code emitted")
-	}
-
-	// A corrupted spec refuses to emit.
-	spec := par.Spec()
-	bad := *spec.Sim
-	bad.Code = append([]program.Instr(nil), spec.Sim.Code...)
-	bad.Code[0].Op = 200
-	spec.Sim = &bad
-	units[1].Prog = &bad
-	if _, err := EmitChecked(io.Discard, Go, "gen", units, spec, verify.Options{}); err == nil {
-		t.Fatal("EmitChecked emitted code from a structurally invalid program")
-	}
-
-	// A nil spec skips verification.
-	if _, err := EmitChecked(io.Discard, Go, "gen",
-		[]Unit{{Name: "sim", Prog: ps}}, nil, verify.Options{}); err != nil {
-		t.Fatal(err)
 	}
 }

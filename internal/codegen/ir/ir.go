@@ -2,12 +2,11 @@
 // generation backends render from. Every generated statement — one per
 // non-nop compiled instruction — is a Stmt carrying the instruction it
 // was derived from plus its index in the source program, and the C and Go
-// renderers are pure functions of a Stmt. That single-source property is
-// what the translation validator (package codegen/validate) leans on to
-// close the C path: Go can be parsed and lifted back to an instruction
-// stream natively, C cannot, but because the C text is re-renderable
-// line-for-line from the same IR the Go lift proved equivalent, a clean
-// Go lift plus a byte-identical C re-render certifies both emissions.
+// renderers are pure functions of a Stmt. The translation validator
+// (package codegen/validate) lifts the Go rendering back to an
+// instruction stream, which Go's own parser makes possible; the C
+// rendering of the same statements is proven by compiling and running it
+// (package codegen's tests).
 package ir
 
 import (
@@ -125,8 +124,8 @@ func WordType(lang Language, wordBits int) string {
 func v(i int32) string { return fmt.Sprintf("st[%d]", i) }
 
 // RenderStmt renders one statement in the given language. It is a pure
-// function of (lang, wordBits, stmt): the validator depends on that to
-// re-render and byte-compare emissions.
+// function of (lang, wordBits, stmt): the validator depends on that, since
+// the statements it lifts must be the ones codegen.Emit writes.
 func RenderStmt(lang Language, wb int, st *Stmt) (string, error) {
 	if lang == C {
 		return renderC(wb, st)

@@ -20,14 +20,14 @@ import (
 func FuzzLiftGo(f *testing.F) {
 	if s, err := parsim.Compile(ckttest.Fig4(), parsim.Config{WordBits: 32}); err == nil {
 		pi, ps := s.Programs()
-		if goSrc, _, err := Sources("gensim", []ir.Source{
+		if goSrc, err := GoSource("gensim", []ir.Source{
 			{Name: "initvec", Prog: pi}, {Name: "simvec", Prog: ps}}); err == nil {
 			f.Add([]byte(goSrc))
 		}
 	}
 	if s, err := pcset.Compile(ckttest.Fig4(), nil); err == nil {
 		pi, ps := s.Programs()
-		if goSrc, _, err := Sources("gensim", []ir.Source{
+		if goSrc, err := GoSource("gensim", []ir.Source{
 			{Name: "initvec", Prog: pi}, {Name: "simvec", Prog: ps}}); err == nil {
 			f.Add([]byte(goSrc))
 		}

@@ -1,18 +1,13 @@
 // Package validate is the translation validator for emitted simulation
 // code. It lifts the Go rendering back to a program.Program instruction
-// stream with go/ast, proves each lifted statement equivalent to the
+// stream with go/ast and proves each lifted statement equivalent to the
 // compiled instruction it was rendered from (exact stream match where
 // the emitter is deterministic, word-level symbolic evaluation where a
-// statement is canonicalized differently), re-proves the def-use
-// invariants on the lifted stream itself, and byte-compares the C
-// rendering against a re-render of the same validated statement IR —
-// closing the C path transitively. Every run produces a Certificate of
-// per-statement lift decisions that Replay re-checks from scratch, the
-// same "only proofs count, and proofs must replay" discipline the
-// resubstitution pass established (V013/V014).
+// statement is canonicalized differently), statement by statement and
+// in order. Findings surface as verify rule V016.
 //
-// Findings surface as verify rules V016 (lift/equivalence), V017
-// (certificate replay) and V018 (lifted-AST hygiene).
+// The C rendering comes from the same statement IR; package codegen's
+// tests compile it and run it against the instruction streams.
 package validate
 
 import (
@@ -504,38 +499,6 @@ func describeRhs(ls *LiftedStmt) string {
 			ls.Instr.Op, ls.Instr.A, ls.Instr.B, ls.Instr.Sh)
 	}
 	return fmt.Sprintf("st[%d] %s <unrecognized expression>", ls.Dst, op)
-}
-
-// readSlots collects every state slot the statement reads: the slots in
-// its right-hand side plus, for accumulating assignments, the
-// destination itself.
-func readSlots(ls *LiftedStmt, buf []int32) []int32 {
-	buf = buf[:0]
-	var walk func(e ast.Expr)
-	walk = func(e ast.Expr) {
-		switch ex := e.(type) {
-		case *ast.ParenExpr:
-			walk(ex.X)
-		case *ast.UnaryExpr:
-			walk(ex.X)
-		case *ast.BinaryExpr:
-			walk(ex.X)
-			walk(ex.Y)
-		case *ast.CallExpr:
-			for _, a := range ex.Args {
-				walk(a)
-			}
-		case *ast.IndexExpr:
-			if s, ok := slotOf(ex); ok {
-				buf = append(buf, s)
-			}
-		}
-	}
-	walk(ls.Rhs)
-	if ls.OrAssign {
-		buf = append(buf, ls.Dst)
-	}
-	return buf
 }
 
 // describeInstr renders the expected instruction for a witness message.

@@ -2,22 +2,18 @@ package validate
 
 import (
 	"fmt"
-	"strings"
 
 	"udsim/internal/codegen/ir"
-	"udsim/internal/dataflow"
 	"udsim/internal/program"
 	"udsim/internal/verify"
 )
 
-// Result is one translation-validation run: the findings report, the
-// replayable certificate, and the decision census.
+// Result is one translation-validation run: the findings report and the
+// decision census.
 type Result struct {
-	// Report carries the V016/V018 findings, sorted under the verify
-	// package's stable-sort contract. A clean report is the proof.
+	// Report carries the findings, sorted under the verify package's
+	// stable-sort contract. A clean report is the proof.
 	Report *verify.Report
-	// Cert records every per-statement lift decision for Replay.
-	Cert *Certificate
 	// Exact counts statements whose lifted instruction matched the
 	// compiled one field-for-field; Semantic counts statements proven
 	// equivalent by the word-level symbolic evaluator instead.
@@ -25,44 +21,46 @@ type Result struct {
 	Semantic int
 }
 
-// Sources renders both language backends from the units' shared IR — the
-// emission the validator checks. It matches codegen.Emit byte for byte.
-func Sources(name string, units []ir.Source) (goSrc, cSrc string, err error) {
+// GoSource renders the units' statement IR as Go — the emission the
+// validator lifts. It matches codegen.Emit's Go output byte for byte.
+func GoSource(name string, units []ir.Source) (string, error) {
 	rep, err := ir.Build(units)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	goSrc, _, err = ir.Render(ir.Go, name, rep)
-	if err != nil {
-		return "", "", err
-	}
-	cSrc, _, err = ir.Render(ir.C, name, rep)
-	if err != nil {
-		return "", "", err
-	}
-	return goSrc, cSrc, nil
+	src, _, err := ir.Render(ir.Go, name, rep)
+	return src, err
 }
 
-// CheckUnits emits both languages from the units and validates the
-// emission in one step — the facade and CLI entry point.
+// CheckUnits validates the emission of the units in one step — the
+// facade and CLI entry point. A non-nil spec must describe the units'
+// programs: the static verifier (rules V001–V012) runs over it first,
+// and a spec with any warning or error finding is rejected with that
+// report before anything is lifted. The Go rendering is then lifted and
+// proven equal to the programs (V016), so the emitted statements carry
+// the def-use guarantees V001/V002 proved on the programs.
 func CheckUnits(name string, units []ir.Source, spec *verify.Spec) (*Result, error) {
-	goSrc, cSrc, err := Sources(name, units)
+	if spec != nil {
+		if rep := verify.Check(spec, verify.Options{}); !rep.Clean() {
+			rep.Name = name
+			return &Result{Report: rep}, nil
+		}
+	}
+	goSrc, err := GoSource(name, units)
 	if err != nil {
 		return nil, err
 	}
-	return Check(name, goSrc, cSrc, units, spec), nil
+	return Check(name, goSrc, units), nil
 }
 
-// Check validates an emission against the programs it was generated
-// from. goSrc is lifted back to an instruction stream and proven
-// equivalent (rule V016); the lifted stream's def-use hygiene is
-// re-proven on the AST itself (rule V018, when spec identifies the
-// init/sim roles); and cSrc is byte-compared against a re-render of the
-// validated statement IR, closing the C path transitively (V016). An
-// empty cSrc skips the C comparison.
-func Check(name, goSrc, cSrc string, units []ir.Source, spec *verify.Spec) *Result {
+// Check validates a Go emission against the programs it was generated
+// from: goSrc is lifted back to an instruction stream and proven equal
+// to the units' programs, statement by statement and in order (rule
+// V016). The C rendering shares the statement IR this checks and is
+// covered by compiling and running it (package codegen's tests).
+func Check(name, goSrc string, units []ir.Source) *Result {
 	r := &verify.Report{Name: name}
-	res := &Result{Report: r, Cert: newCertificate(goSrc, cSrc)}
+	res := &Result{Report: r}
 	defer r.Sort()
 
 	rep, err := ir.Build(units)
@@ -71,7 +69,6 @@ func Check(name, goSrc, cSrc string, units []ir.Source, spec *verify.Spec) *Resu
 			Prog: "ir", Instr: -1, Slot: -1, Msg: err.Error()})
 		return res
 	}
-	res.Cert.WordBits = rep.WordBits
 	checkProjection(rep, units, r)
 
 	funcs, err := LiftGo(goSrc)
@@ -89,32 +86,19 @@ func Check(name, goSrc, cSrc string, units []ir.Source, spec *verify.Spec) *Resu
 	for i := range rep.Units {
 		u := &rep.Units[i]
 		lf := &funcs[i]
-		uc := UnitCert{Name: u.Name, Stmts: len(u.Stmts)}
 		if lf.Name != u.Name {
 			r.Add(verify.Finding{Rule: verify.RuleLift, Severity: verify.SevError,
 				Prog: u.Name, Instr: -1, Slot: -1,
 				Msg: fmt.Sprintf("function %d is named %s, expected %s", i, lf.Name, u.Name)})
-			res.Cert.Units = append(res.Cert.Units, uc)
 			continue
 		}
 		if lf.WordBits != rep.WordBits {
 			r.Add(verify.Finding{Rule: verify.RuleLift, Severity: verify.SevError,
 				Prog: u.Name, Instr: -1, Slot: -1,
 				Msg: fmt.Sprintf("function %s takes []uint%d, expected []uint%d", lf.Name, lf.WordBits, rep.WordBits)})
-			res.Cert.Units = append(res.Cert.Units, uc)
 			continue
 		}
-		checkUnitStream(u, lf, rep.WordBits, r, res, &uc)
-		res.Cert.Units = append(res.Cert.Units, uc)
-	}
-	if cSrc != "" {
-		checkCRender(name, rep, cSrc, r)
-	}
-	if spec != nil {
-		checkHygiene(units, funcs, rep, spec, r)
-		if res.Semantic > 0 {
-			crossCheckDataflow(units, funcs, rep, spec, r)
-		}
+		checkUnitStream(u, lf, rep.WordBits, r, res)
 	}
 	return res
 }
@@ -167,30 +151,27 @@ func checkProjection(rep *ir.IR, units []ir.Source, r *verify.Report) {
 }
 
 // stmtMatch compares one lifted statement against the compiled
-// instruction it should render. method is "exact" when the recognized
-// instruction matches field-for-field, "semantic" when the word-level
-// symbolic evaluator proves the values equal.
-func stmtMatch(rs *ir.Stmt, ls *LiftedStmt, wb int) (method string, ok bool) {
+// instruction it should render. exact is true when the recognized
+// instruction matches field-for-field, false when the word-level
+// symbolic evaluator proves the values equal instead.
+func stmtMatch(rs *ir.Stmt, ls *LiftedStmt, wb int) (exact, ok bool) {
 	want := normalizeInstr(rs.In)
 	if ls.Instr != nil && normalizeInstr(*ls.Instr) == want {
-		return "exact", true
+		return true, true
 	}
 	if ls.Dst != rs.In.Dst {
-		return "", false
+		return false, false
 	}
 	expect, ok1 := instrWord(&rs.In, wb)
 	got, ok2 := liftedWord(ls, wb)
-	if ok1 && ok2 && wordEq(expect, got) {
-		return "semantic", true
-	}
-	return "", false
+	return false, ok1 && ok2 && wordEq(expect, got)
 }
 
 // checkUnitStream aligns the lifted statement stream with the IR's and
 // reports every divergence with the instruction coordinate as witness.
 // On a length mismatch it resynchronizes by advancing the longer stream,
 // so a single dropped or duplicated statement yields a single finding.
-func checkUnitStream(u *ir.Unit, lf *LiftedFunc, wb int, r *verify.Report, res *Result, uc *UnitCert) {
+func checkUnitStream(u *ir.Unit, lf *LiftedFunc, wb int, r *verify.Report, res *Result) {
 	i, j := 0, 0
 	for i < len(u.Stmts) || j < len(lf.Stmts) {
 		if i >= len(u.Stmts) {
@@ -210,15 +191,12 @@ func checkUnitStream(u *ir.Unit, lf *LiftedFunc, wb int, r *verify.Report, res *
 			continue
 		}
 		ls := &lf.Stmts[j]
-		if method, ok := stmtMatch(rs, ls, wb); ok {
-			if method == "exact" {
+		if exact, ok := stmtMatch(rs, ls, wb); ok {
+			if exact {
 				res.Exact++
 			} else {
 				res.Semantic++
 			}
-			uc.Decisions = append(uc.Decisions, Decision{
-				Stmt: j, Instr: rs.Index, Op: rs.In.Op.String(), Dst: rs.In.Dst, Method: method,
-			})
 			i++
 			j++
 			continue
@@ -245,114 +223,4 @@ func checkUnitStream(u *ir.Unit, lf *LiftedFunc, wb int, r *verify.Report, res *
 			j++
 		}
 	}
-}
-
-// checkCRender closes the C path: the C emission must be byte-identical
-// to a fresh render of the validated statement IR. The witness for a
-// mismatch is the instruction coordinate of the first differing line.
-func checkCRender(name string, rep *ir.IR, cSrc string, r *verify.Report) {
-	expect, _, err := ir.Render(ir.C, name, rep)
-	if err != nil {
-		r.Add(verify.Finding{Rule: verify.RuleLift, Severity: verify.SevError,
-			Prog: "c", Instr: -1, Slot: -1, Msg: err.Error()})
-		return
-	}
-	if cSrc == expect {
-		return
-	}
-	// Locate the first differing line and map it to a coordinate. The C
-	// layout is: 3 header lines, then per unit one open line, one line
-	// per statement, a close line and a blank line.
-	got := strings.Split(cSrc, "\n")
-	want := strings.Split(expect, "\n")
-	line := 0
-	for line < len(got) && line < len(want) && got[line] == want[line] {
-		line++
-	}
-	prog, instr, slot := "c", -1, int32(-1)
-	l := 3
-	for i := range rep.Units {
-		u := &rep.Units[i]
-		if line >= l && line < l+1+len(u.Stmts)+2 {
-			prog = u.Name
-			if k := line - l - 1; k >= 0 && k < len(u.Stmts) {
-				instr = u.Stmts[k].Index
-				slot = u.Stmts[k].In.Dst
-			}
-		}
-		l += 1 + len(u.Stmts) + 2
-	}
-	g, w := "<eof>", "<eof>"
-	if line < len(got) {
-		g = got[line]
-	}
-	if line < len(want) {
-		w = want[line]
-	}
-	r.Add(verify.Finding{Rule: verify.RuleLift, Severity: verify.SevError,
-		Prog: prog, Instr: instr, Slot: slot,
-		Msg: fmt.Sprintf("C emission diverges from the validated IR at line %d: got %q, want %q",
-			line+1, strings.TrimSpace(g), strings.TrimSpace(w))})
-}
-
-// crossCheckDataflow is the defense-in-depth layer for statements the
-// lifter canonicalized differently: rebuild the programs from the lifted
-// instructions and require the dataflow engine's constant and interval
-// facts to agree with the originals. The truth-table proof is the
-// primary evidence; a fact divergence here means the two proof engines
-// disagree, so the emission is not certified.
-func crossCheckDataflow(units []ir.Source, funcs []LiftedFunc, rep *ir.IR, spec *verify.Spec, r *verify.Report) {
-	lifted := make(map[*program.Program]*program.Program, len(units))
-	for i := range units {
-		lp, ok := liftedProgram(units[i].Prog, &rep.Units[i], &funcs[i])
-		if !ok {
-			return // an unrecognized-but-equivalent statement: TT proof stands alone
-		}
-		lifted[units[i].Prog] = lp
-	}
-	sim := lifted[spec.Sim]
-	if sim == nil {
-		return
-	}
-	origSt := &dataflow.Stream{Init: spec.Init, Sim: spec.Sim,
-		ScratchStart: spec.ScratchStart, RuntimeWritten: spec.RuntimeWritten, LiveOut: spec.LiveOut}
-	liftSt := &dataflow.Stream{Init: lifted[spec.Init], Sim: sim,
-		ScratchStart: spec.ScratchStart, RuntimeWritten: spec.RuntimeWritten, LiveOut: spec.LiveOut}
-	if liftSt.Init == nil {
-		liftSt.Init = spec.Init
-	}
-	oc, lc := dataflow.Consts(origSt), dataflow.Consts(liftSt)
-	if len(oc) != len(lc) {
-		r.Add(verify.Finding{Rule: verify.RuleLift, Severity: verify.SevWarning,
-			Prog: "sim", Instr: -1, Slot: -1,
-			Msg: fmt.Sprintf("dataflow cross-check: %d constant facts on the lifted stream, %d on the original", len(lc), len(oc))})
-	}
-	oi, li := dataflow.Intervals(origSt), dataflow.Intervals(liftSt)
-	if len(oi) != len(li) {
-		r.Add(verify.Finding{Rule: verify.RuleLift, Severity: verify.SevWarning,
-			Prog: "sim", Instr: -1, Slot: -1,
-			Msg: fmt.Sprintf("dataflow cross-check: %d interval facts on the lifted stream, %d on the original", len(li), len(oi))})
-	}
-}
-
-// liftedProgram rebuilds a full program from the lifted statements,
-// preserving the original's nops and metadata. ok is false when any
-// statement was accepted semantically without a recognized instruction.
-func liftedProgram(orig *program.Program, u *ir.Unit, lf *LiftedFunc) (*program.Program, bool) {
-	if len(lf.Stmts) != len(u.Stmts) {
-		return nil, false
-	}
-	lp := &program.Program{
-		WordBits: orig.WordBits,
-		NumVars:  orig.NumVars,
-		Code:     append([]program.Instr(nil), orig.Code...),
-		VarNames: orig.VarNames,
-	}
-	for k := range u.Stmts {
-		if lf.Stmts[k].Instr == nil {
-			return nil, false
-		}
-		lp.Code[u.Stmts[k].Index] = *lf.Stmts[k].Instr
-	}
-	return lp, true
 }

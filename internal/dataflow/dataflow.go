@@ -1,6 +1,6 @@
 // Package dataflow is a lattice dataflow engine for compiled simulation
 // programs — the abstract-interpretation layer under verify rules
-// V009–V012 and the dead-store eliminator.
+// V009, V011 and V012 and the dead-store eliminator.
 //
 // The compiled techniques emit flat, branch-free instruction streams, so
 // the classic worklist algorithm degenerates pleasantly: each program is a
@@ -15,8 +15,7 @@
 // storing a fact per program point.
 //
 // Clients supply the lattice: Liveness (backward bitset, drives the
-// dead-store eliminator and rule V009), Consts (forward constant
-// propagation through packed words, rule V010), Intervals (forward
+// dead-store eliminator and rule V009) and Intervals (forward
 // possibly-set bit ranges proving shift/mask containment, rule V011).
 // CheckSchedule is the happens-before race detector over shard plans
 // (rule V012); it is a path-sensitive sweep rather than a lattice problem

@@ -1,4 +1,4 @@
-// Unit tests for the dataflow engine and its four clients on tiny
+// Unit tests for the dataflow engine and its three clients on tiny
 // hand-built streams where the exact solution is known. The ISCAS-scale
 // behaviour is covered by package verify's mutation tests; these pin the
 // lattice semantics themselves.
@@ -79,84 +79,6 @@ func TestLivenessRuntimeKill(t *testing.T) {
 	res := dataflow.Liveness(st)
 	if res.NDeadInit != 1 || !res.DeadInit[0] {
 		t.Fatalf("init store under a runtime write not marked dead: %+v", res)
-	}
-}
-
-// TestConstsXorSelf: XOR of a slot with itself is zero regardless of the
-// unknown input, and the engine must prove it even though the operand
-// value is bottom. Both writes land in persistent slots, which is where
-// constant results are reported (a constant scratch temporary is the
-// compiler's business; a constant net result is suspicious).
-func TestConstsXorSelf(t *testing.T) {
-	st := &dataflow.Stream{
-		Sim: prog(3,
-			instr(program.OpXor, 2, 0, 0, 0),             // provably 0
-			instr(program.OpMove, 1, 2, program.None, 0), // provably 0 too
-		),
-		ScratchStart: 3,
-		LiveOut:      []int32{1},
-	}
-	fs := dataflow.Consts(st)
-	if len(fs) != 2 {
-		t.Fatalf("got %d findings, want 2: %+v", len(fs), fs)
-	}
-	for _, f := range fs {
-		if f.Kind != dataflow.ConstResult || f.Seg != dataflow.SegSim {
-			t.Fatalf("unexpected finding: %+v", f)
-		}
-	}
-	if fs[0].Slot != 2 || fs[1].Slot != 1 {
-		t.Fatalf("finding slots wrong: %+v", fs)
-	}
-
-	// The same computation into scratch slots is the compiler's own
-	// idiom and must not be reported.
-	st.ScratchStart = 2
-	if fs := dataflow.Consts(st); len(fs) != 1 || fs[0].Slot != 1 {
-		t.Fatalf("scratch constants should be silent: %+v", fs)
-	}
-}
-
-// TestConstsNoOpAccum: OR-merging a provably-zero word is classified as
-// a no-op accumulation, not a constant result (the destination itself is
-// not constant — it holds whatever the real producer wrote).
-func TestConstsNoOpAccum(t *testing.T) {
-	st := &dataflow.Stream{
-		Sim: prog(4,
-			instr(program.OpMove, 1, 0, program.None, 0), // real value
-			instr(program.OpConst0, 2, program.None, program.None, 0),
-			instr(program.OpShlOr, 1, 2, program.None, 4), // merges provable zero
-		),
-		ScratchStart: 3,
-		LiveOut:      []int32{1},
-	}
-	fs := dataflow.Consts(st)
-	// Exactly one finding: the Const0 literal is the compiler's own idiom
-	// (never reported), and the destination word is not itself constant —
-	// only the accumulation is provably useless.
-	if len(fs) != 1 {
-		t.Fatalf("got %d findings, want 1: %+v", len(fs), fs)
-	}
-	f := fs[0]
-	if f.Kind != dataflow.ConstNoOpAccum || f.Index != 2 || f.Slot != 1 {
-		t.Fatalf("no-op accumulation witness wrong: %+v", f)
-	}
-}
-
-// TestConstsUnknownInputsStayUnknown: runtime-written slots are pinned by
-// the vectors, so nothing downstream of one may be called constant.
-func TestConstsUnknownInputsStayUnknown(t *testing.T) {
-	st := &dataflow.Stream{
-		Sim: prog(3,
-			instr(program.OpAnd, 1, 0, 0, 0),
-			instr(program.OpNot, 2, 1, program.None, 0),
-		),
-		ScratchStart:   2,
-		RuntimeWritten: []int32{0},
-		LiveOut:        []int32{1},
-	}
-	if fs := dataflow.Consts(st); len(fs) != 0 {
-		t.Fatalf("input-dependent values reported constant: %+v", fs)
 	}
 }
 

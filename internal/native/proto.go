@@ -3,7 +3,7 @@
 // straight-line native code" backend, wrapped in the PR-5 resilience
 // ladder.
 //
-// The generated Go (the same emission rules V016-V018 certify) is
+// The generated Go (the same emission rule V016 certifies) is
 // written to a temp-dir module, `go build`-ed out of process, and the
 // resulting child speaks a length-prefixed, CRC-checked vector protocol
 // over its stdin/stdout: a handshake frame carrying the protocol

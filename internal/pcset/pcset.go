@@ -200,7 +200,7 @@ func (s *Sim) Spec() *verify.Spec {
 		}
 	}
 	// When a sharded engine is configured, export its static plan so rule
-	// V008 checks the partition against the sequential dataflow.
+	// V012 checks the partition against the sequential dataflow.
 	if plan := s.ExecPlan(); plan != nil {
 		spec.Shards = plan.Assignment()
 	}

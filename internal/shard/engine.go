@@ -226,10 +226,10 @@ func (e *Engine) SetObserver(o *obs.Observer) { e.obs = o }
 // A gated engine runs solo: the Run or RunCtx caller alone executes
 // every shard's ranges of each level in shard order, and no barrier is
 // crossed. That is bit-identical to a run on every worker, because the
-// cells of one level are race-free (rules V008 and V012). It is also
-// cheaper: the activity gate's segments are one or two instructions
-// long, so no active level carries enough work to pay for a crossing
-// (see the activity-gated strategy in DESIGN.md).
+// cells of one level are race-free (rule V012). It is also cheaper: the
+// activity gate's segments are one or two instructions long, so no
+// active level carries enough work to pay for a crossing (see the
+// activity-gated strategy in DESIGN.md).
 //
 // Correctness is the caller's contract: every instruction outside the
 // ranges must provably leave its outputs unchanged from the previous run

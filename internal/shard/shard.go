@@ -442,7 +442,7 @@ func (p *Plan) CellCode(l, w int) []program.Instr { return p.levels[l][w] }
 func (p *Plan) Stats() Stats { return p.stats }
 
 // Assignment exports the per-instruction (level, shard) assignment for
-// static verification (rule V008 in package verify).
+// static verification (rule V012 in package verify).
 func (p *Plan) Assignment() *verify.ShardAssignment { return p.assign }
 
 // Races runs the happens-before race detector over the plan for the

@@ -120,7 +120,8 @@ func gateAll(e *Engine, on bool) {
 }
 
 // TestPlanPassesV008 checks that every generated plan satisfies the
-// static shard rule — the planner and the checker must agree.
+// happens-before rule V012 (which retired the shard rule V008) — the
+// planner and the checker must agree.
 func TestPlanPassesV008(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
@@ -136,13 +137,13 @@ func TestPlanPassesV008(t *testing.T) {
 				ScratchStart: scratchStart,
 				Shards:       plan.Assignment(),
 			}
-			// The random program is not levelized, so only the shard rule
-			// is meaningful here.
+			// The random program is not levelized, so only the
+			// happens-before rule is meaningful here.
 			r := verify.Check(spec, verify.Options{
 				Disable: []string{verify.RuleDefUse, verify.RuleWAW, verify.RuleLayout, verify.RulePhase, verify.RuleDead, verify.RuleCycle},
 			})
 			for _, f := range r.Findings {
-				if f.Rule == verify.RuleShard {
+				if f.Rule == verify.RuleRace {
 					t.Fatalf("seed %d workers %d: %v", seed, workers, f)
 				}
 			}
@@ -150,7 +151,7 @@ func TestPlanPassesV008(t *testing.T) {
 	}
 }
 
-// TestV008CatchesBadPlan mutates a valid plan and expects the checker to
+// TestV008CatchesBadPlan mutates a valid plan and expects rule V012 to
 // object — the rule must have teeth.
 func TestV008CatchesBadPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -186,8 +187,8 @@ func TestV008CatchesBadPlan(t *testing.T) {
 	r := verify.Check(spec, verify.Options{
 		Disable: []string{verify.RuleDefUse, verify.RuleWAW, verify.RuleLayout, verify.RulePhase, verify.RuleDead, verify.RuleCycle},
 	})
-	if !r.HasRule(verify.RuleShard) {
-		t.Fatalf("mutated plan produced no V008 finding:\n%s", r)
+	if !r.HasRule(verify.RuleRace) {
+		t.Fatalf("mutated plan produced no V012 finding:\n%s", r)
 	}
 }
 

@@ -86,38 +86,6 @@ func checkLoopLiveness(spec *Spec, r *Report, censusValid bool) {
 	}
 }
 
-// maxConstFindings caps V010 Info findings; the census is always in Stats.
-const maxConstFindings = 100
-
-// checkConsts is rule V010: forward constant propagation through the
-// packed words. Always a census (Stats.ConstInstrs, Stats.NoOpAccums);
-// promoted to Info findings under Options.ReportConst. Advisory by
-// design: a gate fed twice from one net (which real ISCAS netlists
-// contain — XOR(x,x) is constant 0) makes its whole output cone constant
-// without any compile being wrong.
-func checkConsts(spec *Spec, r *Report, opts Options) {
-	findings := dataflow.Consts(StreamOf(spec))
-	for _, f := range findings {
-		if f.Kind == dataflow.ConstNoOpAccum {
-			r.Stats.NoOpAccums++
-		} else {
-			r.Stats.ConstInstrs++
-		}
-	}
-	if !opts.ReportConst {
-		return
-	}
-	for i, f := range findings {
-		if i == maxConstFindings {
-			r.add(Finding{Rule: RuleConst, Severity: SevInfo, Prog: "sim", Instr: -1, Slot: -1,
-				Msg: fmt.Sprintf("%d further constant-propagation findings suppressed", len(findings)-maxConstFindings)})
-			break
-		}
-		r.add(Finding{Rule: RuleConst, Severity: SevInfo, Prog: segProg(f.Seg), Instr: f.Index, Slot: f.Slot,
-			Msg: f.Msg})
-	}
-}
-
 // checkIntervals is rule V011: the possibly-set bit-interval analysis
 // must prove every accumulating write into a persistent word merges bits
 // the word does not hold yet. This is the bit-level complement of rule
@@ -131,13 +99,16 @@ func checkIntervals(spec *Spec, r *Report) {
 	}
 }
 
+// maxRaceFindings caps V012 findings: one bad partition tends to break
+// thousands of reads, and the first few localize it.
+const maxRaceFindings = 50
+
 // checkRaces is rule V012: the happens-before race detector over the
-// shard plan. Rule V008 pattern-matches specific plan mistakes; this rule
-// derives the plan's happens-before relation (barrier-ordered levels,
-// sequential shards within a level) and proves every conflicting access
-// pair ordered, attaching a complete witness — kind, slot, both
-// instruction addresses and both (level, shard) coordinates — to each
-// violation.
+// shard plan. It rejects a malformed assignment outright, then derives
+// the plan's happens-before relation (barrier-ordered levels, sequential
+// shards within a level) and proves every conflicting access pair
+// ordered, attaching a complete witness — kind, slot, both instruction
+// addresses and both (level, shard) coordinates — to each violation.
 func checkRaces(spec *Spec, r *Report) {
 	sh := spec.Shards
 	races, err := dataflow.CheckSchedule(spec.Sim.Code, spec.ScratchStart,
@@ -147,9 +118,9 @@ func checkRaces(spec *Spec, r *Report) {
 		return
 	}
 	for i, race := range races {
-		if i == maxShardFindings {
+		if i == maxRaceFindings {
 			r.add(Finding{Rule: RuleRace, Severity: SevError, Prog: "sim", Instr: -1, Slot: -1,
-				Msg: fmt.Sprintf("%d further happens-before violations suppressed", len(races)-maxShardFindings)})
+				Msg: fmt.Sprintf("%d further happens-before violations suppressed", len(races)-maxRaceFindings)})
 			break
 		}
 		r.add(Finding{Rule: RuleRace, Severity: SevError, Prog: "sim", Instr: race.Second, Slot: race.Slot,

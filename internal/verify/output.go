@@ -22,16 +22,12 @@ var RuleDocs = []RuleDoc{
 	{RuleDead, "dead code: stores that can never reach a live-out slot"},
 	{RuleCycle, "combinational cycles: the slot dependency graph is acyclic"},
 	{RuleStructure, "structural validity: opcode, operand and metadata ranges"},
-	{RuleShard, "shard-plan dataflow: the multicore plan preserves sequential dependencies"},
 	{RuleLoopLive, "vector-loop liveness: the cross-vector fixpoint agrees with the census"},
-	{RuleConst, "constant propagation: provably-constant results and no-op accumulations"},
 	{RuleInterval, "bit-interval containment: accumulated bits disjoint from bits already held"},
 	{RuleRace, "happens-before races: all conflicting shard accesses are ordered"},
 	{RuleRewrite, "resubstitution rewrite: optimized netlist structurally valid, boundary preserved, net map consistent"},
 	{RuleCert, "resubstitution certificate: merge and constant proofs replay, original and optimized circuits equivalent"},
 	{RuleLift, "translation validation: emitted source lifts back to an instruction stream equivalent to the compiled program"},
-	{RuleLiftCert, "emission certificate: per-statement lift decisions replay from scratch and hashes match the emitted source"},
-	{RuleEmitHygiene, "emitted-code hygiene: single fresh assignment per persistent slot and no reads of unwritten scratch, proven on the lifted AST"},
 }
 
 // jsonFinding mirrors Finding with stable lowercase field names; the
@@ -54,8 +50,6 @@ type jsonStats struct {
 	WordUtilization float64 `json:"wordUtilization"`
 	LiveInSlots     int     `json:"liveInSlots"`
 	LivenessPasses  int     `json:"livenessPasses"`
-	ConstInstrs     int     `json:"constInstrs"`
-	NoOpAccums      int     `json:"noOpAccums"`
 }
 
 // jsonReport is one technique's report.
@@ -95,8 +89,6 @@ func WriteJSON(w io.Writer, circuit string, reports []*Report) error {
 				WordUtilization: r.Stats.WordUtilization(),
 				LiveInSlots:     r.Stats.LiveInSlots,
 				LivenessPasses:  r.Stats.LivenessPasses,
-				ConstInstrs:     r.Stats.ConstInstrs,
-				NoOpAccums:      r.Stats.NoOpAccums,
 			},
 		}
 		for _, f := range r.Findings {

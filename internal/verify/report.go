@@ -41,20 +41,20 @@ const (
 	RuleDead      = "V005"
 	RuleCycle     = "V006"
 	RuleStructure = "V007"
-	RuleShard     = "V008"
 	RuleLoopLive  = "V009"
-	RuleConst     = "V010"
 	RuleInterval  = "V011"
 	RuleRace      = "V012"
-	// RuleLift through RuleEmitHygiene are the translation-validation
-	// rules over emitted source (package codegen/validate): V016 proves
-	// the lifted instruction stream equivalent to the compiled one, V017
-	// replays the emission certificate from scratch, and V018 re-proves
-	// the V001/V002 def-use invariants on the lifted AST itself.
-	RuleLift        = "V016"
-	RuleLiftCert    = "V017"
-	RuleEmitHygiene = "V018"
+	// RuleLift is the translation-validation rule over emitted source
+	// (package codegen/validate): the lifted instruction stream is
+	// proven equal to the compiled one, statement by statement and in
+	// order.
+	RuleLift = "V016"
 )
+
+// Retired rule IDs, never reused: V008 (shard-plan dataflow, proven by
+// V012), V010 (advisory constant propagation), V015 (level-fusion
+// replicas), V017 (emission-certificate replay) and V018 (def-use
+// re-proven on the lifted AST, proven by V016 plus V001/V002).
 
 // Finding is one structured diagnostic.
 type Finding struct {
@@ -109,12 +109,6 @@ type Stats struct {
 	// analysis took; 1 means LiveOut already covered every cross-vector
 	// dependency.
 	LivenessPasses int
-	// ConstInstrs counts simulation instructions whose packed result is
-	// provably constant, and NoOpAccums the accumulations that provably
-	// merge zero bits — rule V010's census (findings under
-	// Options.ReportConst).
-	ConstInstrs int
-	NoOpAccums  int
 }
 
 // DeadInstructions returns the total dead-instruction count.

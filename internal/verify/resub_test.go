@@ -136,14 +136,14 @@ func TestCheckRewriteMissingNet(t *testing.T) {
 }
 
 // TestRuleDocsCoverResubRules pins the rules above V012 — the
-// resubstitution pair and the translation-validation triple — into the
+// resubstitution pair and the translation-validation rule — into the
 // output drivers' rule table in identifier order.
 func TestRuleDocsCoverResubRules(t *testing.T) {
 	var ids []string
 	for _, d := range RuleDocs {
 		ids = append(ids, d.ID)
 	}
-	want := []string{RuleRewrite, RuleCert, RuleLift, RuleLiftCert, RuleEmitHygiene}
+	want := []string{RuleRewrite, RuleCert, RuleLift}
 	if len(ids) < len(want) {
 		t.Fatalf("RuleDocs too short: %v", ids)
 	}
@@ -152,7 +152,7 @@ func TestRuleDocsCoverResubRules(t *testing.T) {
 			t.Fatalf("RuleDocs tail %v, want suffix %v", ids, want)
 		}
 	}
-	if len(ids) != 17 {
-		t.Fatalf("expected 17 documented rules, got %d", len(ids))
+	if len(ids) != 13 {
+		t.Fatalf("expected 13 documented rules, got %d", len(ids))
 	}
 }

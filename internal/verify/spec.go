@@ -33,23 +33,19 @@
 //	      simulation program must be acyclic — a backstop to levelize.
 //	V007  structural validity: opcode, operand and shift ranges (wraps
 //	      program.Validate), plus spec metadata consistency.
-//	V008  shard-plan dataflow: a multicore shard assignment must preserve
-//	      the sequential program's dependencies across levels and shards.
 //	V009  vector-loop liveness: the fixpoint liveness over the per-vector
 //	      cycle (package dataflow) must agree with the single-pass census
 //	      of V005 — disagreement means LiveOut omits state the next
 //	      vector's init reads, and the dead-store eliminator must not run.
-//	V010  constant propagation: instructions whose packed result is
-//	      provably constant, and accumulations that provably merge zero
-//	      bits (census in Stats; findings under Options.ReportConst).
 //	V011  bit-interval containment: every accumulating write into a
 //	      persistent word must merge bits provably disjoint from the bits
 //	      the word already holds — the bit-level complement of V002.
-//	V012  happens-before races: every conflicting access pair in a shard
-//	      plan must be ordered by the plan's happens-before relation;
-//	      violations carry complete witnesses (slot, both instruction
-//	      addresses, both level/shard coordinates). (V013/V014, the
-//	      resubstitution rules, live in resub.go.)
+//	V012  happens-before races: a shard plan must be well formed, and
+//	      every conflicting access pair in it must be ordered by the
+//	      plan's happens-before relation; violations carry complete
+//	      witnesses (slot, both instruction addresses, both level/shard
+//	      coordinates). (V013/V014, the resubstitution rules, live in
+//	      resub.go.)
 package verify
 
 import (
@@ -115,14 +111,14 @@ type Spec struct {
 	Phase []int
 
 	// Shards optionally carries the multicore engine's static shard plan
-	// for Sim, enabling rule V008; nil when executing sequentially.
+	// for Sim, enabling rule V012; nil when executing sequentially.
 	Shards *ShardAssignment
 }
 
 // ShardAssignment is a bulk-synchronous schedule for the simulation
 // program: instruction i runs in level Level[i] on shard Shard[i], levels
 // are separated by barriers, and shards within a level run concurrently.
-// A shard index names the same worker in every level. Rule V008 checks
+// A shard index names the same worker in every level. Rule V012 checks
 // that the assignment preserves the sequential program's dataflow: every
 // value read must have been produced in an earlier level or earlier by
 // the same shard, and no two shards may race on a slot within a level.

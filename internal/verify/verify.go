@@ -12,9 +12,6 @@ type Options struct {
 	// ReportDead promotes the dead-code census (rule V005) from
 	// stats-only to Info findings.
 	ReportDead bool
-	// ReportConst promotes the constant-propagation census (rule V010)
-	// from stats-only to Info findings.
-	ReportConst bool
 	// Disable lists rule IDs to skip (e.g. "V004").
 	Disable []string
 }
@@ -56,9 +53,6 @@ func Check(spec *Spec, opts Options) *Report {
 	if !opts.disabled(RuleCycle) {
 		checkCycles(spec, r)
 	}
-	if spec.Shards != nil && !opts.disabled(RuleShard) {
-		checkShards(spec, r)
-	}
 	if spec.Shards != nil && !opts.disabled(RuleRace) {
 		checkRaces(spec, r)
 	}
@@ -67,9 +61,6 @@ func Check(spec *Spec, opts Options) *Report {
 	}
 	if !opts.disabled(RuleLoopLive) {
 		checkLoopLiveness(spec, r, !opts.disabled(RuleDead))
-	}
-	if !opts.disabled(RuleConst) {
-		checkConsts(spec, r, opts)
 	}
 	if !opts.disabled(RuleInterval) {
 		checkIntervals(spec, r)
@@ -555,128 +546,6 @@ func checkCycles(spec *Spec, r *Report) {
 	if reported == 0 {
 		r.add(Finding{Rule: RuleCycle, Severity: SevError, Prog: "sim", Instr: -1, Slot: -1,
 			Msg: "combinational dependency cycle among scratch slots"})
-	}
-}
-
-// maxShardFindings caps V008 findings: one bad partition tends to break
-// thousands of reads, and the first few localize it.
-const maxShardFindings = 50
-
-// checkShards is rule V008: the multicore shard plan must preserve the
-// sequential simulation program's dataflow. With barriers between levels
-// and shards running concurrently within a level, a read of a persistent
-// slot must resolve to a write in an earlier level or earlier in the same
-// shard, no two shards may write one slot in the same level, and a write
-// must not land in the level of a concurrent reader on another shard.
-// Scratch slots live in per-shard private arenas, so any cross-shard
-// scratch dependency is an error regardless of level, while same-shard
-// scratch reuse races with nobody.
-func checkShards(spec *Spec, r *Report) {
-	sh := spec.Shards
-	n := len(spec.Sim.Code)
-	bad := func(msg string) bool {
-		r.add(Finding{Rule: RuleShard, Severity: SevError, Prog: "spec", Instr: -1, Slot: -1, Msg: msg})
-		return true
-	}
-	switch {
-	case len(sh.Level) != n || len(sh.Shard) != n:
-		bad(fmt.Sprintf("shard plan covers %d/%d instructions, sim has %d",
-			len(sh.Level), len(sh.Shard), n))
-		return
-	case sh.Workers < 1 || sh.Levels < 1 && n > 0:
-		bad(fmt.Sprintf("shard plan has %d workers, %d levels", sh.Workers, sh.Levels))
-		return
-	}
-	code, level, shard, levels := spec.Sim.Code, sh.Level, sh.Shard, sh.Levels
-	for i := 0; i < n; i++ {
-		if level[i] < 0 || int(level[i]) >= levels || shard[i] < 0 || int(shard[i]) >= sh.Workers {
-			bad(fmt.Sprintf("sim[%d] assigned to level %d shard %d, outside %d levels x %d workers",
-				i, level[i], shard[i], levels, sh.Workers))
-			return
-		}
-	}
-
-	nv := spec.numVars()
-	lastWriter := make([]int32, nv) // 1 + last sim write index, 0 = none
-	// Per-slot concurrent-reader summary for the write-after-read check:
-	// the latest level any instruction read the slot in, and the single
-	// shard that did (mixedShard when several shards read it at that
-	// level). Reset on each write — later readers of the new value are
-	// already ordered against it by the read-after-write check.
-	const mixedShard = -2
-	readerLevel := make([]int32, nv)
-	readerShard := make([]int32, nv)
-	for i := range readerLevel {
-		readerLevel[i] = -1
-	}
-	count := 0
-	emit := func(i int, s int32, msg string) {
-		if count < maxShardFindings {
-			r.add(Finding{Rule: RuleShard, Severity: SevError, Prog: "sim", Instr: i, Slot: s, Msg: msg})
-		}
-		count++
-	}
-	var rbuf []int32
-	for i := 0; i < n; i++ {
-		in := &code[i]
-		l, w := level[i], shard[i]
-		rbuf = in.ReadSlots(rbuf[:0])
-		for _, s := range rbuf {
-			lw := lastWriter[s]
-			if lw == 0 {
-				continue // pre-sim state: visible to every shard after Run starts
-			}
-			j := lw - 1
-			jl, jw := level[j], shard[j]
-			scratch := !spec.persistent(s)
-			switch {
-			case jl > l:
-				emit(i, s, fmt.Sprintf("level %d shard %d reads %s written in later level %d",
-					l, w, slotName(spec, s), jl))
-			case scratch && jw != w:
-				emit(i, s, fmt.Sprintf("shard %d reads scratch %s written by shard %d's private arena",
-					w, slotName(spec, s), jw))
-			case !scratch && jl == l && jw != w:
-				emit(i, s, fmt.Sprintf("level %d shard %d reads %s written concurrently by shard %d",
-					l, w, slotName(spec, s), jw))
-			}
-		}
-		if in.Writes() {
-			s := in.Dst
-			if spec.persistent(s) {
-				if lw := lastWriter[s]; lw != 0 {
-					j := lw - 1
-					if jl, jw := level[j], shard[j]; jl > l || jl == l && jw != w {
-						emit(i, s, fmt.Sprintf("level %d shard %d and level %d shard %d both write %s",
-							l, w, jl, jw, slotName(spec, s)))
-					}
-				}
-				if rl := readerLevel[s]; rl > l || rl == l && readerShard[s] != w {
-					emit(i, s, fmt.Sprintf("level %d shard %d overwrites %s while level %d still reads the old value",
-						l, w, slotName(spec, s), rl))
-				}
-			}
-			lastWriter[s] = int32(i) + 1
-			readerLevel[s] = -1
-		}
-		// Record this instruction's reads after its write check: an op
-		// reading its own destination orders itself.
-		for _, s := range rbuf {
-			if !spec.persistent(s) {
-				continue
-			}
-			switch {
-			case readerLevel[s] < l:
-				readerLevel[s] = l
-				readerShard[s] = int32(w)
-			case readerLevel[s] == l && readerShard[s] != int32(w):
-				readerShard[s] = mixedShard
-			}
-		}
-	}
-	if count > maxShardFindings {
-		r.add(Finding{Rule: RuleShard, Severity: SevError, Prog: "sim", Instr: -1, Slot: -1,
-			Msg: fmt.Sprintf("%d further shard-plan violations suppressed", count-maxShardFindings)})
 	}
 }
 

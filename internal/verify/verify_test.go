@@ -401,6 +401,9 @@ func shardSpec(level, sh []int32, workers, levels int) *Spec {
 	return s
 }
 
+// The TestV008 cases are the mutants of the retired shard-plan rule
+// V008; rule V012 kills every one of them and passes both clean plans.
+
 func TestV008CleanPlan(t *testing.T) {
 	// Chain split across levels, independent op in parallel with level 0.
 	s := shardSpec([]int32{0, 1, 0}, []int32{0, 0, 1}, 2, 2)
@@ -418,13 +421,13 @@ func TestV008CrossShardReadWithinLevel(t *testing.T) {
 	// sim[1] reads slot 1 in the same level it is written, from another
 	// shard: a data race.
 	s := shardSpec([]int32{0, 0, 0}, []int32{0, 1, 1}, 2, 1)
-	wantRule(t, Check(s, Options{}), RuleShard)
+	wantRule(t, Check(s, Options{}), RuleRace)
 }
 
 func TestV008ReadFromLaterLevel(t *testing.T) {
 	// sim[1] runs in level 0 but its operand is written in level 1.
 	s := shardSpec([]int32{1, 0, 0}, []int32{0, 0, 1}, 2, 2)
-	wantRule(t, Check(s, Options{}), RuleShard)
+	wantRule(t, Check(s, Options{}), RuleRace)
 }
 
 func TestV008ConcurrentWAW(t *testing.T) {
@@ -435,7 +438,7 @@ func TestV008ConcurrentWAW(t *testing.T) {
 	s.LiveOut = []int32{1}
 	s.Shards = &ShardAssignment{Workers: 2, Levels: 1, Level: []int32{0, 0}, Shard: []int32{0, 1}}
 	r := Check(s, Options{Disable: []string{RuleWAW}})
-	wantRule(t, r, RuleShard)
+	wantRule(t, r, RuleRace)
 }
 
 func TestV008WriteUnderConcurrentReader(t *testing.T) {
@@ -448,7 +451,7 @@ func TestV008WriteUnderConcurrentReader(t *testing.T) {
 	s.RuntimeWritten = []int32{0}
 	s.LiveOut = []int32{0, 1}
 	s.Shards = &ShardAssignment{Workers: 2, Levels: 1, Level: []int32{0, 0}, Shard: []int32{0, 1}}
-	wantRule(t, Check(s, Options{}), RuleShard)
+	wantRule(t, Check(s, Options{}), RuleRace)
 }
 
 func TestV008CrossShardScratch(t *testing.T) {
@@ -461,12 +464,12 @@ func TestV008CrossShardScratch(t *testing.T) {
 	s.RuntimeWritten = []int32{0}
 	s.LiveOut = []int32{1}
 	s.Shards = &ShardAssignment{Workers: 2, Levels: 2, Level: []int32{0, 1}, Shard: []int32{0, 1}}
-	wantRule(t, Check(s, Options{}), RuleShard)
+	wantRule(t, Check(s, Options{}), RuleRace)
 }
 
 func TestV008MalformedAssignment(t *testing.T) {
 	s := shardSpec([]int32{0, 1}, []int32{0, 0, 1}, 2, 2) // wrong length
-	wantRule(t, Check(s, Options{}), RuleShard)
+	wantRule(t, Check(s, Options{}), RuleRace)
 	s = shardSpec([]int32{0, 5, 0}, []int32{0, 0, 1}, 2, 2) // level out of range
-	wantRule(t, Check(s, Options{}), RuleShard)
+	wantRule(t, Check(s, Options{}), RuleRace)
 }

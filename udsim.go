@@ -445,13 +445,13 @@ func WithShiftElimination(m ShiftElimination) Option {
 func WithVerify() Option { return func(o *options) { o.verify = true } }
 
 // WithCodegenValidation translation-validates the engine's code
-// generation at build time: the Go source both codegen backends would
-// emit for the compiled programs is lifted back to an instruction
-// stream, proven equivalent to the programs (rule V016), checked for
-// AST-level def-use hygiene (V018), and the resulting emission
-// certificate is replayed from scratch (V017). Open fails on any
-// finding. Compiled techniques only — the interpreted baselines and the
-// zero-delay LCC engine have no generated source to validate.
+// generation at build time: the final compiled programs pass the static
+// verifier, and the Go source the codegen backends would emit for them
+// is lifted back to an instruction stream and proven equal to them,
+// statement by statement (rule V016); see ValidateCodegen. It implies
+// WithVerify. Open fails on any finding. Compiled techniques only — the
+// interpreted baselines and the zero-delay LCC engine have no generated
+// source to validate.
 func WithCodegenValidation() Option { return func(o *options) { o.cgValidate = true } }
 
 // WithDeadStoreElimination strips the instructions the vector-loop
@@ -551,6 +551,8 @@ func Open(c *Circuit, technique Technique, opts ...Option) (Engine, error) {
 // technique's compile step (after resubstitution, when asked), then one
 // ordered list of build stages.
 func openCompiled(c *Circuit, tech Technique, o options) (compiledEngine, error) {
+	// The validated emission is only as sound as the programs it equals.
+	o.verify = o.verify || o.cgValidate
 	var rs *resubState
 	if o.resub {
 		st, err := buildResub(c)
@@ -579,8 +581,14 @@ func openCompiled(c *Circuit, tech Technique, o options) (compiledEngine, error)
 	}{
 		{o.deadStore, func() error { _, err := core.EliminateDeadStores(); return err }},
 		{o.cgValidate, func() error {
-			init, prog := core.Programs()
-			return validateEmission(sim.Spec(), init, prog)
+			rep, err := codegenReport(p)
+			if err != nil {
+				return err
+			}
+			if err := rep.Err(); err != nil {
+				return fmt.Errorf("udsim: codegen validation: %w", err)
+			}
+			return nil
 		}},
 		{o.execSet, func() error { _, err := core.ConfigureExec(o.exec, o.execWorkers); return err }},
 		{o.observer != nil, func() error { core.SetObserver(o.observer); return nil }},
@@ -1043,13 +1051,12 @@ type (
 // Verify runs the static analyzer over an engine's compiled programs:
 // def-before-use, single assignment, bit-field layout, shift/phase
 // consistency, dead code, combinational-cycle and structural checks
-// (rules V001–V007), the dataflow rules — vector-loop liveness agreement,
-// constant propagation, bit-interval containment (V009–V011) — and the
-// shard-plan rules V008 and V012 (happens-before race proofs) when the
-// engine was built with a sharded execution strategy. Engines without
-// compiled instruction streams (the interpreted baselines and the
-// zero-delay LCC engine, whose program has no unit-delay layout metadata)
-// return an error.
+// (rules V001–V007), the dataflow rules — vector-loop liveness agreement
+// and bit-interval containment (V009, V011) — and the happens-before race
+// proof V012 over any attached shard plan, sharded or activity-gated.
+// Engines without compiled instruction streams (the interpreted baselines
+// and the zero-delay LCC engine, whose program has no unit-delay layout
+// metadata) return an error.
 func Verify(e Engine, opts VerifyOptions) (*VerifyReport, error) {
 	if ce, ok := e.(compiledEngine); ok {
 		return verify.Check(ce.unwrap().sim.Spec(), opts), nil
@@ -1057,50 +1064,30 @@ func Verify(e Engine, opts VerifyOptions) (*VerifyReport, error) {
 	return nil, fmt.Errorf("udsim: engine %s has no statically verifiable programs", e.EngineName())
 }
 
-// validateEmission runs the translation validator over an engine's
-// final compiled programs (after any dead-store elimination), failing
-// the build on any V016–V018 finding.
-func validateEmission(spec *verify.Spec, init, sim *program.Program) error {
-	res, err := validate.CheckUnits("gensim",
-		[]ir.Source{{Name: "initvec", Prog: init}, {Name: "simvec", Prog: sim}}, spec)
-	if err != nil {
-		return fmt.Errorf("udsim: codegen validation: %w", err)
-	}
-	if err := res.Report.Err(); err != nil {
-		return fmt.Errorf("udsim: codegen validation: %w", err)
-	}
-	return nil
-}
-
 // ValidateCodegen runs the translation validator on demand over an
-// engine's compiled programs: the Go source the codegen backends would
-// emit is lifted back to an instruction stream and proven equivalent
-// (V016), the C rendering is checked against the same validated IR, the
-// lifted AST is re-proven single-assignment/def-before-use (V018), and
-// the emission certificate is replayed from scratch (V017). The report
-// is clean exactly when EmitChecked would succeed. Engines without
-// compiled instruction streams return an error.
+// engine's compiled programs. The static verifier runs over them first
+// (rules V001–V012, as Verify); a program with any warning or error
+// finding is rejected with that report. The Go source the codegen
+// backends would emit is then lifted back to an instruction stream and
+// proven equal to the programs, statement by statement and in order
+// (V016); the C rendering comes from the same statement IR. Engines
+// without compiled instruction streams return an error.
 func ValidateCodegen(e Engine) (*VerifyReport, error) {
 	ce, ok := e.(compiledEngine)
 	if !ok {
 		return nil, fmt.Errorf("udsim: engine %s has no generated source to validate", e.EngineName())
 	}
-	p := ce.unwrap()
-	spec := p.sim.Spec()
-	init, si := p.core.Programs()
-	units := []ir.Source{{Name: "initvec", Prog: init}, {Name: "simvec", Prog: si}}
-	goSrc, cSrc, err := validate.Sources("gensim", units)
+	return codegenReport(ce.unwrap())
+}
+
+// codegenReport validates the emission of an engine's current programs
+// (after any dead-store elimination) against its spec.
+func codegenReport(p *compiled) (*VerifyReport, error) {
+	init, sim := p.core.Programs()
+	res, err := validate.CheckUnits("gensim",
+		[]ir.Source{{Name: "initvec", Prog: init}, {Name: "simvec", Prog: sim}}, p.sim.Spec())
 	if err != nil {
 		return nil, fmt.Errorf("udsim: codegen validation: %w", err)
-	}
-	res := validate.Check("gensim", goSrc, cSrc, units, spec)
-	if rep := validate.Replay(res.Cert, "gensim", goSrc, cSrc, units, spec); rep.Err() != nil {
-		for _, f := range rep.Findings {
-			if f.Rule == verify.RuleLiftCert {
-				res.Report.Add(f)
-			}
-		}
-		res.Report.Sort()
 	}
 	return res.Report, nil
 }

@@ -132,8 +132,8 @@ func TestVerifyStatsPopulated(t *testing.T) {
 }
 
 // TestVerifyISCAS85Sharded re-runs the analyzer with a sharded execution
-// plan attached, so rule V008 (shard-plan level/ownership consistency)
-// is exercised on every profile circuit for both compiled techniques.
+// plan attached, so rule V012 (happens-before race proof) is exercised
+// on every profile circuit for both compiled techniques.
 // Any finding means the planner and the analyzer disagree about what a
 // legal bulk-synchronous schedule is.
 func TestVerifyISCAS85Sharded(t *testing.T) {
