@@ -55,7 +55,9 @@ type LiftedFunc struct {
 // rather than guessing.
 func LiftGo(src string) ([]LiftedFunc, error) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "generated.go", src, 0)
+	// The lifter reads no objects or scopes, so the resolver's pass is
+	// skipped.
+	f, err := parser.ParseFile(fset, "generated.go", src, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, fmt.Errorf("lift: %w", err)
 	}

@@ -3,7 +3,7 @@
 // parsim) differ only in how they compile: at run time each is an init
 // program plus a straight-line simulation program, run once per input
 // vector over a state arena. Core owns that runtime once — the arena,
-// both programs and the sequential execution form, multicore execution,
+// both programs and their sequential execution forms, multicore execution,
 // the guarded paths and their checkpoint, the per-net final-bit table,
 // the primary-input writer, observability and dead-store elimination —
 // and each technique embeds a Core, keeping only its compiler, its state
@@ -59,6 +59,11 @@ type Gating interface {
 	// applied to the core's sequential execution form rather than to the
 	// sharded engine (false when ungated).
 	SequentialForm() bool
+	// Flatten rewrites every field whose flattening the gate deferred, so
+	// that the whole state array holds what sequential execution would
+	// have left. The core calls it before copying the array (Save, Clone);
+	// reads of final bits need no flattening.
+	Flatten()
 }
 
 // CoreOf returns the core a technique embeds.
@@ -97,10 +102,10 @@ type Parts struct {
 	// Inputs is indexed like Circuit.Inputs, Finals like Circuit.Nets.
 	Inputs []InputField
 	Finals []FinalBit
-	// PrevFinal makes the core keep every net's previous final value
-	// (Core.PrevFinal), for techniques whose reads of times before a
-	// field's alignment need it.
-	PrevFinal bool
+	// PrevFinalNets lists the nets whose previous final value the core
+	// keeps (Core.PrevFinal): those a technique reads at times before
+	// their field's alignment. Empty keeps none.
+	PrevFinalNets []int32
 }
 
 // Core is the runtime of a compiled technique. It is embedded by value,
@@ -112,15 +117,17 @@ type Core struct {
 	// PrevPI holds the previous vector's primary-input values: the bits
 	// WriteInputs keeps below an input's Split, and gating's input diff.
 	PrevPI []bool
-	// PrevFinal holds every net's final value before the last vector
-	// (CaptureFinals); nil unless Parts.PrevFinal asked for it.
+	// PrevFinal holds, for the nets Parts.PrevFinalNets lists, the final
+	// value before the last vector (CaptureFinals). It is indexed like
+	// Circuit().Nets, and nil when no net is listed.
 	PrevFinal []bool
+	prevNets  []int32
 
 	label             string
 	c                 *circuit.Circuit
 	a                 *levelize.Analysis
 	initProg, simProg *program.Program
-	seq               *program.Sequential // simProg's sequential execution form
+	initSeq, seq      *program.Sequential // the programs' sequential execution forms
 	scratchStart      int32
 	mask              uint64
 	inputs            []InputField
@@ -158,8 +165,8 @@ type Core struct {
 }
 
 // Setup is the shared tail of a technique's compile: it validates both
-// programs, builds the sequential execution form, sizes the state arena
-// and binds the core to t, the technique embedding it.
+// programs, builds their sequential execution forms, sizes the state
+// arena and binds the core to t, the technique embedding it.
 func (c *Core) Setup(t Technique, p Parts) error {
 	if err := p.Init.Validate(); err != nil {
 		return fmt.Errorf("%s: init program invalid: %w", p.Label, err)
@@ -167,29 +174,43 @@ func (c *Core) Setup(t Technique, p Parts) error {
 	if err := p.Sim.Validate(); err != nil {
 		return fmt.Errorf("%s: sim program invalid: %w", p.Label, err)
 	}
-	seq, err := program.Schedule(p.Sim, p.ScratchStart)
+	initSeq, seq, err := schedule(p.Init, p.Sim, p.ScratchStart)
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.Label, err)
 	}
 	*c = Core{
-		St:           make([]uint64, seq.NumVars()),
+		St:           make([]uint64, max(initSeq.NumVars(), seq.NumVars())),
 		PrevPI:       make([]bool, len(p.Circuit.Inputs)),
+		prevNets:     p.PrevFinalNets,
 		label:        p.Label,
 		c:            p.Circuit,
 		a:            p.Analysis,
 		initProg:     p.Init,
 		simProg:      p.Sim,
+		initSeq:      initSeq,
 		seq:          seq,
 		scratchStart: p.ScratchStart,
 		mask:         p.Sim.Mask(),
 		inputs:       p.Inputs,
 		final:        p.Finals,
 	}
-	if p.PrevFinal {
+	if len(p.PrevFinalNets) > 0 {
 		c.PrevFinal = make([]bool, p.Circuit.NumNets())
 	}
 	c.bind(t)
 	return nil
+}
+
+// schedule builds the sequential execution forms of an init and a sim
+// program (program.Schedule, which proves each one).
+func schedule(init, sim *program.Program, scratchStart int32) (initSeq, seq *program.Sequential, err error) {
+	if seq, err = program.Schedule(sim, scratchStart); err != nil {
+		return nil, nil, err
+	}
+	if initSeq, err = program.Schedule(init, scratchStart); err != nil {
+		return nil, nil, fmt.Errorf("init program: %w", err)
+	}
+	return initSeq, seq, nil
 }
 
 func (c *Core) core() *Core { return c }
@@ -220,8 +241,13 @@ func (c *Core) CodeSize() int { return len(c.initProg.Code) + len(c.simProg.Code
 // the code sequential execution runs (see program.Schedule).
 func (c *Core) Sequential() *program.Sequential { return c.seq }
 
+// InitSequential returns the init program's sequential execution form,
+// which RunInit runs.
+func (c *Core) InitSequential() *program.Sequential { return c.initSeq }
+
 // CodeBytes returns the memory held by the compiled code: both programs
-// and the sequential execution form.
+// and the simulation program's sequential form. The init program's form
+// is not counted; it is a copy of the smaller program.
 func (c *Core) CodeBytes() int64 { return c.initProg.Bytes() + c.simProg.Bytes() + c.seq.Bytes() }
 
 // ScratchStart returns the first temporary slot: every slot below it is
@@ -288,35 +314,36 @@ func (c *Core) invalidate() {
 	}
 }
 
-// CaptureFinals records every net's final value in PrevFinal — called by
-// the apply before the vector overwrites the fields.
-func (c *Core) CaptureFinals() {
-	for i, f := range c.final {
-		c.PrevFinal[i] = c.St[f.Slot]>>f.Shift&1 == 1
+// flatten has activity gating rewrite the fields it left unflattened,
+// before the whole state array is copied.
+func (c *Core) flatten() {
+	if c.gating != nil {
+		c.gating.Flatten()
 	}
 }
 
-// CaptureFinalsOf records the listed nets' final values in PrevFinal:
-// activity gating's capture, which re-reads only the nets the previous
-// vector can have changed.
-func (c *Core) CaptureFinalsOf(nets []int32) {
-	for _, n := range nets {
+// CaptureFinals records the final values of the nets Parts.PrevFinalNets
+// listed in PrevFinal — called by the apply before the vector overwrites
+// the fields. A no-op when none is listed.
+func (c *Core) CaptureFinals() {
+	for _, n := range c.prevNets {
 		f := c.final[n]
 		c.PrevFinal[n] = c.St[f.Slot]>>f.Shift&1 == 1
 	}
 }
 
-// RunInit executes the initialization program, booking it and the
-// vector count with the observer when one is attached.
+// RunInit executes the initialization program's sequential form,
+// booking it and the vector count with the observer when one is
+// attached.
 func (c *Core) RunInit(vectors int64) {
 	if o := c.obs; o != nil {
 		o.AddVectors(vectors)
 		t0 := time.Now()
-		c.initProg.Run(c.St)
+		c.initSeq.Run(c.St)
 		o.AddInit(time.Since(t0))
 		return
 	}
-	c.initProg.Run(c.St)
+	c.initSeq.Run(c.St)
 }
 
 // WriteInputs broadcasts a vector into the primary-input fields and
@@ -472,23 +499,25 @@ func (c *Core) EliminateDeadStores() (int, error) {
 	if res.NDead() == 0 {
 		return 0, nil
 	}
-	oldInit, oldSim, oldSeq := c.initProg, c.simProg, c.seq
+	oldInit, oldSim, oldInitSeq, oldSeq := c.initProg, c.simProg, c.initSeq, c.seq
 	c.initProg, _ = program.Strip(c.initProg, res.DeadInit)
 	c.simProg, _ = program.Strip(c.simProg, res.DeadSim)
 
-	restore := func() { c.initProg, c.simProg, c.seq = oldInit, oldSim, oldSeq }
+	restore := func() { c.initProg, c.simProg, c.initSeq, c.seq = oldInit, oldSim, oldInitSeq, oldSeq }
 	check := c.t.Spec()
 	check.Shards = nil
 	if rep := verify.Check(check, verify.Options{}); !rep.Clean() {
 		restore()
 		return 0, fmt.Errorf("%s: dead-store elimination rejected by verifier: %w", c.label, rep.Err())
 	}
-	seq, err := program.Schedule(c.simProg, c.scratchStart)
+	initSeq, seq, err := schedule(c.initProg, c.simProg, c.scratchStart)
 	if err != nil {
 		restore()
 		return 0, fmt.Errorf("%s: dead-store elimination: %w", c.label, err)
 	}
-	c.seq = seq // renames no more scratch than before, so the state array still fits
+	// The forms rename no more scratch than before, so the state array
+	// still fits.
+	c.initSeq, c.seq = initSeq, seq
 
 	// Vector-batch clones share the old programs; drop them so ApplyStream
 	// rebuilds from the stripped ones.

@@ -12,30 +12,29 @@ import (
 )
 
 // ConfigureExec selects the execution strategy for the simulation program
-// and returns the resolved strategy (Auto resolves via the shard plan's
-// recommendation). workers <= 0 means GOMAXPROCS. Sharded and
-// activity-gated execution are bit-identical to sequential; VectorBatch
-// changes only ApplyStream, which then runs contiguous vector blocks as
-// independent substreams. Reconfiguring releases the previous strategy's
-// workers.
+// and returns the resolved strategy (Auto resolves by shard.Recommend).
+// workers <= 0 means GOMAXPROCS. Sharded and activity-gated execution are
+// bit-identical to sequential; VectorBatch changes only ApplyStream, which
+// then runs contiguous vector blocks as independent substreams.
+// Reconfiguring releases the previous strategy's workers.
 func (c *Core) ConfigureExec(strategy shard.Strategy, workers int) (shard.Strategy, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if strategy == shard.Auto {
+		strategy = shard.Recommend(workers)
+	}
 	var plan *shard.Plan
-	if strategy == shard.Auto || strategy == shard.Sharded || strategy == shard.ActivityGated {
+	if strategy == shard.Sharded || strategy == shard.ActivityGated {
 		var err error
 		plan, err = shard.Partition(c.simProg, c.scratchStart, workers)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", c.label, err)
 		}
 		// The measured barrier cost feeds the plan's speedup model, so
-		// Auto's recommendation reflects this machine rather than the
-		// static default.
+		// EstimatedSpeedup reflects this machine rather than the static
+		// default.
 		plan.SetBarrierCost(shard.CalibrateBarrier(workers))
-	}
-	if strategy == shard.Auto {
-		strategy = plan.Recommend()
 	}
 	c.Close()
 	switch strategy {
@@ -108,6 +107,7 @@ func (c *Core) Close() {
 func (c *Core) Clone() Technique { return c.fork().t }
 
 func (c *Core) fork() *Core {
+	c.flatten()
 	t := c.t.Fork()
 	cl := t.core()
 	cl.St = append([]uint64(nil), c.St...)
@@ -290,6 +290,7 @@ type checkpoint struct {
 
 // Save copies the mutable per-vector state into the core's checkpoint.
 func (c *Core) Save() {
+	c.flatten()
 	c.ck.st = append(c.ck.st[:0], c.St...)
 	c.ck.prevPI = append(c.ck.prevPI[:0], c.PrevPI...)
 	c.ck.prevFinal = append(c.ck.prevFinal[:0], c.PrevFinal...)

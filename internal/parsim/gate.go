@@ -36,11 +36,28 @@ import (
 //     net is every word equal to the settled value broadcast (time 0 is
 //     the previous final and no event ever fires), so the runtime
 //     rewrites skipped fields to that constant — O(words) instead of
-//     the init + simulation instructions — and the whole state array
-//     stays bit-identical to sequential execution. Shift-eliminated
-//     layouts pack previous-vector bits at negative times and break
-//     this broadcast form, which is why ConfigureExec rejects gating
-//     for cfg.Align (and cfg.Delays) compiles.
+//     the init + simulation instructions. The settled value is the
+//     net's own final bit, which no instruction touches while the net is
+//     skipped. Shift-eliminated layouts pack previous-vector bits at
+//     negative times and break this broadcast form, which is why
+//     ConfigureExec rejects gating for cfg.Align (and cfg.Delays)
+//     compiles.
+//
+// The contract is that every read of the state sees what sequential
+// execution would have left, not that the state array equals it after
+// every vector: flattening is deferred until something reads a field
+// word other than the final bit. A vector that runs no instruction
+// flattens nothing; the groups it would have flattened join a pending
+// set, which is flattened before the next vector that runs any range
+// (its instructions may read those fields) and before anything else
+// reads field words — ValueAt and so Trace, History and activity
+// observation, the core's Save and Clone, and every replacement of the
+// gater (Gate). Final and FinalSlot read only final bits, which are
+// exact either way. A vector on the sequential form empties the set
+// without flattening: it rewrites every field, and the only field bits
+// it reads are the top bits the init program fills from, which hold the
+// final value whether a field was flattened or not. So does an
+// invalidation, after which the state is rewritten or undefined.
 //
 // Each vector then runs on the cheaper of two bit-identical executors,
 // chosen once per vector right after the decision (see decide): the
@@ -53,20 +70,14 @@ import (
 // Bookkeeping is proportional to activity. Per vector it costs one
 // primary-input diff and a branch-free cone intersection per group, then
 // work in the active groups only: their segments are marked in a bitmap
-// whose set bits, walked in order, become the engine's ranges; only the
-// nets of groups that just went idle are flattened (a field stays flat
-// while its group stays idle); and only the nets the previous vector can
-// have changed — ungated nets and the previously active groups' nets —
-// have their finals re-read into PrevFinal (an idle net's final is its
-// previous final); a vector that ran everything is followed by a full
-// re-read instead, which is cheaper there. Flattening stays proportional
-// after a vector on the sequential form too, because the whole program
-// writes an idle group's field as exactly the broadcast flattening
-// would: only a vector whose activity is unknown — the first after an
-// invalidation, or one sent to the sequential form before the scan — is
-// followed by a flatten of every idle group. All per-group lists are
-// flat CSR arrays and every buffer is sized here, so the steady state
-// allocates nothing.
+// whose set bits, walked in order, become the engine's ranges, and only
+// the nets of groups that just went idle are queued for flattening (a
+// field stays flat while its group stays idle). A vector with nothing
+// active skips the marking and closes every level gate. After a vector
+// whose activity is unknown — the first after an invalidation, or one
+// sent to the sequential form before the scan — every idle group is
+// queued instead. All per-group lists are flat CSR arrays and every
+// buffer is sized here, so the steady state allocates nothing.
 type gater struct {
 	levels  int
 	workers int
@@ -95,11 +106,11 @@ type gater struct {
 	grpCost              []int64
 
 	// Always-active work: the segments of no group (as bitmaps the
-	// per-vector marks start from) and their cost, and the ungated nets
-	// whose finals are re-read every vector.
+	// per-vector marks start from) and their cost. noBase: there is none,
+	// so a vector with no active group runs no instruction at all.
 	segBase, initBase []uint64
 	baseCost          int64
-	ungated           []int32
+	noBase            bool
 	seqCost           int64 // estimated cost at which the sequential form takes over
 
 	// piCost[i] is the estimated cost of a vector that changes primary
@@ -112,7 +123,9 @@ type gater struct {
 	nz       []int32  // the nonzero words of changed
 	actOn    []uint64 // group bitmap: active in this (then the previous) vector
 	active   []int32  // the same groups as a list
-	flat     []int32  // groups to flatten this vector
+	pend     []uint64 // group bitmap: flattening deferred (see Flatten)
+	pending  bool     // pend has a set bit
+	idle     bool     // this vector runs no instruction
 	segOn    []uint64
 	initOn   []uint64
 	runLevel []bool  // the engine's level gates
@@ -154,16 +167,28 @@ const (
 
 // invalidate forces the next vector to run (and re-materialize) every
 // group — the reset after any operation that makes the state array's
-// relation to PrevPI unknown.
+// relation to PrevPI unknown. Pending flattening is dropped: the state
+// is rewritten (reset, restore) or undefined (detach, fault).
 func (g *gater) invalidate() {
 	if g != nil {
 		g.valid = false
+		g.dropPending()
+	}
+}
+
+// dropPending empties the pending set without flattening.
+func (g *gater) dropPending() {
+	if g.pending {
+		clear(g.pend)
+		g.pending = false
 	}
 }
 
 // Gate implements engine.Gating: it builds the activity gating for the
-// sharded engine's plan and installs it, or drops it when e is nil.
+// sharded engine's plan and installs it, or drops it when e is nil. The
+// gater it replaces flattens its pending fields first.
 func (s *Sim) Gate(e *shard.Engine) error {
+	s.Flatten()
 	s.gate = nil
 	if e == nil {
 		return nil
@@ -441,14 +466,11 @@ func (s *Sim) newGater(plan *shard.Plan, slotNet, netGroup []int32, numGroups in
 		}
 	}
 	g.initBase = make([]uint64, (len(initSegGrp)+63)/64)
+	g.noBase = g.baseCost == 0
 	for i, grp := range initSegGrp {
 		if grp < 0 {
 			g.initBase[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	for n, grp := range netGroup {
-		if grp < 0 {
-			g.ungated = append(g.ungated, int32(n))
+			g.noBase = false
 		}
 	}
 	g.piCost = make([]int64, len(s.Circuit().Inputs))
@@ -465,7 +487,7 @@ func (s *Sim) newGater(plan *shard.Plan, slotNet, netGroup []int32, numGroups in
 	g.nz = make([]int32, 0, words)
 	g.actOn = make([]uint64, (numGroups+63)/64)
 	g.active = make([]int32, 0, numGroups)
-	g.flat = make([]int32, 0, numGroups)
+	g.pend = make([]uint64, len(g.actOn))
 	g.segOn = make([]uint64, len(g.segBase))
 	g.initOn = make([]uint64, len(g.initBase))
 	g.runLevel = make([]bool, g.levels)
@@ -500,10 +522,11 @@ func groupLists(key []int32, numGroups int) (off, idx []int32) {
 }
 
 // decide computes this vector's group activity from the primary-input
-// diff, chooses its executor and, unless that is the sequential form,
-// fills the engine gate arrays and queues the groups to flatten. prev is
-// the previous vector's inputs (read before the caller overwrites them).
-// Returns the number of segments skipped, for the observer.
+// diff, queues the groups to flatten, chooses its executor and, unless
+// that is the sequential form or nothing runs, fills the engine gate
+// arrays. prev is the previous vector's inputs (read before the caller
+// overwrites them). Returns the number of segments skipped, for the
+// observer.
 //
 // The executor is the sequential form after an invalidation and
 // whenever the estimated gated cost reaches seqCost (see segmentOps),
@@ -546,10 +569,11 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 		}
 	}
 	// Per block of 64 groups: the active bits, then the active list and
-	// its cost, then the groups to flatten — those the previous vector
-	// left materialized and this one leaves idle.
-	act, flat := g.active[:0], g.flat[:0]
+	// its cost; the groups the previous vector left materialized and this
+	// one leaves idle join the pending set.
+	act := g.active[:0]
 	cost := g.baseCost
+	var queued uint64
 	for b := range g.actOn {
 		lo := b << 6
 		hi := min(lo+64, g.numGroups)
@@ -575,19 +599,29 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 			idle = ^on & (1<<uint(hi-lo) - 1)
 		}
 		g.actOn[b] = on
+		g.pend[b] |= idle
+		queued |= idle
 		for ; on != 0; on &= on - 1 {
 			gi := lo | bits.TrailingZeros64(on)
 			act = append(act, int32(gi))
 			cost += g.grpCost[gi]
 		}
-		for ; idle != 0; idle &= idle - 1 {
-			flat = append(flat, int32(lo|bits.TrailingZeros64(idle)))
-		}
 	}
-	g.active, g.flat = act, flat
+	g.active = act
+	g.pending = g.pending || queued != 0
 	g.unknown = false
 	if cost >= g.seqCost {
 		return g.runAll()
+	}
+	g.exec = obs.GatedCaller
+	g.idle = len(act) == 0 && g.noBase
+	if g.idle {
+		// Nothing runs: every level gate closes, the ranges are left as
+		// they are (a closed level never reads them) and nothing is
+		// flattened yet.
+		clear(g.runLevel)
+		g.decLevelsSkipped += int64(g.levels)
+		return int64(len(g.segCell))
 	}
 
 	// Mark the active segments, then walk the marks in order: each
@@ -630,15 +664,15 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 			g.decLevelsSkipped++
 		}
 	}
-	g.exec = obs.GatedCaller
 	return int64(len(g.segCell) - marked)
 }
 
 // runAll sends this vector to the sequential form: every level runs and
-// nothing is skipped or flattened.
+// nothing is skipped or flattened, and the pending set empties because
+// the form rewrites every field.
 func (g *gater) runAll() int64 {
-	g.exec = obs.GatedSequential
-	g.flat = g.flat[:0]
+	g.exec, g.idle = obs.GatedSequential, false
+	g.dropPending()
 	g.decLevelsRun += int64(g.levels)
 	return 0
 }
@@ -656,13 +690,12 @@ func (s *Sim) GatingLevels() (vectors, run, skipped int64) {
 	return s.gate.decVectors, s.gate.decLevelsRun, s.gate.decLevelsSkipped
 }
 
-// gatedInit is the gated apply's init phase: re-read the finals the
-// previous vector can have changed, decide which gate groups this vector
-// can touch and where it runs (reading PrevPI before WriteInputs
-// overwrites it), then run the init program minus the skipped nets.
+// gatedInit is the gated apply's init phase: decide which gate groups
+// this vector can touch and where it runs (reading PrevPI before
+// WriteInputs overwrites it), then run the init program minus the
+// skipped nets.
 func (s *Sim) gatedInit(inputs []bool) {
 	g := s.gate
-	s.captureGated()
 	o := s.Observer()
 	if o == nil {
 		g.decide(inputs, s.PrevPI)
@@ -680,35 +713,24 @@ func (s *Sim) gatedInit(inputs []bool) {
 	o.AddInit(time.Since(t1))
 }
 
-// captureGated keeps PrevFinal exact at the cost of the previous
-// vector's activity: it re-reads the ungated nets and the nets of the
-// groups active in the previous vector — an idle net's final is its
-// previous final, already in PrevFinal — and every net after a vector
-// that ran everything (the sequential form) or an invalidation (reset,
-// restore, detach).
-func (s *Sim) captureGated() {
-	g := s.gate
-	if !g.valid || g.exec == obs.GatedSequential {
-		s.CaptureFinals()
-		return
-	}
-	s.CaptureFinalsOf(g.ungated)
-	for _, gi := range g.active {
-		s.CaptureFinalsOf(g.grpNets[g.grpNetOff[gi]:g.grpNetOff[gi+1]])
-	}
-}
-
-// runGatedInit executes the init program: whole for a vector on the
-// sequential form, otherwise minus the instructions that initialize
-// skipped nets, as ranges of the original stream built from the active
-// groups' init segments the way decide builds the cell ranges.
+// runGatedInit executes the init program: its sequential form for a
+// vector on the sequential form, nothing for a vector that runs nothing,
+// and otherwise the pending flattening followed by the init program
+// minus the instructions that initialize skipped nets, as ranges of the
+// emission-order stream built from the active groups' init segments the
+// way decide builds the cell ranges.
 func (s *Sim) runGatedInit() {
 	g := s.gate
-	init, _ := s.Programs()
-	if g.exec == obs.GatedSequential {
-		init.Run(s.St)
+	switch {
+	case g.exec == obs.GatedSequential:
+		s.InitSequential().Run(s.St)
+		return
+	case g.idle:
 		return
 	}
+	// The ranges about to run may read any idle field.
+	s.Flatten()
+	init, _ := s.Programs()
 	copy(g.initOn, g.initBase)
 	for _, gi := range g.active {
 		for _, si := range g.grpInits[g.grpInitOff[gi]:g.grpInitOff[gi+1]] {
@@ -732,26 +754,35 @@ func (s *Sim) runGatedInit() {
 	program.ExecRanges(init.Code, g.initRuns[:2*n], s.St, s.cfg.WordBits)
 }
 
-// flattenInactive rewrites the fields of the groups decide queued — the
-// groups idle in this vector that were active in the previous one (or,
-// after a vector of unknown activity, every idle group) — to the
-// broadcast of their settled values: exactly the words sequential execution would
-// produce for a net whose cone inputs did not change. A field stays flat
-// while its group stays idle, so an idle net costs nothing after its
-// first skipped vector. Must run before the engine: active cells may
-// read skipped nets' fields.
-func (s *Sim) flattenInactive() {
+// Flatten implements engine.Gating: it rewrites the fields of every
+// pending group — each went idle in some vector since the last flatten,
+// after being active or after a vector of unknown activity — to the
+// broadcast of their settled values: exactly the words sequential
+// execution produces for a net whose cone inputs did not change. The
+// settled value is the net's final bit, untouched since the group went
+// idle. A field stays flat while its group stays idle, so an idle net
+// costs nothing after its first flatten. A no-op when ungated or when
+// nothing is pending.
+func (s *Sim) Flatten() {
 	g := s.gate
+	if g == nil || !g.pending {
+		return
+	}
 	mask := s.Mask()
-	for _, gi := range g.flat {
-		for _, n := range g.grpNets[g.grpNetOff[gi]:g.grpNetOff[gi+1]] {
-			var v uint64
-			if s.PrevFinal[n] {
-				v = mask
-			}
-			for w := s.base[n]; w < s.base[n]+s.words[n]; w++ {
-				s.St[w] = v
+	for b, word := range g.pend {
+		g.pend[b] = 0
+		for ; word != 0; word &= word - 1 {
+			gi := b<<6 | bits.TrailingZeros64(word)
+			for _, n := range g.grpNets[g.grpNetOff[gi]:g.grpNetOff[gi+1]] {
+				var v uint64
+				if s.Final(circuit.NetID(n)) {
+					v = mask
+				}
+				for w := s.base[n]; w < s.base[n]+s.words[n]; w++ {
+					s.St[w] = v
+				}
 			}
 		}
 	}
+	g.pending = false
 }

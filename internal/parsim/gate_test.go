@@ -82,23 +82,32 @@ func TestGatedMatchesSequential(t *testing.T) {
 	}
 }
 
-// FuzzGatedMatchesSequential fuzzes the per-vector executor choice. The
-// circuit seed picks a random circuit and compile configuration, the
-// stream seed and the toggle byte a vector stream whose inputs each flip
-// with probability toggle/255 — from exact repeats to complements, so
-// streams cross the sequential-form threshold in both directions — and
-// the mode byte leaves the choice to the cost model or pins every
-// vector after the first to the level loop, unguarded or guarded. Every
-// net's complete waveform after every vector must equal sequential
-// execution's, at 1 and 2 workers.
+// FuzzGatedMatchesSequential fuzzes the per-vector executor choice and
+// deferred flattening. The circuit seed picks a random circuit and
+// compile configuration, the stream seed and the toggle byte a vector
+// stream whose inputs each flip with probability toggle/255 — from exact
+// repeats to complements, so streams cross the sequential-form threshold
+// in both directions — and the mode byte leaves the choice to the cost
+// model or pins every vector after the first to the level loop,
+// unguarded or guarded. The stride byte sets the read stride k (1 to 8):
+// every net's complete waveform must equal sequential execution's after
+// every k-th vector and the last, at 1 and 2 workers, so flattening left
+// pending by idle vectors spans the vectors in between. Finals, which
+// need no flattening, are compared after every vector.
 func FuzzGatedMatchesSequential(f *testing.F) {
 	for mode := uint8(0); mode < 4; mode++ {
-		f.Add(int64(mode), int64(100+mode), uint8(3), mode)
-		f.Add(int64(10+mode), int64(200+mode), uint8(40), mode)
+		f.Add(int64(mode), int64(100+mode), uint8(3), mode, uint8(0))
+		f.Add(int64(10+mode), int64(200+mode), uint8(40), mode, uint8(0))
 	}
-	f.Add(int64(7), int64(7), uint8(0), uint8(1))
-	f.Add(int64(8), int64(8), uint8(255), uint8(2))
-	f.Fuzz(func(t *testing.T, cseed, vseed int64, toggle, mode uint8) {
+	f.Add(int64(7), int64(7), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(8), int64(8), uint8(255), uint8(2), uint8(0))
+	f.Add(int64(7), int64(7), uint8(0), uint8(1), uint8(3))
+	for mode := uint8(0); mode < 4; mode++ {
+		f.Add(int64(20+mode), 300+int64(mode), uint8(3), mode, 2+mode)
+		f.Add(int64(30+mode), 400+int64(mode), uint8(12), mode, 4+mode)
+	}
+	f.Fuzz(func(t *testing.T, cseed, vseed int64, toggle, mode, stride uint8) {
+		k := 1 + int(stride%8)
 		r := rand.New(rand.NewSource(cseed))
 		c := ckttest.Random(r, 20+r.Intn(40), 3+r.Intn(8))
 		cfg := []Config{{}, {Trim: true}, {WordBits: 8, Trim: true}}[r.Intn(3)]
@@ -125,7 +134,7 @@ func FuzzGatedMatchesSequential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := applyGated(t, ref, vecs, nil)
+		want, _ := applyGated(t, ref, vecs, nil, k)
 		for _, workers := range []int{1, 2} {
 			s, err := Compile(c, cfg)
 			if err != nil {
@@ -140,10 +149,16 @@ func FuzzGatedMatchesSequential(f *testing.F) {
 			}
 			ob := obs.New(obs.Config{})
 			s.SetObserver(ob)
-			got := applyGated(t, s, vecs, ctx)
+			g := s.gate
+			got, deferred := applyGated(t, s, vecs, ctx, k)
 			s.Close()
 			if mix := ob.Snapshot().GatedVectors; pinned && (mix[obs.GatedSequential] != 1 || mix[obs.GatedCaller] != int64(len(vecs)-1)) {
 				t.Fatalf("workers=%d mode=%d: executor mix %v", workers, mode, mix)
+			}
+			// Exact repeats after the first vector run nothing, so the
+			// flattening of every group is deferred to a read.
+			if pinned && toggle == 0 && k > 1 && g.numGroups > 0 && g.noBase && deferred == 0 {
+				t.Fatalf("workers=%d mode=%d stride=%d: no vector deferred its flattening", workers, mode, k)
 			}
 			for j := range want {
 				if got[j] != want[j] {
@@ -154,17 +169,28 @@ func FuzzGatedMatchesSequential(f *testing.F) {
 	})
 }
 
-// applyGated is applyAll through Apply, guarded when ctx is non-nil.
-func applyGated(t *testing.T, s *Sim, vecs [][]bool, ctx context.Context) []bool {
+// applyGated applies vecs through Apply from the all-zeros reset,
+// guarded when ctx is non-nil, and records every net's final after every
+// vector and every net's waveform after every k-th vector and the last.
+// It also counts the vectors after which flattening was still pending.
+func applyGated(t *testing.T, s *Sim, vecs [][]bool, ctx context.Context, k int) (out []bool, deferred int) {
 	t.Helper()
 	if err := s.ResetConsistent(nil); err != nil {
 		t.Fatal(err)
 	}
 	c := s.Circuit()
-	var out []bool
-	for _, vec := range vecs {
+	for j, vec := range vecs {
 		if err := s.Apply(ctx, vec); err != nil {
 			t.Fatal(err)
+		}
+		if s.gate != nil && s.gate.pending {
+			deferred++
+		}
+		for n := 0; n < c.NumNets(); n++ {
+			out = append(out, s.Final(circuit.NetID(n)))
+		}
+		if (j+1)%k != 0 && j != len(vecs)-1 {
+			continue
 		}
 		for n := 0; n < c.NumNets(); n++ {
 			for tm := 0; tm <= s.Depth(); tm++ {
@@ -172,7 +198,7 @@ func applyGated(t *testing.T, s *Sim, vecs [][]bool, ctx context.Context) []bool
 			}
 		}
 	}
-	return out
+	return out, deferred
 }
 
 // TestGatedRejectsAligned: shift-eliminated layouts break the settled-
@@ -325,5 +351,139 @@ func BenchmarkGatedSteadyState(b *testing.B) {
 		if err := s.ApplyVector(vec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// deferredSims returns a simulator gated at 2 workers and a sequential
+// reference, both of which applied one random vector twice from the
+// all-zeros reset. The repeat runs no instruction on the gated one, so
+// the flattening of every gate group is pending there: its fields still
+// hold the first vector's waveforms while the reference's are flat.
+func deferredSims(t *testing.T) (s, ref *Sim) {
+	t.Helper()
+	r := rand.New(rand.NewSource(21))
+	c := ckttest.Random(r, 40, 6)
+	var err error
+	if s, err = Compile(c, Config{WordBits: 8, Trim: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ConfigureExec(shard.ActivityGated, 2); err != nil {
+		t.Fatal(err)
+	}
+	if ref, err = Compile(c, Config{WordBits: 8, Trim: true}); err != nil {
+		t.Fatal(err)
+	}
+	vec := vectors.Random(1, len(s.Circuit().Inputs), 21).Bits[0]
+	for _, x := range []*Sim{s, ref} {
+		if err := x.ResetConsistent(nil); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			if err := x.ApplyVector(vec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !s.gate.pending {
+		t.Fatal("the repeated vector left no flattening pending")
+	}
+	return s, ref
+}
+
+// sameWaveforms fails unless every net's waveform reads the same on got
+// and want.
+func sameWaveforms(t *testing.T, got, want *Sim, what string) {
+	t.Helper()
+	for n := 0; n < want.Circuit().NumNets(); n++ {
+		for tm := 0; tm <= want.Depth(); tm++ {
+			if g, w := got.ValueAt(circuit.NetID(n), tm), want.ValueAt(circuit.NetID(n), tm); g != w {
+				t.Fatalf("%s: net %d time %d reads %v, sequential %v", what, n, tm, g, w)
+			}
+		}
+	}
+}
+
+// TestFlattenPoints covers each point that must flatten the fields an
+// idle vector left pending before it reads or copies them: a waveform
+// read, Save (the state Restore brings back), Clone (a copy without
+// gating), and every replacement of the gater: Close, a second
+// ConfigureExec and dead-store elimination. It also covers the two
+// points that must drop the pending set instead, because flattening
+// afterwards would erase computed waveforms: a vector on the sequential
+// form, and Restore.
+func TestFlattenPoints(t *testing.T) {
+	fresh := func(s *Sim, seed int64) []bool { return vectors.Random(1, len(s.Circuit().Inputs), seed).Bits[0] }
+	apply := func(t *testing.T, v []bool, sims ...*Sim) {
+		t.Helper()
+		for _, x := range sims {
+			if err := x.ApplyVector(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		read func(t *testing.T, s, ref *Sim) *Sim // returns the simulator to compare with ref
+	}{
+		{"ValueAt", func(t *testing.T, s, ref *Sim) *Sim { return s }},
+		{"Save", func(t *testing.T, s, ref *Sim) *Sim {
+			s.Save()
+			apply(t, fresh(s, 22), s)
+			if err := s.Restore(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"Clone", func(t *testing.T, s, ref *Sim) *Sim { return s.Clone().(*Sim) }},
+		{"Close", func(t *testing.T, s, ref *Sim) *Sim {
+			s.Close()
+			return s
+		}},
+		{"ConfigureExec", func(t *testing.T, s, ref *Sim) *Sim {
+			if _, err := s.ConfigureExec(shard.ActivityGated, 1); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"EliminateDeadStores", func(t *testing.T, s, ref *Sim) *Sim {
+			if n, err := s.EliminateDeadStores(); err != nil || n == 0 {
+				t.Fatalf("dead-store elimination removed %d instructions (%v); it must replace the gater", n, err)
+			}
+			return s
+		}},
+		{"SequentialForm", func(t *testing.T, s, ref *Sim) *Sim {
+			apply(t, fresh(s, 24), s, ref)
+			if s.gate.exec != obs.GatedSequential {
+				t.Fatal("a fresh random vector ran on the caller")
+			}
+			return s
+		}},
+		{"Restore", func(t *testing.T, s, ref *Sim) *Sim {
+			v := fresh(s, 25)
+			apply(t, v, s, ref) // computed waveforms, nothing pending
+			s.Save()
+			apply(t, v, s) // idle: everything pending
+			if !s.gate.pending {
+				t.Fatal("the repeated vector left no flattening pending")
+			}
+			if err := s.Restore(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ref := deferredSims(t)
+			defer s.Close()
+			sameWaveforms(t, tc.read(t, s, ref), ref, tc.name)
+			// A vector applied afterwards settles like sequential execution
+			// (finals only: dead-store elimination leaves dead words stale).
+			apply(t, fresh(s, 23), s, ref)
+			for n := 0; n < ref.Circuit().NumNets(); n++ {
+				if s.Final(circuit.NetID(n)) != ref.Final(circuit.NetID(n)) {
+					t.Fatalf("%s, then a vector: net %d settles differently", tc.name, n)
+				}
+			}
+		})
 	}
 }

@@ -116,7 +116,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*Sim, error) {
 		base:    make([]int32, norm.NumNets()),
 		words:   make([]int32, norm.NumNets()),
 	}
-	p := engine.Parts{Label: "parallel", Circuit: norm, Analysis: a, PrevFinal: true}
+	p := engine.Parts{Label: "parallel", Circuit: norm, Analysis: a}
 	var err error
 	if cfg.Align == nil {
 		err = s.compileFlat(&p)
@@ -136,6 +136,11 @@ func Compile(c *circuit.Circuit, cfg Config) (*Sim, error) {
 	for i := range p.Finals {
 		idx := s.width[i] - 1
 		p.Finals[i] = engine.FinalBit{Slot: s.base[i] + int32(idx/cfg.WordBits), Shift: uint8(idx % cfg.WordBits)}
+		// ValueAt reads times before a positive alignment from the
+		// previous final; flat and trimmed fields start at time 0.
+		if s.alignOf[i] > 0 {
+			p.PrevFinalNets = append(p.PrevFinalNets, int32(i))
+		}
 	}
 	if err := s.Setup(s, p); err != nil {
 		return nil, err
@@ -214,26 +219,23 @@ func (s *Sim) ApplyVector(inputs []bool) error { return s.Apply(nil, inputs) }
 
 // Apply is the per-vector body behind ApplyVector and the core's stream
 // and guarded paths (engine.Technique); a nil ctx selects the unguarded
-// run. Under activity gating it re-reads the finals the previous vector
-// can have changed, decides which gate groups the vector can touch and
-// which executor runs it (reading PrevPI before WriteInputs overwrites
-// it), runs the init program minus the skipped nets and flattens the
-// fields of newly idle groups to their settled broadcasts before RunSim
-// runs the rest; a fault leaves the gating invalid, so the next vector
-// runs everything.
+// run. It keeps the previous finals ValueAt needs (CaptureFinals) and
+// runs the init program, WriteInputs and RunSim. Under activity gating
+// the init phase first decides which gate groups the vector can touch
+// and which executor runs it (reading PrevPI before WriteInputs
+// overwrites it); see gatedInit. A fault leaves the gating invalid, so
+// the next vector runs everything.
 func (s *Sim) Apply(ctx context.Context, inputs []bool) error {
 	if len(inputs) != len(s.Circuit().Inputs) {
 		return fmt.Errorf("parsim: %d input values for %d primary inputs", len(inputs), len(s.Circuit().Inputs))
 	}
+	s.CaptureFinals()
 	if s.gate != nil {
 		s.gatedInit(inputs)
-		s.WriteInputs(inputs)
-		s.flattenInactive()
 	} else {
-		s.CaptureFinals()
 		s.RunInit(1)
-		s.WriteInputs(inputs)
 	}
+	s.WriteInputs(inputs)
 	if err := s.RunSim(ctx); err != nil {
 		s.gate.invalidate()
 		return err
@@ -280,8 +282,12 @@ func (s *Sim) observeActivity() {
 // ValueAt returns the value of a net at time t (0..Depth) for the last
 // applied vector. Times before the field's alignment resolve to the
 // previous vector's final value; times beyond the net's level hold the
-// final value.
+// final value. Under activity gating it first has any deferred
+// flattening done.
 func (s *Sim) ValueAt(n circuit.NetID, t int) bool {
+	if g := s.gate; g != nil && g.pending {
+		s.Flatten()
+	}
 	idx := t - s.alignOf[n]
 	if idx < 0 {
 		return s.PrevFinal[n]

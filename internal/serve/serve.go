@@ -99,7 +99,11 @@ type Server struct {
 	reg    *registry
 	sem    chan struct{}
 
+	// draining is set once by Drain under drainMu's write lock; admission
+	// checks it and joins wg under the read lock, so no batch joins the
+	// group after Drain has started waiting on it.
 	draining atomic.Bool
+	drainMu  sync.RWMutex
 	wg       sync.WaitGroup
 	mux      *http.ServeMux
 }
@@ -144,7 +148,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // lost — they complete and their responses are written before Drain
 // returns.
 func (s *Server) Drain(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -345,17 +351,21 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a batch")
 		return
 	}
-	// Count the batch in the in-flight group before the draining check:
-	// Drain sets the flag before waiting on the group, so a batch that
-	// passes the check here is by construction waited for.
-	s.wg.Add(1)
-	defer s.wg.Done()
+	// Check the flag and join the in-flight group under one read lock:
+	// Drain sets the flag under the write lock before waiting on the
+	// group, so a batch that passes the check here is waited for, and no
+	// batch joins the group once Drain may be waiting on it.
+	s.drainMu.RLock()
 	if s.draining.Load() {
+		s.drainMu.RUnlock()
 		s.m.rejectedDraining.Add(1)
 		retryAfter(w, 5*time.Second)
 		writeError(w, http.StatusServiceUnavailable, "serve: draining")
 		return
 	}
+	s.wg.Add(1)
+	s.drainMu.RUnlock()
+	defer s.wg.Done()
 
 	var br BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))

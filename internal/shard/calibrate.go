@@ -10,7 +10,7 @@ import (
 // Barrier calibration: the cost model prices a barrier crossing in op
 // units (barrierCostOps), and BENCH_r2/r3 showed the static default is
 // wildly optimistic on loaded or single-core machines — which made
-// Recommend pick sharded execution exactly where it loses.
+// EstimatedSpeedup favour sharded execution exactly where it loses.
 // CalibrateBarrier replaces the guess with a measurement: it times real
 // crossings of the engine's own barrier at the requested worker count,
 // times a reference instruction workload to convert nanoseconds into op

@@ -43,8 +43,8 @@ const (
 	// shallow or narrow programs where per-level barriers would dominate.
 	// Blocks are independent streams, like the PC-set method's 64 lanes.
 	VectorBatch
-	// Auto picks Sharded or VectorBatch from the shard plan's
-	// critical-path/width ratio (see Plan.Recommend).
+	// Auto picks VectorBatch on more than one worker and Sequential on
+	// one (see Recommend).
 	Auto
 	// ActivityGated is the Sharded plan plus per-vector activity
 	// gating: the caller diffs each vector's primary inputs against the
@@ -146,10 +146,6 @@ func (s Stats) Width() float64 {
 // on a loaded or single-core machine costs far more (see
 // CalibrateBarrier).
 const barrierCostOps = 150
-
-// minShardedSpeedup is the estimated speedup below which level-sharding
-// is not worth its barriers and vector batching is recommended instead.
-const minShardedSpeedup = 1.3
 
 // Plan is a static level-sharded schedule for one program: per level, one
 // instruction slice per shard, with scratch operands remapped into
@@ -411,7 +407,7 @@ func (p *Plan) StateSize() int { return p.numVars + p.workers*int(p.stride) }
 
 // SetBarrierCost installs a measured per-crossing barrier cost in op
 // units (see CalibrateBarrier); <= 0 restores the static default. It
-// feeds EstimatedSpeedup and Recommend.
+// feeds EstimatedSpeedup.
 func (p *Plan) SetBarrierCost(ops int64) {
 	if ops < 0 {
 		ops = 0
@@ -472,15 +468,15 @@ func (p *Plan) EstimatedSpeedup() float64 {
 	return float64(p.stats.TotalCost) / par
 }
 
-// Recommend resolves the Auto strategy: Sharded when the plan is wide
-// enough that its estimated speedup clears the barrier overhead, and
-// VectorBatch for shallow or narrow programs where barriers dominate.
-func (p *Plan) Recommend() Strategy {
-	if p.workers <= 1 {
+// Recommend resolves the Auto strategy for a worker count: VectorBatch
+// on more than one worker, Sequential on one. It never picks Sharded:
+// measured at 2 workers on the ISCAS-85 profiles, sharded execution ran
+// slower than sequential in every cell, even where EstimatedSpeedup
+// cleared 1.3 (4-9x slower on the PC-set compiles of c5315, c6288 and
+// c7552).
+func Recommend(workers int) Strategy {
+	if workers <= 1 {
 		return Sequential
-	}
-	if p.EstimatedSpeedup() >= minShardedSpeedup {
-		return Sharded
 	}
 	return VectorBatch
 }

@@ -303,6 +303,27 @@ func TestAutoStrategyResolves(t *testing.T) {
 	}
 }
 
+// TestAutoNeverShards pins ExecAuto's choice at 2 workers on the PC-set
+// compiles of c5315, c6288 and c7552: the shard plans' speedup
+// estimates clear 1.3 there although sharded execution runs several
+// times slower than sequential, so Auto must pick vector batching.
+func TestAutoNeverShards(t *testing.T) {
+	for _, name := range []string{"c5315", "c6288", "c7552"} {
+		c, err := ISCAS85(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(c, TechPCSet, WithExec(ExecAuto, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.(Streamer).ExecStrategy(); got != ExecVectorBatch {
+			t.Errorf("pcset/%s: auto at 2 workers resolved to %v, want %v", name, got, ExecVectorBatch)
+		}
+		e.(Closer).Close()
+	}
+}
+
 // TestPlansReproducible pins that a shard plan is a pure function of
 // (program, workers): on every profile, two independent Opens, sharded
 // and activity-gated at 2 workers, build plans with identical cells,

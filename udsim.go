@@ -295,9 +295,9 @@ const (
 	// ExecVectorBatch runs contiguous blocks of an ApplyStream vector
 	// stream concurrently as independent substreams on cloned state.
 	ExecVectorBatch = shard.VectorBatch
-	// ExecAuto picks ExecSharded or ExecVectorBatch from the shard plan's
-	// critical-path/width ratio, using this machine's measured barrier
-	// cost.
+	// ExecAuto picks ExecVectorBatch on more than one worker and
+	// ExecSequential on one; it never picks ExecSharded, which measured
+	// slower than sequential on every ISCAS-85 profile.
 	ExecAuto = shard.Auto
 	// ExecActivityGated runs the level-sharded plan with per-vector
 	// activity gating (parallel technique, flat/trimmed layouts only):
@@ -581,7 +581,11 @@ func openCompiled(c *Circuit, tech Technique, o options) (compiledEngine, error)
 	}{
 		{o.deadStore, func() error { _, err := core.EliminateDeadStores(); return err }},
 		{o.cgValidate, func() error {
-			rep, err := codegenReport(p)
+			// The final programs already passed the static verifier in this
+			// Open: at compile time (WithCodegenValidation implies
+			// WithVerify) and again in dead-store elimination whenever it
+			// stripped anything. Only the emission is left to prove.
+			rep, err := codegenReport(p, nil)
 			if err != nil {
 				return err
 			}
@@ -1077,15 +1081,17 @@ func ValidateCodegen(e Engine) (*VerifyReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("udsim: engine %s has no generated source to validate", e.EngineName())
 	}
-	return codegenReport(ce.unwrap())
+	p := ce.unwrap()
+	return codegenReport(p, p.sim.Spec())
 }
 
 // codegenReport validates the emission of an engine's current programs
-// (after any dead-store elimination) against its spec.
-func codegenReport(p *compiled) (*VerifyReport, error) {
+// (after any dead-store elimination), after verifying them against spec
+// unless spec is nil.
+func codegenReport(p *compiled, spec *verify.Spec) (*VerifyReport, error) {
 	init, sim := p.core.Programs()
 	res, err := validate.CheckUnits("gensim",
-		[]ir.Source{{Name: "initvec", Prog: init}, {Name: "simvec", Prog: sim}}, p.sim.Spec())
+		[]ir.Source{{Name: "initvec", Prog: init}, {Name: "simvec", Prog: sim}}, spec)
 	if err != nil {
 		return nil, fmt.Errorf("udsim: codegen validation: %w", err)
 	}
