@@ -184,20 +184,22 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkObservedStream times the streaming loop with and without a
 // runtime observer attached — the observability layer's overhead budget.
-// Run with -benchmem: both variants must report 0 allocs/op, and the
-// observed ns/op should sit within a few percent of the bare ns/op.
+// The engine is activity-gated on a 1%-toggle stream, so the observer's
+// hooks in the level loop and in the gating decision run. Run with
+// -benchmem: both variants must report 0 allocs/op, and the observed
+// ns/op should sit within a few percent of the bare ns/op.
 func BenchmarkObservedStream(b *testing.B) {
 	for _, observed := range []bool{false, true} {
 		name := "bare"
 		if observed {
 			name = "observed"
 		}
-		b.Run(fmt.Sprintf("c1908/sharded/%s", name), func(b *testing.B) {
+		b.Run(fmt.Sprintf("c1908/gated/%s", name), func(b *testing.B) {
 			c, err := ISCAS85("c1908")
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := []Option{WithExec(ExecSharded, 0)}
+			opts := []Option{WithExec(ExecActivityGated, 1)}
 			if observed {
 				opts = append(opts, WithObserver(NewObserver(ObserverConfig{})))
 			}
@@ -210,14 +212,14 @@ func BenchmarkObservedStream(b *testing.B) {
 				b.Fatal(err)
 			}
 			se := e.(Streamer)
-			vecs := vectors.Random(benchVecPool, len(e.Circuit().Inputs), 1990)
-			if err := se.ApplyStream(vecs.Bits); err != nil { // warm-up
+			vecs := toggleStream(benchVecPool, len(e.Circuit().Inputs), 0.01, 1990)
+			if err := se.ApplyStream(vecs); err != nil { // warm-up
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := se.ApplyStream(vecs.Bits); err != nil {
+				if err := se.ApplyStream(vecs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -225,7 +227,7 @@ func BenchmarkObservedStream(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExec times the multicore execution strategies on the
+// BenchmarkParallelExec times the stream execution strategies on the
 // vector-stream path. One op is a whole 256-vector stream: uniformly
 // random vectors, except for the activity-gated case, which runs a
 // stream whose inputs each toggle with probability 1% between vectors
@@ -238,7 +240,6 @@ func BenchmarkParallelExec(b *testing.B) {
 		strategy ExecStrategy
 	}{
 		{"seq", ExecSequential},
-		{"sharded", ExecSharded},
 		{"batch", ExecVectorBatch},
 		{"gated", ExecActivityGated},
 	}

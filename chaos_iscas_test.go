@@ -15,9 +15,14 @@ import (
 	"udsim/internal/vectors"
 )
 
-// The chaos suite: every injection kind — worker panic, silent state
-// corruption, barrier stall, mid-stream cancellation — on every ISCAS-85
-// profile circuit, against the guarded engine. The invariants:
+// The chaos suite: every injection kind — panic, silent state
+// corruption, level stall, mid-stream cancellation — on every ISCAS-85
+// profile circuit, against the guarded engine. The parallel engine runs
+// activity-gated, and the drilled vector (run 3) repeats the one before
+// it, so the gated engine runs it on its level loop, the only path with
+// per-level injection points and a level budget. The PC-set engine has
+// no gating; it runs sequentially, with one injection point before each
+// run. The invariants:
 //
 //   - every injection yields a typed *EngineFault (internally for the
 //     recovered kinds, at the caller for cancellation) — never a crash,
@@ -34,19 +39,28 @@ func chaosCircuits() []string {
 	return ISCAS85Names()
 }
 
-// chaosPolicy is the guard configuration the scenarios run under:
-// fast watchdog, sequential retries, per-vector output cross-checks. The
-// level budget is ×raceSlowdown under the race detector, where 25 ms let
-// a 4-worker sharded run on a loaded 2-vCPU machine stall spuriously and
-// quarantine the plan before the planted fault was reached.
+// chaosPolicy is the guard configuration the scenarios run under: a
+// tight level budget, sequential retries, per-vector output
+// cross-checks. The level budget is ×raceSlowdown under the race
+// detector, where a descheduled level on a loaded 2-vCPU machine can
+// overrun 25 ms and quarantine the plan before the planted fault is
+// reached.
 func chaosPolicy() GuardPolicy {
 	return GuardPolicy{
 		LevelBudget:     raceSlowdown * 25 * time.Millisecond,
 		MaxRetries:      2,
 		RetryBackoff:    time.Millisecond,
 		CrossCheckEvery: 1,
-		QuarantineGrace: 5 * time.Second,
 	}
+}
+
+// chaosStream draws the six-vector stream a scenario drills: random,
+// except that vector 3 repeats vector 2, so a gated engine runs the
+// drilled vector on its level loop.
+func chaosStream(c *Circuit, seed int64) [][]bool {
+	vecs := vectors.Random(6, len(c.Inputs), seed).Bits
+	vecs[2] = append([]bool(nil), vecs[1]...)
+	return vecs
 }
 
 // referenceFinals replays vecs on a plain sequential engine of the same
@@ -71,15 +85,16 @@ func referenceFinals(t *testing.T, c *Circuit, tech Technique, vecs [][]bool) []
 	return finals
 }
 
-// openGuarded builds a guarded sharded engine with an observer attached.
+// openGuarded builds a guarded engine with an observer attached: the
+// parallel technique activity-gated, the PC-set method sequential.
 func openGuarded(t *testing.T, c *Circuit, tech Technique, inj FaultInjector, pol GuardPolicy) (*GuardedSim, *Observer) {
 	t.Helper()
 	ob := NewObserver(ObserverConfig{})
-	eng, err := Open(c, tech,
-		WithGuard(pol),
-		WithFaultInjection(inj),
-		WithExec(ExecSharded, 4),
-		WithObserver(ob))
+	opts := []Option{WithGuard(pol), WithFaultInjection(inj), WithObserver(ob)}
+	if tech == TechParallel {
+		opts = append(opts, WithExec(ExecActivityGated, 1))
+	}
+	eng, err := Open(c, tech, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +147,8 @@ func TestChaosPanicISCAS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vecs := vectors.Random(6, len(c.Inputs), 101).Bits
-			inj := chaos.PanicAt(3, 0, 1)
+			vecs := chaosStream(c, 101)
+			inj := chaos.PanicAt(3, 0, 0)
 			g, ob := openGuarded(t, c, TechParallel, inj, chaosPolicy())
 			defer g.Close()
 
@@ -144,7 +159,7 @@ func TestChaosPanicISCAS(t *testing.T) {
 				t.Fatal("panic injector never fired")
 			}
 			if !g.Degraded() {
-				t.Fatal("panic did not quarantine the shard plan")
+				t.Fatal("panic did not quarantine the gated strategy")
 			}
 			f := g.LastFault()
 			if f == nil || f.Kind != FaultPanic {
@@ -173,13 +188,12 @@ func TestChaosCorruptionISCAS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vecs := vectors.Random(6, len(c.Inputs), 202).Bits
+			vecs := chaosStream(c, 202)
 			// Build once without injection to locate the target bit and the
-			// last schedule level, then rebuild with the armed injector.
+			// last level, then rebuild with the armed injector.
 			probe, _ := openGuarded(t, c, TechParallel, nil, chaosPolicy())
 			out := shallowOutput(t, probe.Circuit())
-			slot, mask := probe.compiledEngine.(*ParallelSim).s.FinalSlot(out)
-			last := probe.compiledEngine.(*ParallelSim).s.ExecPlan().Assignment().Levels - 1
+			slot, mask, last := probe.FaultTarget(out)
 			probe.Close()
 
 			inj := chaos.CorruptBits(3, last, 0, slot, mask)
@@ -219,9 +233,9 @@ func TestChaosStallISCAS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vecs := vectors.Random(6, len(c.Inputs), 303).Bits
+			vecs := chaosStream(c, 303)
 			// Six times chaosPolicy's level budget, at either race setting.
-			inj := chaos.Delay(3, 0, 1, raceSlowdown*150*time.Millisecond)
+			inj := chaos.Delay(3, 0, 0, raceSlowdown*150*time.Millisecond)
 			g, ob := openGuarded(t, c, TechParallel, inj, chaosPolicy())
 			defer g.Close()
 
@@ -230,14 +244,14 @@ func TestChaosStallISCAS(t *testing.T) {
 				t.Fatalf("guarded stream did not absorb the stall: %v", err)
 			}
 			if d := time.Since(t0); d > 10*time.Second {
-				t.Fatalf("stream took %v; the watchdog did not bound the stall", d)
+				t.Fatalf("stream took %v; the level budget did not bound the stall", d)
 			}
 			if !g.Degraded() {
-				t.Fatal("stall did not quarantine the shard plan")
+				t.Fatal("stall did not quarantine the gated strategy")
 			}
 			f := g.LastFault()
 			if f == nil || f.Kind != FaultDeadline || !errors.Is(f, resilience.ErrBarrierStall) {
-				t.Fatalf("LastFault = %v, want a barrier-stall deadline fault", f)
+				t.Fatalf("LastFault = %v, want a level-stall deadline fault", f)
 			}
 			checkFinals(t, g, referenceFinals(t, c, TechParallel, vecs))
 
@@ -255,7 +269,7 @@ func TestChaosCancelISCAS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vecs := vectors.Random(6, len(c.Inputs), 404).Bits
+			vecs := chaosStream(c, 404)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			inj := chaos.CancelAfter(cancel, 3)
@@ -283,7 +297,11 @@ func TestChaosCancelISCAS(t *testing.T) {
 
 // TestChaosPCSet runs the panic and corruption scenarios against the
 // guarded PC-set engine — the second compiled technique behind the same
-// facade.
+// facade, run sequentially. Its one injection point is before each run,
+// after the inputs are written, so the corruption leg flips a primary
+// input's word there: the drilled vector and the input are chosen so
+// that the flip changes a primary output, so the corrupted run's outputs
+// are wrong and the cross-check must catch them.
 func TestChaosPCSet(t *testing.T) {
 	for _, name := range chaosCircuits() {
 		t.Run(name, func(t *testing.T) {
@@ -294,7 +312,7 @@ func TestChaosPCSet(t *testing.T) {
 			vecs := vectors.Random(6, len(c.Inputs), 505).Bits
 
 			t.Run("panic", func(t *testing.T) {
-				inj := chaos.PanicAt(3, 0, 1)
+				inj := chaos.PanicAt(3, 0, 0)
 				g, _ := openGuarded(t, c, TechPCSet, inj, chaosPolicy())
 				defer g.Close()
 				if err := g.ApplyStream(vecs); err != nil {
@@ -308,12 +326,14 @@ func TestChaosPCSet(t *testing.T) {
 
 			t.Run("corrupt", func(t *testing.T) {
 				probe, _ := openGuarded(t, c, TechPCSet, nil, chaosPolicy())
-				out := shallowOutput(t, probe.Circuit())
-				slot, mask := probe.compiledEngine.(*PCSetSim).s.FinalSlot(out)
-				last := probe.compiledEngine.(*PCSetSim).s.ExecPlan().Assignment().Levels - 1
+				vecs := append([][]bool(nil), vecs...)
+				var pi int
+				vecs[2], pi = sensitizedInput(t, c)
+				s := probe.compiledEngine.(*PCSetSim).s
+				slot, mask := int(s.Inputs()[pi].Base), s.Mask()
 				probe.Close()
 
-				inj := chaos.CorruptBits(3, last, 0, slot, mask)
+				inj := chaos.CorruptBits(3, 0, 0, slot, mask)
 				g, _ := openGuarded(t, c, TechPCSet, inj, chaosPolicy())
 				defer g.Close()
 				if err := g.ApplyStream(vecs); err != nil {
@@ -328,6 +348,42 @@ func TestChaosPCSet(t *testing.T) {
 	}
 }
 
+// sensitizedInput returns a vector and a primary input whose flip
+// changes some primary output's settled value under that vector: the
+// first such pair among a fixed set of random vectors. (The synthesized
+// profiles mask most single-input flips: c3540's first sensitized
+// vector of this set is its 47th.)
+func sensitizedInput(t *testing.T, c *Circuit) ([]bool, int) {
+	t.Helper()
+	z, err := NewZeroDelayInterpreted(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := func(vec []bool) string {
+		if err := z.ApplyVector(vec); err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, len(c.Outputs))
+		for i, o := range c.Outputs {
+			b[i] = byte(z.Value(o))
+		}
+		return string(b)
+	}
+	for _, vec := range vectors.Random(200, len(c.Inputs), 909).Bits {
+		want := outputs(vec)
+		for i := range vec {
+			vec[i] = !vec[i]
+			got := outputs(vec)
+			vec[i] = !vec[i]
+			if got != want {
+				return vec, i
+			}
+		}
+	}
+	t.Fatal("no single input flip reaches a primary output")
+	return nil, -1
+}
+
 // TestChaosExport checks the guard counters reach the Prometheus text
 // export: the udsim_guard_* families are present, carry the fault, and
 // the export still validates.
@@ -337,7 +393,7 @@ func TestChaosExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	vecs := vectors.Random(6, len(c.Inputs), 606).Bits
-	g, ob := openGuarded(t, c, TechParallel, chaos.PanicAt(2, 0, 1), chaosPolicy())
+	g, ob := openGuarded(t, c, TechParallel, chaos.PanicAt(2, 0, 0), chaosPolicy())
 	defer g.Close()
 	if err := g.ApplyStream(vecs); err != nil {
 		t.Fatal(err)
@@ -392,16 +448,16 @@ func TestGuardOptionValidation(t *testing.T) {
 }
 
 // BenchmarkGuardedStream measures the guard's unfaulted steady-state
-// overhead against the bare engine. The guarded loop must stay at
-// 0 allocs/op: checkpoints reuse their buffers and the watchdog arms
-// without allocating.
+// overhead against the bare engine. The gated cases run a 1%-toggle
+// stream, so the guarded level loop's per-level checks run. The guarded
+// loop must stay at 0 allocs/op: checkpoints reuse their buffers.
 func BenchmarkGuardedStream(b *testing.B) {
 	c, err := ISCAS85("c1908")
 	if err != nil {
 		b.Fatal(err)
 	}
-	vecs := vectors.Random(64, len(c.Inputs), 1990).Bits
-	pol := GuardPolicy{LevelBudget: time.Second, QuarantineGrace: time.Second}
+	vecs := toggleStream(64, len(c.Inputs), 0.01, 1990)
+	pol := GuardPolicy{LevelBudget: time.Second}
 
 	run := func(b *testing.B, eng Engine) {
 		b.Helper()
@@ -423,7 +479,7 @@ func BenchmarkGuardedStream(b *testing.B) {
 	}
 
 	b.Run("unguarded", func(b *testing.B) {
-		eng, err := Open(c, TechParallel, WithExec(ExecSharded, 4))
+		eng, err := Open(c, TechParallel, WithExec(ExecActivityGated, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -431,7 +487,7 @@ func BenchmarkGuardedStream(b *testing.B) {
 		run(b, eng)
 	})
 	b.Run("guarded", func(b *testing.B) {
-		eng, err := Open(c, TechParallel, WithGuard(pol), WithExec(ExecSharded, 4))
+		eng, err := Open(c, TechParallel, WithGuard(pol), WithExec(ExecActivityGated, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

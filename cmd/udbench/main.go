@@ -9,7 +9,7 @@
 //	udbench -vectors 500         # faster run
 //	udbench -circuits c432,c6288 # selected circuits
 //	udbench -json BENCH_r2.json -rev r2   # machine-readable perf matrix
-//	udbench -profile -circuits c880 -workers 4   # per-level heat profile
+//	udbench -profile -circuits c880   # per-level heat profile
 package main
 
 import (
@@ -35,8 +35,8 @@ func main() {
 		repeats  = flag.Int("repeats", 3, "timing repetitions; fastest run reported")
 		jsonOut  = flag.String("json", "", "write the circuit x technique x strategy x workers bench matrix to FILE as JSON; combine with -exp gating for the toggle-rate gating matrix")
 		rev      = flag.String("rev", "dev", "revision label recorded in the -json bench file")
-		workers  = cliflags.WorkersList(flag.CommandLine, "the -json matrix sweeps all values; -profile uses the first")
-		profile  = flag.Bool("profile", false, "print each circuit's per-level heat and worker-utilization profile from an observed sharded run (skips -exp)")
+		workers  = cliflags.WorkersList(flag.CommandLine, "the -json matrix sweeps all values")
+		profile  = flag.Bool("profile", false, "print each circuit's per-level heat profile from an observed activity-gated run of a 1%-toggle stream (skips -exp)")
 	)
 	flag.Parse()
 
@@ -54,12 +54,8 @@ func main() {
 		if len(names) == 0 {
 			names = udsim.ISCAS85Names()
 		}
-		w := 0
-		if len(workersList) > 0 {
-			w = workersList[0]
-		}
 		for _, name := range names {
-			r, err := harness.ObsProfile(opt, strings.TrimSpace(name), w)
+			r, err := harness.ObsProfile(opt, strings.TrimSpace(name))
 			if err != nil {
 				fail(err)
 			}
@@ -85,7 +81,7 @@ func main() {
 			err  error
 		)
 		if *exps == "gating" {
-			file, err = harness.GatingMatrix(opt, *rev, workersList)
+			file, err = harness.GatingMatrix(opt, *rev)
 		} else if *exps == "serve" {
 			file, err = harness.ServeMatrix(opt, *rev, workersList)
 		} else {

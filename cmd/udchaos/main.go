@@ -7,6 +7,13 @@
 // printed as the same Prometheus-style export a production scraper
 // would read.
 //
+// The parallel engine is drilled under activity gating, and the drilled
+// vector repeats the one before it, so the gated engine runs it on its
+// level loop: the only path with per-level injection points and a level
+// budget. The PC-set engine has no gating and runs sequentially, with
+// one injection point before each run, so its drills are panic and
+// cancel only.
+//
 // Usage:
 //
 //	udchaos -gen c880 -fault panic
@@ -39,7 +46,6 @@ import (
 	"time"
 
 	"udsim"
-	"udsim/internal/cliflags"
 	"udsim/internal/native"
 	"udsim/internal/resilience/chaos"
 	"udsim/internal/vectors"
@@ -52,14 +58,12 @@ func main() {
 		engine    = flag.String("engine", "parallel", "compiled engine under drill: parallel or pcset")
 		nvec      = flag.Int("vectors", 64, "vectors in the drilled stream")
 		seed      = flag.Int64("seed", 1990, "random vector seed")
-		workers   = cliflags.Workers(flag.CommandLine, 4, "the drill shards across this many workers")
-		fault     = flag.String("fault", "panic", "injection: panic, corrupt, delay, cancel")
-		run       = flag.Int("run", 3, "1-based vector run the injection arms on")
-		shard     = flag.Int("shard", 0, "shard coordinate the injection fires at")
+		fault     = flag.String("fault", "panic", "injection: panic, corrupt, delay, cancel (pcset: panic, cancel)")
+		run       = flag.Int("run", 3, "1-based vector run the injection arms on (corrupt and delay: at least 2)")
 		level     = flag.Int("level", -1, "level coordinate (-1 = auto: 0, or the last level for corrupt)")
 		netName   = flag.String("net", "", "output net a corrupt drill flips (default: first primary output)")
 		sleep     = flag.Duration("sleep", 150*time.Millisecond, "stall duration for -fault delay")
-		budget    = flag.Duration("budget", 25*time.Millisecond, "watchdog per-level stall budget")
+		budget    = flag.Duration("budget", 25*time.Millisecond, "per-level stall budget")
 		retries   = flag.Int("retries", 2, "sequential-replay retries for transient faults")
 		nativeDr  = flag.Bool("native", false, "drill the supervised native-code backend instead (faults: kill, crash, wedge, truncate, corrupt, flood)")
 	)
@@ -85,6 +89,13 @@ func main() {
 	if *run < 1 || *run > *nvec {
 		usageFail(fmt.Errorf("-run %d outside the %d-vector stream", *run, *nvec))
 	}
+	leveled := strings.ToLower(*fault) == "corrupt" || strings.ToLower(*fault) == "delay"
+	if !*nativeDr && leveled && tech == udsim.TechPCSet {
+		usageFail(fmt.Errorf("-fault %s needs a level loop; the pcset engine runs sequentially (use panic or cancel)", *fault))
+	}
+	if !*nativeDr && leveled && *run < 2 {
+		usageFail(fmt.Errorf("-fault %s needs -run of at least 2: the first vector after a reset runs no level loop", *fault))
+	}
 
 	if *nativeDr {
 		nativeDrill(c, tech, *fault, *nvec, *seed, *budget, *retries)
@@ -97,9 +108,9 @@ func main() {
 	pol.CrossCheckEvery = 1 // a drill wants corruption caught on the spot
 
 	open := func(inj udsim.FaultInjector, ob *udsim.Observer) *udsim.GuardedSim {
-		opts := []udsim.Option{
-			udsim.WithGuard(pol),
-			udsim.WithExec(udsim.ExecSharded, *workers),
+		opts := []udsim.Option{udsim.WithGuard(pol)}
+		if tech == udsim.TechParallel {
+			opts = append(opts, udsim.WithExec(udsim.ExecActivityGated, 1))
 		}
 		if inj != nil {
 			opts = append(opts, udsim.WithFaultInjection(inj))
@@ -132,12 +143,12 @@ func main() {
 		if lvl < 0 {
 			lvl = 0
 		}
-		inj = chaos.PanicAt(*run, lvl, *shard)
+		inj = chaos.PanicAt(*run, lvl, 0)
 	case "delay":
 		if lvl < 0 {
 			lvl = 0
 		}
-		inj = chaos.Delay(*run, lvl, *shard, *sleep)
+		inj = chaos.Delay(*run, lvl, 0, *sleep)
 	case "corrupt":
 		probe := open(nil, nil)
 		target := probe.Circuit().Outputs[0]
@@ -155,7 +166,7 @@ func main() {
 		}
 		fmt.Printf("corrupt target: net %s → state word %d mask %#x, injected at level %d\n",
 			probe.Circuit().Net(target).Name, slot, mask, lvl)
-		inj = chaos.CorruptBits(*run, lvl, *shard, slot, mask)
+		inj = chaos.CorruptBits(*run, lvl, 0, slot, mask)
 	case "cancel":
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
@@ -165,12 +176,17 @@ func main() {
 	}
 
 	vecs := vectors.Random(*nvec, len(c.Inputs), *seed).Bits
+	if tech == udsim.TechParallel && *run >= 2 {
+		// A repeated vector changes no input, so the gated engine runs it
+		// on its level loop.
+		vecs[*run-1] = append([]bool(nil), vecs[*run-2]...)
+	}
 	ob := udsim.NewObserver(udsim.ObserverConfig{})
 	g := open(inj, ob)
 	defer g.Close()
 
-	fmt.Printf("# drill: %s on %s/%s, %d vectors, %d workers, run %d level %d shard %d\n",
-		*fault, c.Name, g.EngineName(), *nvec, *workers, *run, lvl, *shard)
+	fmt.Printf("# drill: %s on %s/%s, %d vectors, run %d level %d shard 0\n",
+		*fault, c.Name, g.EngineName(), *nvec, *run, lvl)
 	streamErr := g.ApplyStreamCtx(ctx, vecs)
 
 	ok := true

@@ -10,7 +10,7 @@
 //	udlint -gen c432
 //	udlint -bench mycircuit.bench -wordbits 8 -dead
 //	udlint -gen c6288 -technique parallel-pt-trim
-//	udlint -gen c880 -workers 4    # verify the shard plan (rule V012)
+//	udlint -gen c880 -workers 1    # verify the gated plan's leveling (rule V012)
 //	udlint -gen c499 -resub        # optimize first: V013/V014 certificate replay
 //	udlint -gen c432 -codegen      # translation-validate the emitted source (V016)
 //	udlint -gen c432 -format=json  # stable machine-readable report
@@ -42,7 +42,7 @@ func main() {
 		wordBits  = flag.Int("wordbits", 32, "parallel-technique word width")
 		technique = flag.String("technique", "", "comma-separated technique subset (default: all verifiable)")
 		dead      = flag.Bool("dead", false, "also report dead instructions as info findings")
-		workers   = cliflags.Workers(flag.CommandLine, 0, "builds a sharded plan to verify via rule V012; 0 lints sequential programs only")
+		workers   = cliflags.Workers(flag.CommandLine, 0, "any value > 0 attaches the activity-gated plan to the gateable techniques (parallel, parallel-trim) so rule V012 checks its leveling; 0 lints the programs only")
 		resub     = flag.Bool("resub", false, "run the simulation-guided resubstitution pass first: replay its certificate (rules V013, V014) and lint the optimized netlist")
 		codegen   = flag.Bool("codegen", false, "translation-validate each technique's generated source: lift the Go emission back to an instruction stream and prove it equal to the compiled programs (rule V016)")
 		format    = flag.String("format", "text", "output format: text, json or sarif")
@@ -163,8 +163,9 @@ type taggedFinding struct {
 }
 
 // lintOne compiles the circuit with one technique at the requested word
-// width and runs the analyzer. With workers > 0 the engine is built with
-// a sharded execution plan so the analyzer also checks rule V012. With
+// width and runs the analyzer. With workers > 0 a gateable technique
+// (the flat and trimmed parallel layouts) is built activity-gated, so
+// the analyzer also checks its leveled plan under rule V012. With
 // codegen set, the technique's generated source is translation-validated
 // and any V016 finding is merged into the report.
 func lintOne(c *udsim.Circuit, tech string, wordBits, workers int, codegen bool, opts udsim.VerifyOptions) (*udsim.VerifyReport, error) {
@@ -173,8 +174,8 @@ func lintOne(c *udsim.Circuit, tech string, wordBits, workers int, codegen bool,
 		err error
 		po  []udsim.Option
 	)
-	if workers > 0 {
-		po = append(po, udsim.WithExec(udsim.ExecSharded, workers))
+	if workers > 0 && (tech == "parallel" || tech == "parallel-trim") {
+		po = append(po, udsim.WithExec(udsim.ExecActivityGated, workers))
 	}
 	if tech == "pcset" {
 		e, err = udsim.Open(c, udsim.TechPCSet, po...)

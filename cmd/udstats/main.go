@@ -28,7 +28,6 @@ import (
 	"udsim/internal/pcset"
 	"udsim/internal/program"
 	"udsim/internal/scoap"
-	"udsim/internal/shard"
 	"udsim/internal/stats"
 	"udsim/internal/texttable"
 	"udsim/internal/verify"
@@ -98,33 +97,13 @@ func main() {
 	ta.Add("cycle-breaking", cb.RetainedShifts(), cb.MaxWidthBits(), cb.TotalWords(*wordBits))
 	fmt.Println(ta)
 
-	// Shard plan overview: levels, the speedup model's estimate and
-	// Auto's choice at a few worker counts. The activity-gated strategy
-	// additionally skips idle levels per vector, which is a dynamic
-	// property reported by `udbench -exp gating`, not here.
-	tp := texttable.New("shard plan", "workers", "levels", "est speedup", "recommend")
-	for _, w := range []int{2, 4} {
-		ps2, err := parsim.Compile(norm, parsim.Config{WordBits: *wordBits})
-		if err != nil {
-			fail(err)
-		}
-		if _, err := ps2.ConfigureExec(udsim.ExecSharded, w); err != nil {
-			fail(err)
-		}
-		plan := ps2.ExecPlan()
-		tp.Add(w, plan.Stats().Levels, fmt.Sprintf("%.2fx", plan.EstimatedSpeedup()), shard.Recommend(w))
-		ps2.Close()
-	}
-	fmt.Println(tp)
-
 	// Execution-backend census: every way a compiled program can be
 	// driven, from the in-process dispatch loop to the supervised native
 	// child. Static properties only — throughput is udbench's business.
 	tb := texttable.New("execution backends", "backend", "-exec", "dispatch", "isolation", "fallback")
 	tb.Add("threaded", "sequential", "in-process dispatch loop", "same address space", "-")
-	tb.Add("sharded", "sharded", "level-barriered worker shards", "same address space", "guard: sequential replay")
-	tb.Add("activity-gated", "activity-gated", "per vector: sequential form, or active ranges on the caller", "same address space", "guard: sequential replay")
-	tb.Add("vector-batch", "vector-batch", "whole-vector worker batches", "same address space", "guard: sequential replay")
+	tb.Add("activity-gated", "activity-gated", "per vector: sequential form, or active ranges level by level", "same address space", "guard: sequential replay")
+	tb.Add("vector-batch", "vector-batch", "stream blocks on worker clones, each seeded by the vector before it", "same address space", "guard: sequential replay")
 	tb.Add("native", "native", "compiled child over pipe protocol", "subprocess sandbox", "in-process engine (quarantine)")
 	fmt.Println(tb)
 

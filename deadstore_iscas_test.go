@@ -86,9 +86,11 @@ func TestDeadStoreEliminationISCAS85(t *testing.T) {
 }
 
 // TestDeadStoreEliminationSharded checks the eliminator composes with
-// sharded execution: the stripped program is re-partitioned, the plan
-// passes the race rules, and the stream stays bit-identical to a plain
-// sequential engine.
+// the activity-gated strategy's leveled plan: the stripped program is
+// re-partitioned, the plan passes the race rules, and the stream stays
+// bit-identical to a plain sequential engine. (The name predates the
+// retirement of level-sharded execution; the gated plan is what is left
+// of it.)
 func TestDeadStoreEliminationSharded(t *testing.T) {
 	names := []string{"c1908", "c6288"}
 	if testing.Short() {
@@ -99,28 +101,32 @@ func TestDeadStoreEliminationSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecs := vectors.Random(8, len(c.Inputs), 7)
+		vecs := gatingStream(c, 7)
 		for _, workers := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				plain, err := openParallelSim(c, WithShiftElimination(CycleBreaking), WithTrimming())
+				plain, err := openParallelSim(c, WithTrimming())
 				if err != nil {
 					t.Fatal(err)
 				}
 				opt, err := openParallelSim(c,
-					WithShiftElimination(CycleBreaking), WithTrimming(),
+					WithTrimming(),
 					WithDeadStoreElimination(),
-					WithExec(ExecSharded, workers))
+					WithExec(ExecActivityGated, workers))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer opt.Close()
+				_, sim := opt.core.Programs()
+				if got := opt.core.ExecPlan().Stats().Instrs; got != len(sim.Code) {
+					t.Fatalf("plan holds %d instructions, stripped program %d", got, len(sim.Code))
+				}
 				compareParallel(t, plain, opt, vecs, workers)
 				rep, err := Verify(opt, VerifyOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !rep.Clean() {
-					t.Fatalf("stripped sharded engine not clean:\n%s", rep)
+					t.Fatalf("stripped gated engine not clean:\n%s", rep)
 				}
 			})
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // Guarded execution: Open(c, tech, WithGuard(policy)) wraps a compiled
-// engine in a supervisor that turns panics, barrier stalls, caller
+// engine in a supervisor that turns panics, level stalls, caller
 // cancellations and silently corrupted outputs into typed *EngineFault
 // values and — where possible — recovers by degrading gracefully instead
 // of surfacing them at all. The degradation ladder, applied per vector
@@ -18,10 +18,9 @@ import (
 //
 //  1. The batch starts from a checkpoint of the engine's mutable state.
 //  2. On the first fault the configured execution strategy is
-//     quarantined — workers released, engine reverted to sequential —
-//     the batch is rolled back to the checkpoint and replayed on the
-//     sequential path. Outputs stay bit-identical to an all-sequential
-//     run.
+//     quarantined — the engine reverts to sequential — the batch is
+//     rolled back to the checkpoint and replayed on the sequential path.
+//     Outputs stay bit-identical to an all-sequential run.
 //  3. A transient fault on the sequential path is retried with capped
 //     exponential backoff, up to GuardPolicy.MaxRetries rollbacks.
 //  4. Cancellations and persistent faults are rolled back and returned.
@@ -48,8 +47,8 @@ type (
 const (
 	// FaultPanic is a recovered worker or dispatch-loop panic.
 	FaultPanic = resilience.FaultPanic
-	// FaultDeadline is a watchdog-caught barrier stall or an expired
-	// context deadline.
+	// FaultDeadline is a level that ran past the guard's level budget or
+	// an expired context deadline.
 	FaultDeadline = resilience.FaultDeadline
 	// FaultCanceled is a caller cancellation.
 	FaultCanceled = resilience.FaultCanceled
@@ -68,8 +67,8 @@ const (
 func AsEngineFault(err error) (*EngineFault, bool) { return resilience.AsFault(err) }
 
 // DefaultGuardPolicy is the conservative default supervision
-// configuration: one-second watchdog budget, two retries with
-// millisecond backoff, no output sampling.
+// configuration: one-second level budget, two retries with millisecond
+// backoff, no output sampling.
 func DefaultGuardPolicy() GuardPolicy { return resilience.DefaultPolicy() }
 
 // WithGuard wraps the engine in the guarded supervisor (compiled
@@ -91,7 +90,7 @@ func wrapGuard(base compiledEngine, o options) Engine {
 		return base
 	}
 	core := base.unwrap().core
-	core.SetGuard(o.guard.LevelBudget, o.guard.Grace())
+	core.SetGuard(o.guard.LevelBudget)
 	core.SetInjector(o.inject)
 	return &GuardedSim{
 		compiledEngine: base,
@@ -163,13 +162,13 @@ func (g *GuardedSim) Policy() GuardPolicy { return g.pol }
 
 // FaultTarget returns the chaos-injection coordinate of net n's settled
 // bit: the state word and mask a corruption injector must flip for the
-// flip to stay output-visible, and the last bulk-synchronous level of
-// the current schedule (a flip injected any earlier may be overwritten
-// before the vector finishes). Drills and tests only.
+// flip to stay output-visible, and the last level of the activity-gated
+// level loop (a flip injected any earlier may be overwritten before the
+// vector finishes; 0 under other strategies). Drills and tests only.
 func (g *GuardedSim) FaultTarget(n NetID) (slot int, mask uint64, lastLevel int) {
 	slot, mask = g.core.FinalSlot(n)
 	if p := g.core.ExecPlan(); p != nil {
-		return slot, mask, p.Assignment().Levels - 1
+		return slot, mask, p.Stats().Levels - 1
 	}
 	return slot, mask, 0
 }
@@ -203,12 +202,6 @@ func (g *GuardedSim) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 		return nil
 	}
 	g.core.Save()
-	// Arm the watchdog once for the whole batch — per-vector arming
-	// would pay two channel handshakes with the watchdog goroutine per
-	// run. It must be disarmed before quarantining (which closes the
-	// sharded engine) and before returning.
-	g.core.ArmGuard(ctx)
-	defer g.core.DisarmGuard()
 	attempt := 0
 	for i := 0; i < len(vecs); {
 		err := g.core.ApplyVectorCtx(ctx, vecs[i])
@@ -233,21 +226,20 @@ func (g *GuardedSim) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 		// A canceled context is an instruction, not a failure: roll the
 		// batch back and honor it.
 		if f.Kind == resilience.FaultCanceled || ctx.Err() != nil {
-			g.rollback(i, false)
+			g.rollback(i)
 			return f
 		}
 		if !g.degraded {
 			// First fault: quarantine the execution strategy and replay
 			// the batch sequentially from the checkpoint. Quarantining is
 			// not a retry — the sequential path gets its own attempts.
-			g.core.DisarmGuard()
-			leaked := g.core.Quarantine()
+			g.core.Quarantine()
 			g.degraded = true
 			if g.obs != nil {
 				g.obs.AddGuardQuarantine()
 				g.obs.AddGuardReplays(int64(i + 1))
 			}
-			if rerr := g.rollback(i, leaked); rerr != nil {
+			if rerr := g.rollback(i); rerr != nil {
 				return rerr
 			}
 			i, attempt = 0, 0
@@ -262,26 +254,22 @@ func (g *GuardedSim) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 				time.Sleep(d)
 			}
 			attempt++
-			if rerr := g.rollback(i, false); rerr != nil {
+			if rerr := g.rollback(i); rerr != nil {
 				return rerr
 			}
 			i = 0
 			continue
 		}
-		g.rollback(i, false)
+		g.rollback(i)
 		return f
 	}
 	return nil
 }
 
 // rollback rewinds the batch: the i successfully applied vectors are
-// un-counted and the engine state restored from the checkpoint. detach
-// abandons the state array first (a leaked worker may still write it).
-func (g *GuardedSim) rollback(i int, detach bool) error {
+// un-counted and the engine state restored from the checkpoint.
+func (g *GuardedSim) rollback(i int) error {
 	g.applied -= int64(i)
-	if detach {
-		g.core.DetachState()
-	}
 	return g.core.Restore()
 }
 

@@ -22,18 +22,18 @@ func usage(canonical string, note []string) string {
 	return canonical
 }
 
-// Exec registers -exec: the multicore execution strategy for compiled
+// Exec registers -exec: the stream execution strategy for compiled
 // engines.
 func Exec(fs *flag.FlagSet, note ...string) *string {
 	return fs.String("exec", "", usage(
-		"multicore execution strategy for compiled engines: sequential, sharded, activity-gated, vector-batch, auto, native", note))
+		"stream execution strategy for compiled engines: sequential, activity-gated, vector-batch, auto, native", note))
 }
 
 // Workers registers -workers: the worker count for the execution
 // strategy.
 func Workers(fs *flag.FlagSet, def int, note ...string) *int {
 	return fs.Int("workers", def, usage(
-		"worker count for the execution strategy (0 = GOMAXPROCS)", note))
+		"worker count for the vector-batch strategy (0 = GOMAXPROCS)", note))
 }
 
 // WorkersList registers -workers as a comma-separated list (the

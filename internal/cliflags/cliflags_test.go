@@ -16,18 +16,18 @@ func TestRegistration(t *testing.T) {
 	guard := Guard(fs)
 	deadline := Deadline(fs, 0)
 	err := fs.Parse([]string{
-		"-exec", "sharded", "-workers", "4", "-guard", "-deadline", "2s"})
+		"-exec", "vector-batch", "-workers", "4", "-guard", "-deadline", "2s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *exec != "sharded" || *workers != 4 || !*guard || *deadline != 2*time.Second {
+	if *exec != "vector-batch" || *workers != 4 || !*guard || *deadline != 2*time.Second {
 		t.Fatalf("parsed %q %d %v %v", *exec, *workers, *guard, *deadline)
 	}
 }
 
 func TestWorkersList(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	wl := WorkersList(fs, "first value used for -profile")
+	wl := WorkersList(fs, "the -json matrix sweeps all values")
 	if err := fs.Parse([]string{"-workers", "1, 2,8"}); err != nil {
 		t.Fatal(err)
 	}

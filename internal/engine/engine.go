@@ -3,7 +3,7 @@
 // parsim) differ only in how they compile: at run time each is an init
 // program plus a straight-line simulation program, run once per input
 // vector over a state arena. Core owns that runtime once — the arena,
-// both programs and their sequential execution forms, multicore execution,
+// both programs and their sequential execution forms, stream execution,
 // the guarded paths and their checkpoint, the per-net final-bit table,
 // the primary-input writer, observability and dead-store elimination —
 // and each technique embeds a Core, keeping only its compiler, its state
@@ -28,14 +28,20 @@ import (
 
 // Technique is the seam between the core and the compiled technique
 // embedding it. The core calls back through it for the per-vector apply
-// (ApplyStream, ApplyVectorCtx and vector-batch blocks), for Clone and
-// for the verification spec; everything else runs on the core itself.
+// (ApplyStream, ApplyVectorCtx and vector-batch blocks), for the reset
+// that seeds a vector-batch block, for Clone and for the verification
+// spec; everything else runs on the core itself.
 type Technique interface {
 	// core is satisfied by embedding Core.
 	core() *Core
 	// Apply simulates one input vector: the technique's init, WriteInputs,
 	// RunSim(ctx) and activity scan. A nil ctx selects the unguarded path.
 	Apply(ctx context.Context, inputs []bool) error
+	// ResetConsistent settles the state on an input assignment (nil = all
+	// zeros): Settle, then every field filled from the settled values.
+	// Applying the next vector then reproduces, net by net and time by
+	// time, what the stream that ended on that assignment would produce.
+	ResetConsistent(inputs []bool) error
 	// Fork returns a shallow copy of the technique with its own execution
 	// state dropped — the technique's half of Clone, which then gives the
 	// copy private core state. Callers use Clone.
@@ -49,15 +55,16 @@ type Technique interface {
 // reaches it through this interface; without it, ActivityGated is
 // rejected.
 type Gating interface {
-	// Gate installs activity gating on the sharded engine e, or drops it
-	// when e is nil. It fails when the compiled layout cannot be gated.
+	// Gate installs activity gating on the level loop e, replacing the
+	// installed gating, or drops it when e is nil. It fails, leaving the
+	// installed gating in place, when the compiled layout cannot be gated.
 	Gate(e *shard.Engine) error
 	// Invalidate makes the next gated vector run everything: the state no
 	// longer follows from the previous vector.
 	Invalidate()
 	// SequentialForm reports whether the gate sent the vector being
 	// applied to the core's sequential execution form rather than to the
-	// sharded engine (false when ungated).
+	// level loop (false when ungated).
 	SequentialForm() bool
 	// Flatten rewrites every field whose flattening the gate deferred, so
 	// that the whole state array holds what sequential execution would
@@ -111,8 +118,9 @@ type Parts struct {
 // Core is the runtime of a compiled technique. It is embedded by value,
 // so a technique's per-vector code reaches the arena directly.
 type Core struct {
-	// St is the state arena. Restore and DetachState may replace it, so
-	// techniques index it afresh on every vector instead of keeping it.
+	// St is the state arena. Restore and vector-batch streams may replace
+	// it, so techniques index it afresh on every vector instead of
+	// keeping it.
 	St []uint64
 	// PrevPI holds the previous vector's primary-input values: the bits
 	// WriteInputs keeps below an input's Split, and gating's input diff.
@@ -137,8 +145,9 @@ type Core struct {
 	zeroInput         []bool            // the all-zeros assignment Settle(nil) uses
 	ref               *refsim.Evaluator // lazily built zero-delay oracle for Settle
 
-	// Multicore execution (ConfigureExec): a sharded engine, or a worker
-	// pool plus clones for vector batching; nil/Sequential by default.
+	// Stream execution (ConfigureExec): the activity-gated level loop, or
+	// a worker pool plus clones for vector batching; nil/Sequential by
+	// default.
 	exec     *shard.Engine
 	pool     *shard.Pool
 	clones   []*Core
@@ -155,12 +164,11 @@ type Core struct {
 	// vector-batch blocks feed one set of counters.
 	obs *obs.Observer
 
-	// Guarded execution (exec.go): fault injector and watchdog budgets
-	// forwarded to the sharded engine, consulted only on the ctx paths,
-	// and the checkpoint Save and Restore share.
+	// Guarded execution (exec.go): fault injector and level budget
+	// forwarded to the level loop, consulted only on the ctx paths, and
+	// the checkpoint Save and Restore share.
 	inj         resilience.Injector
 	levelBudget time.Duration
-	guardGrace  time.Duration
 	ck          checkpoint
 }
 
@@ -246,9 +254,10 @@ func (c *Core) Sequential() *program.Sequential { return c.seq }
 func (c *Core) InitSequential() *program.Sequential { return c.initSeq }
 
 // CodeBytes returns the memory held by the compiled code: both programs
-// and the simulation program's sequential form. The init program's form
-// is not counted; it is a copy of the smaller program.
-func (c *Core) CodeBytes() int64 { return c.initProg.Bytes() + c.simProg.Bytes() + c.seq.Bytes() }
+// and their sequential execution forms.
+func (c *Core) CodeBytes() int64 {
+	return c.initProg.Bytes() + c.simProg.Bytes() + c.initSeq.Bytes() + c.seq.Bytes()
+}
 
 // ScratchStart returns the first temporary slot: every slot below it is
 // persistent state.
@@ -385,20 +394,20 @@ func (c *Core) WriteInputs(inputs []bool) {
 	}
 }
 
-// RunSim executes the simulation program under the configured strategy:
-// the sharded engine's cells, or else the program's sequential execution
-// form — which also runs every activity-gated vector the gate sent to it
-// (Gating.SequentialForm). A nil ctx selects the unguarded run; otherwise
-// the run is guarded — the sharded engine's RunCtx, or for the
+// RunSim executes the simulation program: the activity-gated level
+// loop's active ranges, or else the program's sequential execution form
+// — which also runs every activity-gated vector the gate sent to it
+// (Gating.SequentialForm). A nil ctx selects the unguarded run;
+// otherwise the run is guarded — the level loop's RunCtx, or for the
 // sequential form a context check and the injector (BeginRun, then
 // AtLevel(0, 0)), with the ApplyVectorCtx recover for panic isolation
 // and no stall budget. With an observer attached it brackets the run
 // with monotonic-clock reads; the sequential form additionally books the
 // whole program as level 0 of worker 0, so the snapshot's
-// cell/instruction totals stay consistent across strategies (the sharded
-// engine books its own per-level cells).
+// cell/instruction totals stay consistent across strategies (the level
+// loop books its own per-level cells).
 func (c *Core) RunSim(ctx context.Context) error {
-	seq := c.exec == nil || c.strategy == shard.ActivityGated && c.gating.SequentialForm()
+	seq := c.exec == nil || c.gating.SequentialForm()
 	if ctx != nil && seq {
 		if err := ctx.Err(); err != nil {
 			return resilience.FromContext(c.label, err)
@@ -433,8 +442,8 @@ func (c *Core) RunSim(ctx context.Context) error {
 }
 
 // SetObserver attaches a runtime observer (nil detaches). Attaching
-// resets the observer's counters and sizes its per-level/per-shard grid
-// for the current execution configuration; ConfigureExec re-attaches
+// resets the observer's counters and sizes its per-level grid for the
+// current execution configuration; ConfigureExec re-attaches
 // automatically when the shape changes. Clones made after the call
 // share the observer, so vector-batch blocks merge into one counter
 // set. Must not be called while a simulation is running.
@@ -460,7 +469,6 @@ func (c *Core) SetObserver(o *obs.Observer) {
 	shape.InitWords, _ = c.initProg.TouchStats(c.scratchStart)
 	if c.exec != nil {
 		shape.Levels = c.exec.Levels()
-		shape.Workers = c.exec.Plan().Workers()
 	}
 	o.Attach(shape)
 }
@@ -489,7 +497,7 @@ func (c *Core) Snapshot() *obs.Snapshot {
 //
 // The optimization is self-checking: after stripping, the full static
 // verifier runs over the new programs, and any finding restores the
-// originals and reports an error. A configured sharded engine is
+// originals and reports an error. A configured level loop is
 // re-partitioned for the stripped program; an attached observer is
 // re-attached so its per-level shape tracks the new code.
 func (c *Core) EliminateDeadStores() (int, error) {
@@ -524,13 +532,11 @@ func (c *Core) EliminateDeadStores() (int, error) {
 	c.clones = nil
 	switch {
 	case c.exec != nil:
-		// Re-partition for the stripped program under the strategy that is
-		// actually configured, keeping the worker count.
-		strat, workers := c.strategy, c.exec.Plan().Workers()
-		if _, err := c.ConfigureExec(strat, workers); err != nil {
+		// Re-partition for the stripped program.
+		if _, err := c.ConfigureExec(c.strategy, 1); err != nil {
 			restore()
-			if _, rerr := c.ConfigureExec(strat, workers); rerr != nil {
-				return 0, fmt.Errorf("%s: dead-store elimination: %w (and restoring the shard plan failed: %v)", c.label, err, rerr)
+			if _, rerr := c.ConfigureExec(c.strategy, 1); rerr != nil {
+				return 0, fmt.Errorf("%s: dead-store elimination: %w (and restoring the plan failed: %v)", c.label, err, rerr)
 			}
 			return 0, fmt.Errorf("%s: dead-store elimination: %w", c.label, err)
 		}

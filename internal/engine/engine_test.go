@@ -149,8 +149,7 @@ func TestFinalSlotMatchesFinal(t *testing.T) {
 // Save — including times before a field's alignment, which read the
 // previous finals — and replaying the same k vectors reproduces every
 // net's full waveform, which needs the previous-vector inputs packed
-// below split input fields. The same holds when the state array is
-// detached before the restore.
+// below split input fields. A checkpoint restores more than once.
 func TestRestoreReplaysWaveforms(t *testing.T) {
 	forEach(t, func(t *testing.T, s sim, vecs [][]bool) {
 		core := engine.CoreOf(s)
@@ -158,11 +157,8 @@ func TestRestoreReplaysWaveforms(t *testing.T) {
 		core.Save()
 		saved := waveform(s)
 		want := waveforms(t, s, vecs[4:8])
-		for _, detach := range []bool{false, true} {
-			label := fmt.Sprintf("restore (detach %v)", detach)
-			if detach {
-				core.DetachState()
-			}
+		for round := 0; round < 2; round++ {
+			label := fmt.Sprintf("restore %d", round)
 			if err := core.Restore(); err != nil {
 				t.Fatal(err)
 			}
@@ -174,23 +170,78 @@ func TestRestoreReplaysWaveforms(t *testing.T) {
 	})
 }
 
-// TestQuarantineKeepsSimulating: quarantining sharded execution reverts
-// to sequential, and the stream continues bit-identically to a twin that
-// never left sequential execution.
+// TestQuarantineKeepsSimulating: quarantining the configured strategy —
+// activity gating where the layout allows it, vector batching elsewhere
+// — reverts to sequential, and the stream continues bit-identically to a
+// twin that never left sequential execution.
 func TestQuarantineKeepsSimulating(t *testing.T) {
 	forEach(t, func(t *testing.T, s sim, vecs [][]bool) {
 		core := engine.CoreOf(s)
 		twin := core.Clone().(sim)
-		if _, err := core.ConfigureExec(shard.Sharded, 2); err != nil {
-			t.Fatal(err)
+		strategy, err := core.ConfigureExec(shard.ActivityGated, 2)
+		if err != nil {
+			if strategy, err = core.ConfigureExec(shard.VectorBatch, 2); err != nil {
+				t.Fatal(err)
+			}
 		}
-		sameWaves(t, "sharded", waveforms(t, s, vecs[:6]), waveforms(t, twin, vecs[:6]))
-		if leaked := core.Quarantine(); leaked {
-			t.Fatal("quarantine of a healthy engine leaked a worker")
-		}
+		sameWaves(t, strategy.String(), waveforms(t, s, vecs[:6]), waveforms(t, twin, vecs[:6]))
+		core.Quarantine()
 		if core.ExecStrategy() != shard.Sequential || core.ExecPlan() != nil {
 			t.Fatalf("after quarantine: strategy %v, plan %v", core.ExecStrategy(), core.ExecPlan())
 		}
 		sameWaves(t, "quarantined", waveforms(t, s, vecs[6:]), waveforms(t, twin, vecs[6:]))
 	})
+}
+
+// TestRejectedConfigureKeepsStrategy: a strategy ConfigureExec refuses
+// leaves the configured one in place. Activity gating is refused for the
+// PC-set method (no gating) and for shift-eliminated layouts (Gate
+// rejects them); an engine on vector batching keeps batching, with its
+// streams still bit-identical to sequential. A gated engine asked for a
+// strategy no compiled engine runs keeps its gating.
+func TestRejectedConfigureKeepsStrategy(t *testing.T) {
+	c, err := gen.ISCAS85("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := vectors.Random(24, len(c.Inputs), 7).Bits
+	for _, l := range layouts {
+		s, err := l.build(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := engine.CoreOf(s)
+		twin := core.Clone().(sim)
+		want, err := core.ConfigureExec(shard.ActivityGated, 2)
+		if err != nil {
+			if want, err = core.ConfigureExec(shard.VectorBatch, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.ConfigureExec(shard.ActivityGated, 2); err == nil {
+				t.Fatalf("%s: activity gating accepted after being refused", l.name)
+			}
+		}
+		if _, err := core.ConfigureExec(shard.Native, 2); err == nil {
+			t.Fatalf("%s: the native strategy accepted by a compiled core", l.name)
+		}
+		if got := core.ExecStrategy(); got != want {
+			t.Fatalf("%s: strategy %v after a refused ConfigureExec, want %v", l.name, got, want)
+		}
+		if (core.ExecPlan() != nil) != (want == shard.ActivityGated) {
+			t.Fatalf("%s: plan %v under %v", l.name, core.ExecPlan(), want)
+		}
+		for _, x := range []sim{s, twin} {
+			if err := x.ResetConsistent(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := core.ApplyStream(vecs); err != nil {
+			t.Fatal(err)
+		}
+		apply(t, twin, vecs)
+		if waveform(s) != waveform(twin) {
+			t.Fatalf("%s: %v stream ends on a different waveform than sequential", l.name, want)
+		}
+		core.Close()
+	}
 }

@@ -6,67 +6,66 @@ import (
 	"runtime"
 	"time"
 
-	"udsim/internal/circuit"
 	"udsim/internal/resilience"
 	"udsim/internal/shard"
 )
 
 // ConfigureExec selects the execution strategy for the simulation program
-// and returns the resolved strategy (Auto resolves by shard.Recommend).
-// workers <= 0 means GOMAXPROCS. Sharded and activity-gated execution are
-// bit-identical to sequential; VectorBatch changes only ApplyStream, which
-// then runs contiguous vector blocks as independent substreams.
-// Reconfiguring releases the previous strategy's workers.
+// and returns the resolved strategy: Auto resolves to VectorBatch on more
+// than one worker and to Sequential on one. workers <= 0 means
+// GOMAXPROCS; it sizes the vector-batch pool, and the activity-gated
+// strategy accepts and ignores it. Every strategy keeps ApplyStream's
+// contract, one coherent stream bit-identical to sequential execution.
+// A strategy that cannot be configured is an error that leaves the
+// previous strategy in place; otherwise the previous strategy's workers
+// are released.
 func (c *Core) ConfigureExec(strategy shard.Strategy, workers int) (shard.Strategy, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if strategy == shard.Auto {
-		strategy = shard.Recommend(workers)
+		strategy = shard.Sequential
+		if workers > 1 {
+			strategy = shard.VectorBatch
+		}
 	}
-	var plan *shard.Plan
-	if strategy == shard.Sharded || strategy == shard.ActivityGated {
-		var err error
-		plan, err = shard.Partition(c.simProg, c.scratchStart, workers)
+	var e *shard.Engine
+	switch strategy {
+	case shard.Sequential, shard.VectorBatch:
+	case shard.ActivityGated:
+		if c.gating == nil {
+			return 0, fmt.Errorf("%s: cannot configure strategy %v", c.label, strategy)
+		}
+		plan, err := shard.Partition(c.simProg, c.scratchStart)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", c.label, err)
 		}
-		// The measured barrier cost feeds the plan's speedup model, so
-		// EstimatedSpeedup reflects this machine rather than the static
-		// default.
-		plan.SetBarrierCost(shard.CalibrateBarrier(workers))
-	}
-	c.Close()
-	switch strategy {
-	case shard.Sequential:
-	case shard.Sharded, shard.ActivityGated:
-		if strategy == shard.ActivityGated && c.gating == nil {
-			return 0, fmt.Errorf("%s: cannot configure strategy %v", c.label, strategy)
+		e = shard.NewEngine(plan)
+		e.SetGuard(c.levelBudget)
+		e.SetInjector(c.inj)
+		// Gate replaces the installed gating only once it has accepted e.
+		if err := c.gating.Gate(e); err != nil {
+			return 0, err
 		}
-		if need := plan.StateSize(); need > len(c.St) {
-			st := make([]uint64, need)
-			copy(st, c.St)
-			c.St = st
-		}
-		c.exec = shard.NewEngine(plan)
-		c.exec.SetGuard(c.levelBudget, c.guardGrace)
-		c.exec.SetInjector(c.inj)
-		if strategy == shard.ActivityGated {
-			if err := c.gating.Gate(c.exec); err != nil {
-				c.Close()
-				return 0, err
-			}
-		}
-	case shard.VectorBatch:
-		c.pool = shard.NewPool(workers)
 	default:
 		return 0, fmt.Errorf("%s: cannot configure strategy %v", c.label, strategy)
 	}
+	if c.pool != nil {
+		c.pool.Close()
+		c.pool = nil
+	}
+	if e == nil && c.gating != nil {
+		_ = c.gating.Gate(nil) // dropping gating cannot fail
+	}
+	c.exec = e
+	if strategy == shard.VectorBatch {
+		c.pool = shard.NewPool(workers)
+	}
 	c.strategy = strategy
 	if c.obs != nil {
-		// Re-attach: the shape (levels × workers) just changed, so the
-		// observer's cell grid must be resized — which resets counters
-		// and starts a new observation window.
+		// Re-attach: the shape (levels) just changed, so the observer's
+		// cell grid must be resized — which resets counters and starts a
+		// new observation window.
 		c.SetObserver(c.obs)
 	}
 	return strategy, nil
@@ -76,7 +75,8 @@ func (c *Core) ConfigureExec(strategy shard.Strategy, workers int) (shard.Strate
 // until ConfigureExec succeeds).
 func (c *Core) ExecStrategy() shard.Strategy { return c.strategy }
 
-// ExecPlan returns the sharded engine's plan, or nil when not sharded.
+// ExecPlan returns the activity-gated strategy's leveled plan, or nil
+// under any other strategy.
 func (c *Core) ExecPlan() *shard.Plan {
 	if c.exec == nil {
 		return nil
@@ -87,10 +87,7 @@ func (c *Core) ExecPlan() *shard.Plan {
 // Close releases the execution workers configured by ConfigureExec and
 // reverts to sequential execution. The simulator remains usable.
 func (c *Core) Close() {
-	if c.exec != nil {
-		c.exec.Close()
-		c.exec = nil
-	}
+	c.exec = nil
 	if c.pool != nil {
 		c.pool.Close()
 		c.pool = nil
@@ -132,21 +129,22 @@ func (c *Core) checkStream(vecs [][]bool) error {
 	return nil
 }
 
-// ApplyStream simulates a stream of input vectors. Under the Sequential
-// and Sharded strategies this is the technique's apply in a loop — one
-// coherent stream, bit-identical between the two. Under VectorBatch the
-// stream is split into one contiguous block per worker and the blocks
-// run concurrently as independent substreams on cloned state (the
-// simulator itself carries block 0): like the PC-set method's 64 bit
-// lanes, each block's previous-vector state is its own previous vector,
-// and blocks persist across ApplyStream calls. After return the receiver
-// holds the history of its block's last vector.
+// ApplyStream simulates a stream of input vectors: one coherent stream,
+// bit-identical to applying the vectors one at a time, under every
+// strategy. Under VectorBatch the stream is split into one contiguous
+// block per worker and the blocks run concurrently, block 0 on the
+// simulator itself and block w on clone w-1, which first settles on the
+// last vector of block w-1 (ResetConsistent): a vector's waveform
+// depends only on the vector before it, since the circuit is acyclic.
+// The receiver then takes over the last block's state, so Final, ValueAt
+// and the next vector continue from the stream's last vector. A stream
+// shorter than two vectors per worker runs one vector at a time.
 func (c *Core) ApplyStream(vecs [][]bool) error {
 	if err := c.checkStream(vecs); err != nil {
 		return err
 	}
 	n := 1
-	if c.strategy == shard.VectorBatch && c.pool != nil {
+	if c.pool != nil {
 		n = c.pool.Workers()
 	}
 	if n < 2 || len(vecs) < 2*n {
@@ -166,54 +164,57 @@ func (c *Core) ApplyStream(vecs [][]bool) error {
 	c.batch, c.blockLen = vecs, (len(vecs)+n-1)/n
 	c.pool.Do(c.block)
 	c.batch = nil
+	if last := (len(vecs) - 1) / c.blockLen; last > 0 {
+		// Swap, not copy: the clone is reseeded before its next block.
+		cl := c.clones[last-1]
+		c.St, cl.St = cl.St, c.St
+		c.PrevPI, cl.PrevPI = cl.PrevPI, c.PrevPI
+		c.PrevFinal, cl.PrevFinal = cl.PrevFinal, c.PrevFinal
+	}
 	return nil
 }
 
 // runBlock applies worker w's contiguous block of the vector-batch
-// stream: block 0 on the core itself, block w on clone w-1.
+// stream: block 0 on the core itself, block w on clone w-1 after
+// settling it on the vector before the block.
 func (c *Core) runBlock(w int) {
+	lo := min(w*c.blockLen, len(c.batch))
+	hi := min(lo+c.blockLen, len(c.batch))
+	if lo == hi {
+		return
+	}
 	sim := c
 	if w > 0 {
 		sim = c.clones[w-1]
+		// Lengths are pre-validated and the circuit is acyclic, so neither
+		// call can fail.
+		_ = sim.t.ResetConsistent(c.batch[lo-1])
 	}
-	lo := min(w*c.blockLen, len(c.batch))
-	hi := min(lo+c.blockLen, len(c.batch))
 	for _, v := range c.batch[lo:hi] {
-		sim.t.Apply(nil, v) // lengths pre-validated; cannot fail
+		_ = sim.t.Apply(nil, v)
 	}
-}
-
-// BlockFinal returns the final value of a net in vector-batch block k
-// (block 0 is the receiver itself). It panics when k is out of range of
-// the blocks materialized so far.
-func (c *Core) BlockFinal(k int, n circuit.NetID) bool {
-	if k == 0 {
-		return c.Final(n)
-	}
-	return c.clones[k-1].Final(n)
 }
 
 // Guarded execution: context-aware apply variants that convert panics,
 // stalls and cancellations into typed *resilience.EngineFault values
-// (labelled with the technique; the sharded engine labels its own faults
+// (labelled with the technique; the level loop labels its own faults
 // "shard"), plus the checkpoint/rollback and quarantine primitives the
 // facade's guarded engine builds its degradation ladder from. The
 // unguarded paths are untouched.
 
-// SetGuard configures the guarded-path budgets: budget is the sharded
-// engine's per-level barrier-stall budget (0 disables the watchdog) and
-// grace bounds how long a faulted sharded run waits for in-flight
-// workers before abandoning them. Forwarded through ConfigureExec, so
-// the order of the two calls does not matter.
-func (c *Core) SetGuard(budget, grace time.Duration) {
-	c.levelBudget, c.guardGrace = budget, grace
+// SetGuard sets the per-level stall budget of the activity-gated level
+// loop (0 disables it). Forwarded through ConfigureExec, so the order of
+// the two calls does not matter.
+func (c *Core) SetGuard(budget time.Duration) {
+	c.levelBudget = budget
 	if c.exec != nil {
-		c.exec.SetGuard(budget, grace)
+		c.exec.SetGuard(budget)
 	}
 }
 
 // SetInjector attaches a fault injector consulted on the guarded paths
-// only (once per run, per (level, shard) when sharded); nil detaches.
+// only (once per run, and per level on the activity-gated level loop);
+// nil detaches.
 func (c *Core) SetInjector(inj resilience.Injector) {
 	c.inj = inj
 	if c.exec != nil {
@@ -221,31 +222,14 @@ func (c *Core) SetInjector(inj resilience.Injector) {
 	}
 }
 
-// ArmGuard arms the sharded engine's watchdog once for a whole guarded
-// vector batch, so the per-vector applies skip the arm/disarm handshake
-// with the watchdog goroutine. DisarmGuard must be called when the
-// batch ends, before Quarantine or Close. A no-op under sequential
-// execution (no barrier to watch).
-func (c *Core) ArmGuard(ctx context.Context) {
-	if c.exec != nil {
-		c.exec.ArmStream(ctx)
-	}
-}
-
-// DisarmGuard ends a batch-level ArmGuard; a no-op otherwise.
-func (c *Core) DisarmGuard() {
-	if c.exec != nil {
-		c.exec.DisarmStream()
-	}
-}
-
 // ApplyVectorCtx is the technique's apply under guard: panics anywhere
 // in the vector application become a FaultPanic, ctx
-// cancellation/deadline a FaultCanceled/FaultDeadline, and a sharded
-// barrier stuck past the SetGuard budget a FaultDeadline — always a
-// typed *EngineFault, never a crash or hang. After a fault the state is
-// undefined until Restore (or ResetConsistent); a sharded engine that
-// faulted is poisoned and must be quarantined before the next vector.
+// cancellation/deadline a FaultCanceled/FaultDeadline, and a gated level
+// running past the SetGuard budget a FaultDeadline — always a typed
+// *EngineFault, never a crash or hang. After a fault the state is
+// undefined until Restore (or ResetConsistent); a level loop that
+// panicked or stalled is poisoned and must be quarantined before the
+// next vector.
 func (c *Core) ApplyVectorCtx(ctx context.Context, inputs []bool) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -262,10 +246,8 @@ func (c *Core) ApplyVectorCtx(ctx context.Context, inputs []bool) (err error) {
 }
 
 // ApplyStreamCtx applies a stream of vectors with per-vector context
-// checks, stopping at the first fault. Unlike ApplyStream it always runs
-// the receiver's one coherent stream — the vector-batch strategy's
-// concurrent blocks would tear the checkpoint/rollback semantics the
-// guarded engine needs.
+// checks, stopping at the first fault. Unlike ApplyStream it runs every
+// vector on the receiver, so a fault names the vector it hit.
 func (c *Core) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 	if err := c.checkStream(vecs); err != nil {
 		return err
@@ -313,25 +295,7 @@ func (c *Core) Restore() error {
 	return nil
 }
 
-// DetachState replaces the state array with a fresh one of the same
-// size. Required after a quarantine that leaked a wedged worker: the
-// abandoned goroutine may still write through its stale slice, so the
-// old array must never be read again — the caller restores content from
-// the checkpoint (or ResetConsistent) rather than copying it over.
-func (c *Core) DetachState() {
-	c.St = make([]uint64, len(c.St))
-	c.invalidate()
-}
-
 // Quarantine releases the configured execution strategy after a fault
 // and reverts to sequential execution; the simulator itself remains
-// usable. It reports whether an in-flight worker had to be abandoned, in
-// which case the caller must DetachState before touching the state
-// again.
-func (c *Core) Quarantine() (leaked bool) {
-	if c.exec != nil {
-		leaked = c.exec.Leaked()
-	}
-	c.Close()
-	return leaked
-}
+// usable.
+func (c *Core) Quarantine() { c.Close() }

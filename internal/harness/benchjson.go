@@ -29,6 +29,9 @@ type BenchRecord struct {
 
 	// Observability columns, filled from a separate observed pass so the
 	// timing columns above stay clean of instrumentation overhead.
+	// ObsUtilization, ObsBarrierWaitNsPerVector and ObsBarriersPerVector
+	// were written only for level-sharded runs; they are kept so the
+	// checked-in baselines that carry them still parse.
 	ObsLevels                 int     `json:"obs_levels,omitempty"`
 	ObsInstrsPerVector        float64 `json:"obs_instrs_per_vector,omitempty"`
 	ObsWordsPerVector         float64 `json:"obs_words_per_vector,omitempty"`
@@ -36,10 +39,8 @@ type BenchRecord struct {
 	ObsBarrierWaitNsPerVector float64 `json:"obs_barrier_wait_ns_per_vector,omitempty"`
 
 	// Activity-gating columns (the `-exp gating` matrix): the toggle
-	// rate of the driving stream, barrier crossings per vector as the
-	// observer counts them (every level for the sharded strategy, none
-	// for the gated one, which runs on the caller alone), and shard
-	// slices skipped per vector.
+	// rate of the driving stream and the instruction ranges skipped per
+	// vector.
 	ToggleRate                float64 `json:"toggle_rate,omitempty"`
 	ObsBarriersPerVector      float64 `json:"obs_barriers_per_vector,omitempty"`
 	ObsShardsSkippedPerVector float64 `json:"obs_shards_skipped_per_vector,omitempty"`
@@ -158,8 +159,6 @@ func observeStream(e streamEngine, vecs [][]bool, rec *BenchRecord) error {
 	rec.ObsLevels = s.Levels
 	rec.ObsInstrsPerVector = float64(s.Instrs) / n
 	rec.ObsWordsPerVector = float64(s.Words) / n
-	rec.ObsUtilization = s.MeanUtilization()
-	rec.ObsBarrierWaitNsPerVector = float64(s.BarrierWaitNanos()) / n
 	return nil
 }
 
@@ -190,8 +189,8 @@ func buildStreamEngine(technique string, o Options, c *circuit.Circuit, strategy
 
 // BenchMatrix measures circuit × technique × strategy × workers and
 // returns the machine-readable bench file. The sequential strategy is
-// measured once (workers is meaningless for it); sharded and
-// vector-batch are measured at every worker count in workersList.
+// measured once (workers is meaningless for it); vector-batch is
+// measured at every worker count in workersList.
 func BenchMatrix(o Options, rev string, workersList []int) (*BenchFile, error) {
 	o = o.withDefaults()
 	if len(workersList) == 0 {
@@ -210,7 +209,7 @@ func BenchMatrix(o Options, rev string, workersList []int) (*BenchFile, error) {
 	}
 	cfgs := []cfg{{udsim.ExecSequential, 1}}
 	for _, w := range workersList {
-		cfgs = append(cfgs, cfg{udsim.ExecSharded, w}, cfg{udsim.ExecVectorBatch, w})
+		cfgs = append(cfgs, cfg{udsim.ExecVectorBatch, w})
 	}
 	for _, name := range o.Circuits {
 		c, vecs, err := bench(o, name)

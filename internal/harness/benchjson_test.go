@@ -25,15 +25,15 @@ func TestBenchMatrixRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// sequential + {sharded, batch} × 1 worker count, × 2 techniques.
-	if want := 2 * 3; len(back.Records) != want {
+	// sequential + batch × 1 worker count, × 2 techniques.
+	if want := 2 * 2; len(back.Records) != want {
 		t.Fatalf("got %d records, want %d", len(back.Records), want)
 	}
 	for _, r := range back.Records {
 		if r.Circuit != "c432" || r.NsPerVector <= 0 {
 			t.Fatalf("implausible record: %+v", r)
 		}
-		if r.Strategy == "sharded" || r.Strategy == "vector-batch" {
+		if r.Strategy == "vector-batch" {
 			if r.Workers != 2 {
 				t.Fatalf("parallel record at %d workers, want 2: %+v", r.Workers, r)
 			}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"udsim"
@@ -11,22 +10,20 @@ import (
 )
 
 // Chaos reproduces the guarded-execution study: for each circuit, the
-// unfaulted guard overhead (a guarded sharded stream against the bare
-// engine — the supervisor's steady-state cost is checkpointing plus
-// watchdog arming, targeted at ≤2%) and a recovery drill — a
-// deterministic worker panic injected mid-stream that the supervisor
-// must absorb by quarantining the shard plan and replaying the batch
-// sequentially, leaving outputs bit-identical to an unfaulted
-// sequential run. The drill's guard counters (faults, replays, oracle
-// cross-checks) come from the same observer export a production scraper
-// would read.
+// unfaulted guard overhead (a guarded activity-gated stream against the
+// bare engine — the supervisor's steady-state cost is checkpointing,
+// targeted at ≤2%) and a recovery drill — a deterministic panic
+// injected mid-stream that the supervisor must absorb by quarantining
+// the gated strategy and replaying the batch sequentially, leaving
+// outputs bit-identical to an unfaulted sequential run. The drill's
+// guard counters (faults, replays, oracle cross-checks) come from the
+// same observer export a production scraper would read.
 func Chaos(o Options) (*Result, error) {
 	o = o.withDefaults()
-	workers := runtime.GOMAXPROCS(0)
 	pol := udsim.DefaultGuardPolicy()
 	t := texttable.New(
-		fmt.Sprintf("Guarded execution — overhead and recovery drill (%d vectors, W=%d, %d workers)",
-			o.Vectors, o.WordBits, workers),
+		fmt.Sprintf("Guarded execution — overhead and recovery drill (%d vectors, W=%d, activity-gated)",
+			o.Vectors, o.WordBits),
 		"Circuit", "Bare", "Guarded", "Overhead", "Drill", "Recovered", "Replayed", "Checks")
 	var sumBare, sumGuard float64
 	for _, name := range o.Circuits {
@@ -37,7 +34,7 @@ func Chaos(o Options) (*Result, error) {
 		timeStream := func(extra ...udsim.Option) (time.Duration, error) {
 			opts := append([]udsim.Option{
 				udsim.WithWordBits(o.WordBits),
-				udsim.WithExec(udsim.ExecSharded, workers),
+				udsim.WithExec(udsim.ExecActivityGated, 1),
 			}, extra...)
 			e, err := udsim.Open(c, udsim.TechParallel, opts...)
 			if err != nil {
@@ -73,7 +70,7 @@ func Chaos(o Options) (*Result, error) {
 		sumBare += dBare.Seconds()
 		sumGuard += dGuard.Seconds()
 
-		drill, recovered, replayed, checks, err := chaosDrill(o, c, vecs.Bits, workers)
+		drill, recovered, replayed, checks, err := chaosDrill(o, c, vecs.Bits)
 		if err != nil {
 			return nil, err
 		}
@@ -84,16 +81,16 @@ func Chaos(o Options) (*Result, error) {
 		fmt.Sprintf("%+.1f%%", 100*(sumGuard-sumBare)/sumBare), "", "", "", "")
 	return &Result{Table: t, Notes: []string{
 		"target: guarded steady state ≤2% over bare; 0 allocs/op enforced by BenchmarkGuardedStream -benchmem",
-		"drill: deterministic worker panic at (run 3, level 0, shard 0) → quarantine + sequential replay;",
+		"drill: deterministic panic at (run 3, level 0, shard 0) → quarantine + sequential replay;",
 		"Recovered=yes means the stream completed and every settled net matched a sequential reference",
 	}}, nil
 }
 
-// chaosDrill injects one worker panic into a guarded sharded stream and
+// chaosDrill injects one panic into a guarded activity-gated stream and
 // reports how the supervisor handled it: the fault kind it recorded,
 // whether the stream recovered bit-identically, and the replay /
 // cross-check counts from the guard counters.
-func chaosDrill(o Options, c *udsim.Circuit, vecs [][]bool, workers int) (drill, recovered string, replayed, checks int64, err error) {
+func chaosDrill(o Options, c *udsim.Circuit, vecs [][]bool) (drill, recovered string, replayed, checks int64, err error) {
 	run := 3
 	if len(vecs) < run {
 		run = 1
@@ -106,7 +103,7 @@ func chaosDrill(o Options, c *udsim.Circuit, vecs [][]bool, workers int) (drill,
 	ob := udsim.NewObserver(udsim.ObserverConfig{})
 	e, err := udsim.Open(c, udsim.TechParallel,
 		udsim.WithWordBits(o.WordBits),
-		udsim.WithExec(udsim.ExecSharded, workers),
+		udsim.WithExec(udsim.ExecActivityGated, 1),
 		udsim.WithGuard(pol),
 		udsim.WithFaultInjection(inj),
 		udsim.WithObserver(ob))

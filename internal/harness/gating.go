@@ -15,11 +15,11 @@ import (
 
 // This file is the activity-gating study: the same circuits driven by
 // vector streams of controlled toggle rate, comparing the sequential
-// baseline, the level-sharded strategy and the activity-gated strategy.
-// Real workloads rarely change every input every vector — the paper's
-// uniformly random streams are the worst case for gating — so the sweep
-// makes the activity knob explicit: at low toggle rates most input cones
-// are untouched and the gated engine skips their shard slices.
+// baseline and the activity-gated strategy. Real workloads rarely change
+// every input every vector — the paper's uniformly random streams are
+// the worst case for gating — so the sweep makes the activity knob
+// explicit: at low toggle rates most input cones are untouched and the
+// gated engine skips their instruction ranges.
 
 // gatingRates is the toggle-rate sweep: the probability that each
 // primary input flips between consecutive vectors.
@@ -30,17 +30,6 @@ var gatingRates = []struct {
 	{"low", 0.01},
 	{"med", 0.10},
 	{"high", 0.40},
-}
-
-// gatingWorkers picks the worker count for the sharded and gated
-// configurations: enough to exercise the barrier machinery even on a
-// single-core runner (where wall-clock gains vanish but the barrier and
-// skip deltas remain measurable).
-func gatingWorkers(list []int) int {
-	if len(list) > 0 && list[0] > 1 {
-		return list[0]
-	}
-	return 2
 }
 
 // toggleVectors builds a stream whose consecutive vectors differ in each
@@ -66,18 +55,12 @@ func toggleVectors(n, width int, rate float64, seed int64) *vectors.Set {
 	return s
 }
 
-// gatingConfig is one measured configuration of the sweep.
-type gatingConfig struct {
-	strategy shard.Strategy
-	workers  int
-}
-
-// measureGating compiles the parallel technique under one configuration,
+// measureGating compiles the parallel technique under one strategy,
 // times the stream (best of repeats), then replays it once observed to
-// fill the barrier/skip columns. The timed pass never carries an
-// observer, mirroring the bench matrix. It also returns the observed
-// replay's gated vectors per executor (zeros unless gated).
-func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingConfig) (BenchRecord, [obs.NumGatedExecutors]int64, error) {
+// fill the skip columns. The timed pass never carries an observer,
+// mirroring the bench matrix. It also returns the observed replay's
+// gated vectors per executor (zeros unless gated).
+func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, strategy shard.Strategy) (BenchRecord, [obs.NumGatedExecutors]int64, error) {
 	var rec BenchRecord
 	var mix [obs.NumGatedExecutors]int64
 	s, err := parsim.Compile(c, parsim.Config{WordBits: o.WordBits})
@@ -85,8 +68,8 @@ func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingCo
 		return rec, mix, err
 	}
 	defer s.Close()
-	if gc.strategy != shard.Sequential {
-		if _, err := s.ConfigureExec(gc.strategy, gc.workers); err != nil {
+	if strategy != shard.Sequential {
+		if _, err := s.ConfigureExec(strategy, 1); err != nil {
 			return rec, mix, err
 		}
 	}
@@ -97,8 +80,8 @@ func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingCo
 	}
 	rec.NsPerVector = float64(d.Nanoseconds()) / float64(vecs.Len())
 
-	// Observed replay: barrier crossings and waits, skip counts and the
-	// executor mix all come from the observer.
+	// Observed replay: skip counts and the executor mix come from the
+	// observer.
 	ob := obs.New(obs.Config{})
 	s.SetObserver(ob)
 	if err := s.ResetConsistent(nil); err != nil {
@@ -111,26 +94,19 @@ func measureGating(o Options, c *circuit.Circuit, vecs *vectors.Set, gc gatingCo
 	}
 	snap := s.Snapshot()
 	s.SetObserver(nil)
-	n := float64(vecs.Len())
-	rec.ObsBarrierWaitNsPerVector = float64(snap.BarrierWaitNanos()) / n
-	rec.ObsShardsSkippedPerVector = float64(snap.ShardsSkipped) / n
+	rec.ObsShardsSkippedPerVector = float64(snap.ShardsSkipped) / float64(vecs.Len())
 	rec.ObsLevels = snap.Levels
-	rec.Strategy = gc.strategy.String()
-	rec.Workers = gc.workers
-	// Every worker crosses every barrier, so worker 0's count is the
-	// run's: one per level sharded, none for a gated vector.
-	rec.ObsBarriersPerVector = float64(snap.Worker[0].Crossings) / n
+	rec.Strategy = strategy.String()
+	rec.Workers = 1
 	return rec, snap.GatedVectors, nil
 }
 
 // GatingMatrix measures circuit × toggle-rate × strategy and returns the
 // machine-readable bench file (`udbench -json FILE -exp gating`). The
-// per-record toggle_rate, obs_barriers_per_vector and
-// obs_shards_skipped_per_vector columns carry the study's results; the
-// schema is shared with the plain bench matrix.
-func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) {
+// per-record toggle_rate and obs_shards_skipped_per_vector columns carry
+// the study's results; the schema is shared with the plain bench matrix.
+func GatingMatrix(o Options, rev string) (*BenchFile, error) {
 	o = o.withDefaults()
-	w := gatingWorkers(workersList)
 	file := &BenchFile{
 		Schema:     BenchSchema,
 		Revision:   rev,
@@ -138,11 +114,7 @@ func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) 
 		WordBits:   o.WordBits,
 		Vectors:    o.Vectors,
 	}
-	cfgs := []gatingConfig{
-		{shard.Sequential, 1},
-		{shard.Sharded, w},
-		{shard.ActivityGated, w},
-	}
+	strategies := []shard.Strategy{shard.Sequential, shard.ActivityGated}
 	for _, name := range o.Circuits {
 		c, err := benchCircuit(o, name)
 		if err != nil {
@@ -150,10 +122,10 @@ func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) 
 		}
 		for _, rt := range gatingRates {
 			vecs := toggleVectors(o.Vectors, len(c.Inputs), rt.Rate, o.Seed)
-			for _, gc := range cfgs {
-				rec, _, err := measureGating(o, c, vecs, gc)
+			for _, strategy := range strategies {
+				rec, _, err := measureGating(o, c, vecs, strategy)
 				if err != nil {
-					return nil, fmt.Errorf("%s %s: %w", name, gc.strategy, err)
+					return nil, fmt.Errorf("%s %s: %w", name, strategy, err)
 				}
 				rec.Circuit = name
 				rec.Technique = "parallel"
@@ -166,16 +138,13 @@ func GatingMatrix(o Options, rev string, workersList []int) (*BenchFile, error) 
 }
 
 // Gating reproduces the activity-gating table (`udbench -exp gating`):
-// for each circuit and toggle rate, ns/vector under the three
-// configurations plus the barrier and skip deltas that survive even a
-// single-core runner.
+// for each circuit and toggle rate, ns/vector sequential and gated, the
+// ranges skipped per vector and the gated executor mix.
 func Gating(o Options) (*Result, error) {
 	o = o.withDefaults()
-	w := gatingWorkers(nil)
 	t := texttable.New(
-		fmt.Sprintf("Activity gating — toggle-rate sweep (%d vectors, W=%d, %d workers)",
-			o.Vectors, o.WordBits, w),
-		"Circuit", "Rate", "Seq", "Sharded", "Gated", "Spd", "Barr", "Skip/vec", "GMix")
+		fmt.Sprintf("Activity gating — toggle-rate sweep (%d vectors, W=%d)", o.Vectors, o.WordBits),
+		"Circuit", "Rate", "Seq", "Gated", "Spd", "Skip/vec", "GMix")
 	for _, name := range o.Circuits {
 		c, err := benchCircuit(o, name)
 		if err != nil {
@@ -183,21 +152,17 @@ func Gating(o Options) (*Result, error) {
 		}
 		for _, rt := range gatingRates {
 			vecs := toggleVectors(o.Vectors, len(c.Inputs), rt.Rate, o.Seed)
-			seq, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sequential, 1})
+			seq, _, err := measureGating(o, c, vecs, shard.Sequential)
 			if err != nil {
 				return nil, err
 			}
-			sh, _, err := measureGating(o, c, vecs, gatingConfig{shard.Sharded, w})
-			if err != nil {
-				return nil, err
-			}
-			gt, mix, err := measureGating(o, c, vecs, gatingConfig{shard.ActivityGated, w})
+			gt, mix, err := measureGating(o, c, vecs, shard.ActivityGated)
 			if err != nil {
 				return nil, err
 			}
 			spd := "-"
 			if gt.NsPerVector > 0 {
-				spd = fmt.Sprintf("%.1fx", sh.NsPerVector/gt.NsPerVector)
+				spd = fmt.Sprintf("%.1fx", seq.NsPerVector/gt.NsPerVector)
 			}
 			var total int64
 			for _, v := range mix {
@@ -205,18 +170,16 @@ func Gating(o Options) (*Result, error) {
 			}
 			pct := func(v int64) int64 { return (100*v + total/2) / max(total, 1) }
 			t.Add(name, rt.Name,
-				nsv(seq.NsPerVector), nsv(sh.NsPerVector), nsv(gt.NsPerVector),
+				nsv(seq.NsPerVector), nsv(gt.NsPerVector),
 				spd,
-				fmt.Sprintf("%.0f", sh.ObsBarriersPerVector),
 				fmt.Sprintf("%.1f", gt.ObsShardsSkippedPerVector),
 				fmt.Sprintf("%d/%d", pct(mix[obs.GatedSequential]), pct(mix[obs.GatedCaller])))
 		}
 	}
 	return &Result{Table: t, Notes: []string{
-		"gated runs are bit-identical to sequential; Spd = Sharded/Gated ns per vector",
-		"Barr = barrier crossings per vector (sharded), counted by the observer; gated vectors run on the caller alone and cross none",
-		"GMix = % of gated vectors on the sequential form / the caller alone",
-		"single-core runners: read the barrier and skip columns, not wall clock",
+		"gated runs are bit-identical to sequential; Spd = Seq/Gated ns per vector",
+		"Skip/vec = instruction ranges skipped per vector, counted by the observer",
+		"GMix = % of gated vectors on the sequential form / the level loop",
 	}}, nil
 }
 

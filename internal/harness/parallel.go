@@ -12,89 +12,56 @@ import (
 
 // ParallelExec reproduces the multicore execution study: for each
 // circuit, the parallel technique's sequential baseline against the
-// level-sharded and vector-batch strategies at GOMAXPROCS workers,
-// alongside the shard plan's shape (levels, clusters, bulk-synchronous
-// cost) and what the auto-picker chooses. The sharded times are
-// bit-identical simulations; vector batching trades stream coherence for
-// barrier-free scaling.
+// vector-batch strategy at GOMAXPROCS workers, and what the auto-picker
+// chooses. Both runs are the same coherent stream, bit-identical.
 func ParallelExec(o Options) (*Result, error) {
 	o = o.withDefaults()
 	workers := runtime.GOMAXPROCS(0)
 	t := texttable.New(
 		fmt.Sprintf("Multicore execution — parallel technique (%d vectors, W=%d, %d workers)",
 			o.Vectors, o.WordBits, workers),
-		"Circuit", "Levels", "Clusters", "Est", "Auto", "Seq", "Sharded", "Batch", "ShSpd", "BaSpd")
+		"Circuit", "Auto", "Seq", "Batch", "BaSpd")
 	for _, name := range o.Circuits {
 		c, vecs, err := bench(o, name)
 		if err != nil {
 			return nil, err
 		}
-		measure := func(strategy shard.Strategy) (time.Duration, *parsim.Sim, error) {
-			s, err := parsim.Compile(c, parsim.Config{WordBits: o.WordBits})
-			if err != nil {
-				return 0, nil, err
-			}
-			if _, err := s.ConfigureExec(strategy, workers); err != nil {
-				return 0, nil, err
-			}
-			d, err := bestOf(o.Repeats, func() error { return s.ResetConsistent(nil) }, vecs,
-				func(vec []bool) error { return s.ApplyVector(vec) })
-			if err != nil {
-				s.Close()
-				return 0, nil, err
-			}
-			return d, s, nil
-		}
-		dSeq, sSeq, err := measure(shard.Sequential)
+		s, err := parsim.Compile(c, parsim.Config{WordBits: o.WordBits})
 		if err != nil {
 			return nil, err
 		}
-		sSeq.Close()
-		dSh, sSh, err := measure(shard.Sharded)
+		dSeq, err := bestOf(o.Repeats, func() error { return s.ResetConsistent(nil) }, vecs,
+			func(vec []bool) error { return s.ApplyVector(vec) })
 		if err != nil {
 			return nil, err
 		}
-		plan := sSh.ExecPlan()
-		st := plan.Stats()
-		est := plan.EstimatedSpeedup()
-		sSh.Close()
 		// Vector batching parallelizes the stream, not the vector: time it
 		// through ApplyStream over the whole set.
-		sBa, err := parsim.Compile(c, parsim.Config{WordBits: o.WordBits})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sBa.ConfigureExec(shard.VectorBatch, workers); err != nil {
+		if _, err := s.ConfigureExec(shard.VectorBatch, workers); err != nil {
 			return nil, err
 		}
 		var dBa time.Duration
 		for r := 0; r < o.Repeats; r++ {
-			if err := sBa.ResetConsistent(nil); err != nil {
+			if err := s.ResetConsistent(nil); err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			if err := sBa.ApplyStream(vecs.Bits); err != nil {
+			if err := s.ApplyStream(vecs.Bits); err != nil {
 				return nil, err
 			}
 			if d := time.Since(start); r == 0 || d < dBa {
 				dBa = d
 			}
 		}
-		sBa.Close()
-		auto, err := parsim.Compile(c, parsim.Config{WordBits: o.WordBits})
+		resolved, err := s.ConfigureExec(shard.Auto, workers)
 		if err != nil {
 			return nil, err
 		}
-		resolved, err := auto.ConfigureExec(shard.Auto, workers)
-		if err != nil {
-			return nil, err
-		}
-		auto.Close()
-		t.Add(name, st.Levels, st.Clusters, fmt.Sprintf("%.2f", est), resolved.String(),
-			secs(dSeq), secs(dSh), secs(dBa), ratio(dSeq, dSh), ratio(dSeq, dBa))
+		s.Close()
+		t.Add(name, resolved.String(), secs(dSeq), secs(dBa), ratio(dSeq, dBa))
 	}
 	return &Result{Table: t, Notes: []string{
-		"sharded runs are bit-identical to sequential; batch runs are independent substreams",
-		fmt.Sprintf("Est = cost-model speedup estimate at %d workers; Auto = strategy the picker resolves", workers),
+		"batch runs are the same coherent stream as sequential, bit-identical",
+		fmt.Sprintf("Auto = strategy the picker resolves at %d workers", workers),
 	}}, nil
 }

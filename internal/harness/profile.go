@@ -6,26 +6,24 @@ import (
 	"strings"
 
 	"udsim"
+	"udsim/internal/obs"
 	"udsim/internal/texttable"
 )
 
 // ObsReport is the rendered runtime-observability profile of one
-// circuit: per-level heat, per-worker utilization, and the unit-delay
+// circuit: per-level heat, the gated executor mix, and the unit-delay
 // activity summary, all derived from a single observed stream.
 type ObsReport struct {
 	Circuit  string
 	Snapshot *udsim.Snapshot
 	Levels   *texttable.Table
-	Workers  *texttable.Table
 	Notes    []string
 }
 
-// String renders the report's tables and notes.
+// String renders the report's table and notes.
 func (r *ObsReport) String() string {
 	var b strings.Builder
 	b.WriteString(r.Levels.String())
-	b.WriteString("\n")
-	b.WriteString(r.Workers.String())
 	for _, n := range r.Notes {
 		b.WriteString("  " + n + "\n")
 	}
@@ -51,19 +49,21 @@ func heatBar(v, max int64, width int) string {
 
 func ms(nanos int64) string { return fmt.Sprintf("%.2f", float64(nanos)/1e6) }
 
-// ObsProfile streams the circuit's vectors through the sharded parallel
-// engine with an activity-enabled observer attached and renders the
-// per-level heat profile. workers <= 0 means GOMAXPROCS.
-func ObsProfile(o Options, name string, workers int) (*ObsReport, error) {
+// ObsProfile streams a 1%-toggle stream of the circuit through the
+// activity-gated parallel engine, whose level loop books each level it
+// runs, with an activity-enabled observer attached, and renders the
+// per-level heat profile.
+func ObsProfile(o Options, name string) (*ObsReport, error) {
 	o = o.withDefaults()
-	c, vecs, err := bench(o, name)
+	c, err := benchCircuit(o, name)
 	if err != nil {
 		return nil, err
 	}
+	vecs := toggleVectors(o.Vectors, len(c.Inputs), 0.01, o.Seed)
 	ob := udsim.NewObserver(udsim.ObserverConfig{Activity: true})
 	e, err := udsim.Open(c, udsim.TechParallel,
 		udsim.WithWordBits(o.WordBits),
-		udsim.WithExec(udsim.ExecSharded, workers),
+		udsim.WithExec(udsim.ExecActivityGated, 1),
 		udsim.WithObserver(ob))
 	if err != nil {
 		return nil, err
@@ -85,8 +85,8 @@ func ObsProfile(o Options, name string, workers int) (*ObsReport, error) {
 	}
 
 	lt := texttable.New(
-		fmt.Sprintf("%s — per-level heat (%d vectors, %d workers)", name, s.Vectors, s.Workers),
-		"Level", "Instrs", "Time ms", "Share", "Util", "Heat")
+		fmt.Sprintf("%s — per-level heat (%d vectors, activity-gated, 1%% toggle)", name, s.Vectors),
+		"Level", "Instrs", "Time ms", "Share", "Heat")
 	var totalNanos, maxNanos int64
 	for l := range s.Level {
 		n := s.Level[l].Nanos()
@@ -103,19 +103,7 @@ func ObsProfile(o Options, name string, workers int) (*ObsReport, error) {
 		}
 		lt.Add(l, s.Level[l].Instrs(), ms(n),
 			fmt.Sprintf("%.1f%%", share),
-			fmt.Sprintf("%.2f", s.Level[l].Utilization()),
 			heatBar(n, maxNanos, 30))
-	}
-
-	wt := texttable.New(fmt.Sprintf("%s — per-worker utilization", name),
-		"Worker", "Busy ms", "Wait ms", "Instrs", "Busy%")
-	for w := range s.Worker {
-		busy, wait := s.Worker[w].BusyNanos, s.Worker[w].WaitNanos
-		pct := 0.0
-		if busy+wait > 0 {
-			pct = 100 * float64(busy) / float64(busy+wait)
-		}
-		wt.Add(w, ms(busy), ms(wait), s.Worker[w].Instrs, fmt.Sprintf("%.1f%%", pct))
 	}
 
 	peak, peakT := int64(0), 0
@@ -124,11 +112,12 @@ func ObsProfile(o Options, name string, workers int) (*ObsReport, error) {
 			peak, peakT = v, t
 		}
 	}
+	mix := s.GatedVectors
 	notes := []string{
-		fmt.Sprintf("throughput %.0f vectors/s, mean shard utilization %.2f, barrier wait %s ms",
-			s.VectorsPerSec(), s.MeanUtilization(), ms(s.BarrierWaitNanos())),
+		fmt.Sprintf("throughput %.0f vectors/s; %d vectors on the sequential form, %d on the level loop (level 0 also books the sequential form)",
+			s.VectorsPerSec(), mix[obs.GatedSequential], mix[obs.GatedCaller]),
 		fmt.Sprintf("activity: %d toggles, %d glitches over %d vectors; peak %d changes at t=%d",
 			s.TotalToggles(), s.TotalGlitches(), s.ActivityVectors, peak, peakT),
 	}
-	return &ObsReport{Circuit: name, Snapshot: s, Levels: lt, Workers: wt, Notes: notes}, nil
+	return &ObsReport{Circuit: name, Snapshot: s, Levels: lt, Notes: notes}, nil
 }

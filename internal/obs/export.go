@@ -12,7 +12,7 @@ import (
 // WriteText renders the snapshot in the Prometheus text exposition
 // format (one `name{labels} value` sample per line, `# TYPE` comments
 // per family). The export carries the stream-level counters, the
-// per-worker busy/wait split, the per-(level, shard) grid and the
+// per-worker busy time, the per-(level, shard) grid and the
 // activity-per-step profile — everything a scraper or a diff needs,
 // except the per-net activity vectors, which stay in the Snapshot
 // (they are circuit-sized and belong in internal/activity reports).
@@ -62,33 +62,25 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	sample("udsim_wall_seconds", "", secs(s.WallNanos))
 	family("udsim_vectors_per_second", "gauge")
 	sample("udsim_vectors_per_second", "", s.VectorsPerSec())
-	family("udsim_utilization", "gauge")
-	sample("udsim_utilization", "", s.MeanUtilization())
 
 	if len(s.Worker) > 0 {
 		family("udsim_worker_busy_seconds_total", "counter")
-		family("udsim_worker_wait_seconds_total", "counter")
 		family("udsim_worker_instrs_total", "counter")
-		family("udsim_worker_barrier_crossings_total", "counter")
 		for w := range s.Worker {
 			l := fmt.Sprintf("worker=%q", strconv.Itoa(w))
 			sample("udsim_worker_busy_seconds_total", l, secs(s.Worker[w].BusyNanos))
-			sample("udsim_worker_wait_seconds_total", l, secs(s.Worker[w].WaitNanos))
 			sample("udsim_worker_instrs_total", l, float64(s.Worker[w].Instrs))
-			sample("udsim_worker_barrier_crossings_total", l, float64(s.Worker[w].Crossings))
 		}
 	}
 	if len(s.Level) > 0 {
 		family("udsim_level_seconds_total", "counter")
 		family("udsim_level_instrs_total", "counter")
-		family("udsim_level_utilization", "gauge")
 		for l := range s.Level {
 			for w := range s.Level[l].ShardNanos {
 				lb := fmt.Sprintf("level=%q,shard=%q", strconv.Itoa(l), strconv.Itoa(w))
 				sample("udsim_level_seconds_total", lb, secs(s.Level[l].ShardNanos[w]))
 				sample("udsim_level_instrs_total", lb, float64(s.Level[l].ShardInstrs[w]))
 			}
-			sample("udsim_level_utilization", fmt.Sprintf("level=%q", strconv.Itoa(l)), s.Level[l].Utilization())
 		}
 	}
 	family("udsim_guard_faults_total", "counter")

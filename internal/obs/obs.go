@@ -4,10 +4,9 @@
 // The paper argues for compiled unit-delay simulation by measuring —
 // instruction counts, word counts, shift counts, activity per circuit —
 // and this package extends that discipline to the runtime: where the
-// cycles go (per level, per shard), how balanced the sharded execution
-// is (busy versus barrier-wait time per worker), how much state traffic
-// a vector stream generates, and how much unit-delay switching activity
-// the circuit exhibits per time step.
+// cycles go (per level), how much state traffic a vector stream
+// generates, what activity gating skipped, and how much unit-delay
+// switching activity the circuit exhibits per time step.
 //
 // The design constraints, in order:
 //
@@ -22,9 +21,8 @@
 //     copy; it is meant for the end (or quiet moments) of a run.
 //
 // Layout: the per-(level, worker) cell grid is worker-major, so each
-// worker's cells are contiguous and two workers only ever share the one
-// cache line at their block boundary; the per-worker busy/wait counters
-// are padded to a cache line each.
+// worker's cells are contiguous; the per-worker busy counters are padded
+// to a cache line each.
 package obs
 
 import (
@@ -83,13 +81,11 @@ type cell struct {
 	instrs atomic.Int64
 }
 
-// workerCtr accumulates one worker's busy and barrier-wait time and its
-// barrier crossings, padded so adjacent workers never share a cache line.
+// workerCtr accumulates one worker's busy time, padded so adjacent
+// workers never share a cache line.
 type workerCtr struct {
-	busy      atomic.Int64 // nanoseconds executing level slices
-	wait      atomic.Int64 // nanoseconds in barrier waits
-	crossings atomic.Int64 // barrier crossings
-	_         [40]byte
+	busy atomic.Int64 // nanoseconds executing level slices
+	_    [56]byte
 }
 
 // The executors an activity-gated vector can run on, indexing
@@ -99,8 +95,8 @@ const (
 	// full: a vector after an invalidation, or one activating most of the
 	// program.
 	GatedSequential = iota
-	// GatedCaller is the level loop over the active ranges on the caller
-	// alone, crossing no barrier.
+	// GatedCaller is the level loop over the active ranges on the
+	// caller.
 	GatedCaller
 	// NumGatedExecutors is the number of gated executors.
 	NumGatedExecutors
@@ -111,7 +107,7 @@ const (
 var GatedExecutors = [NumGatedExecutors]string{"sequential", "caller"}
 
 // Observer collects runtime counters for one engine. All Add* methods
-// are safe for concurrent use (shard workers, vector-batch clones) and
+// are safe for concurrent use (vector-batch clones) and
 // never allocate; Attach and Snapshot are not safe to call concurrently
 // with a running simulation.
 //
@@ -242,12 +238,6 @@ func (o *Observer) AddLevel(level, worker int, d time.Duration, instrs int) {
 	c.nanos.Add(int64(d))
 	c.instrs.Add(int64(instrs))
 	o.workers[worker].busy.Add(int64(d))
-}
-
-// AddWait records worker crossing a barrier after a wait of d.
-func (o *Observer) AddWait(worker int, d time.Duration) {
-	o.workers[worker].wait.Add(int64(d))
-	o.workers[worker].crossings.Add(1)
 }
 
 // AddShardsSkipped counts n shard level-slices skipped by activity

@@ -28,8 +28,6 @@ func TestCounterMath(t *testing.T) {
 	o.AddLevel(0, 1, 4*time.Microsecond, 6)
 	o.AddLevel(1, 0, 3*time.Microsecond, 5)
 	o.AddLevel(1, 1, 1*time.Microsecond, 3)
-	o.AddWait(0, 1*time.Microsecond)
-	o.AddWait(1, 3*time.Microsecond)
 	o.AddTransition(1)
 	o.AddTransition(1)
 	o.AddTransition(3)
@@ -53,25 +51,14 @@ func TestCounterMath(t *testing.T) {
 	if s.Words != 2*25+2*8 || s.Scratch != 2*6 {
 		t.Fatalf("traffic: words=%d scratch=%d", s.Words, s.Scratch)
 	}
-	if got := s.Level[0].Utilization(); got != 1.0 {
-		t.Fatalf("level 0 utilization %v, want 1.0", got)
-	}
-	// Level 1: mean 2µs, max 3µs → 2/3.
-	if got := s.Level[1].Utilization(); got < 0.66 || got > 0.67 {
-		t.Fatalf("level 1 utilization %v, want 2/3", got)
-	}
 	if s.Level[1].Instrs() != 8 || s.Level[1].Nanos() != 4000 {
 		t.Fatalf("level 1 totals: %d instrs %d ns", s.Level[1].Instrs(), s.Level[1].Nanos())
 	}
-	if s.Worker[0].BusyNanos != 7000 || s.Worker[0].WaitNanos != 1000 || s.Worker[0].Instrs != 11 {
+	if s.Worker[0].BusyNanos != 7000 || s.Worker[0].Instrs != 11 {
 		t.Fatalf("worker 0: %+v", s.Worker[0])
 	}
-	if s.BusyNanos() != 12000 || s.BarrierWaitNanos() != 4000 {
+	if s.BusyNanos() != 12000 || s.BarrierWaitNanos() != 0 {
 		t.Fatalf("totals: busy=%d wait=%d", s.BusyNanos(), s.BarrierWaitNanos())
-	}
-	// Weighted mean utilization: (8000·1.0 + 4000·(2/3)) / 12000 = 8/9.
-	if got, want := s.MeanUtilization(), 8.0/9.0; got < want-1e-9 || got > want+1e-9 {
-		t.Fatalf("mean utilization %v, want %v", got, want)
 	}
 	if s.Steps[1] != 2 || s.Steps[3] != 1 || s.Steps[0] != 0 {
 		t.Fatalf("steps: %v", s.Steps)
@@ -88,8 +75,8 @@ func TestCounterMath(t *testing.T) {
 }
 
 // TestConcurrentMerging hammers one observer from concurrent workers —
-// the shard-engine usage pattern — and checks the snapshot totals are
-// exact. Run under -race this also proves the Add* paths and a
+// the vector-batch usage pattern, whose clones share one observer — and
+// checks the snapshot totals are exact. Run under -race this also proves the Add* paths and a
 // concurrent Snapshot are data-race free.
 func TestConcurrentMerging(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -106,7 +93,6 @@ func TestConcurrentMerging(t *testing.T) {
 						for l := 0; l < levels; l++ {
 							o.AddLevel(l, w, time.Nanosecond*7, 3)
 						}
-						o.AddWait(w, time.Nanosecond*2)
 						o.AddTransition(r % 8)
 						o.AddNetToggles(r%4, 2)
 					}
@@ -132,9 +118,6 @@ func TestConcurrentMerging(t *testing.T) {
 			}
 			if got := s.BusyNanos(); got != int64(workers*rounds*levels*7) {
 				t.Fatalf("busy %d", got)
-			}
-			if got := s.BarrierWaitNanos(); got != int64(workers*rounds*2) {
-				t.Fatalf("wait %d", got)
 			}
 			var steps int64
 			for _, v := range s.Steps {
@@ -166,7 +149,6 @@ func TestSnapshotMerge(t *testing.T) {
 			o.AddRun(time.Microsecond)
 			o.AddLevel(0, 0, time.Microsecond/2, 3)
 			o.AddLevel(1, 1, time.Microsecond/2, 2)
-			o.AddWait(1, time.Microsecond/4)
 		}
 		return o.Snapshot()
 	}
@@ -177,7 +159,7 @@ func TestSnapshotMerge(t *testing.T) {
 	if a.Vectors != 8 || a.Runs != 8 || a.Instrs != 8*5 || a.Words != 8*9 || a.Scratch != 8*2 {
 		t.Fatalf("merged totals: %+v", a)
 	}
-	if a.Level[0].ShardInstrs[0] != 8*3 || a.Worker[1].WaitNanos != 8*250 {
+	if a.Level[0].ShardInstrs[0] != 8*3 || a.Worker[1].BusyNanos != 8*500 {
 		t.Fatalf("merged grid: %+v %+v", a.Level, a.Worker)
 	}
 	other := &Snapshot{Engine: "pcset", Levels: 2, Workers: 2}

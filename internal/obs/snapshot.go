@@ -31,33 +31,10 @@ func (l *LevelStat) Instrs() int64 {
 	return t
 }
 
-// Utilization is the level's shard balance: mean busy time over maximum
-// busy time, 1.0 when perfectly balanced. A level whose slowest shard
-// takes max while the average shard takes mean keeps the workers
-// mean/max busy — the rest is barrier wait. Levels with no measured
-// time report 1.0 (trivially balanced).
-func (l *LevelStat) Utilization() float64 {
-	var sum, max int64
-	for _, v := range l.ShardNanos {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return float64(sum) / float64(len(l.ShardNanos)) / float64(max)
-}
-
 // WorkerStat is one worker's stream-level execution profile.
 type WorkerStat struct {
 	// BusyNanos is time spent executing level slices.
 	BusyNanos int64 `json:"busy_nanos"`
-	// WaitNanos is time spent in barrier waits.
-	WaitNanos int64 `json:"wait_nanos"`
-	// Crossings is the number of barrier crossings.
-	Crossings int64 `json:"crossings"`
 	// Instrs is the total instructions the worker executed.
 	Instrs int64 `json:"instrs"`
 }
@@ -170,8 +147,6 @@ func (o *Observer) Snapshot() *Snapshot {
 				s.Instrs += i
 			}
 			s.Worker[w].BusyNanos = o.workers[w].busy.Load()
-			s.Worker[w].WaitNanos = o.workers[w].wait.Load()
-			s.Worker[w].Crossings = o.workers[w].crossings.Load()
 		}
 	}
 	if o.steps != nil {
@@ -207,30 +182,9 @@ func (s *Snapshot) BusyNanos() int64 {
 	return t
 }
 
-// BarrierWaitNanos sums every worker's barrier-wait time.
-func (s *Snapshot) BarrierWaitNanos() int64 {
-	var t int64
-	for i := range s.Worker {
-		t += s.Worker[i].WaitNanos
-	}
-	return t
-}
-
-// MeanUtilization is the busy-time-weighted mean of the per-level shard
-// utilizations — the fraction of the workers' level time that was spent
-// executing rather than implied waiting. 1.0 for sequential execution.
-func (s *Snapshot) MeanUtilization() float64 {
-	var num, den float64
-	for l := range s.Level {
-		n := float64(s.Level[l].Nanos())
-		num += n * s.Level[l].Utilization()
-		den += n
-	}
-	if den == 0 {
-		return 1
-	}
-	return num / den
-}
+// BarrierWaitNanos is always 0: no executor waits at a barrier. It is
+// kept for perfbench, which reports it as shard.barrier_wait_s.
+func (s *Snapshot) BarrierWaitNanos() int64 { return 0 }
 
 // TotalToggles sums the per-net toggle counts of the activity profile.
 func (s *Snapshot) TotalToggles() int64 {
@@ -285,8 +239,6 @@ func (s *Snapshot) Merge(t *Snapshot) error {
 	}
 	for w := range s.Worker {
 		s.Worker[w].BusyNanos += t.Worker[w].BusyNanos
-		s.Worker[w].WaitNanos += t.Worker[w].WaitNanos
-		s.Worker[w].Crossings += t.Worker[w].Crossings
 		s.Worker[w].Instrs += t.Worker[w].Instrs
 	}
 	for i := range s.Steps {

@@ -26,10 +26,10 @@ import (
 //     dependence, so a skipped group's nets provably settle at their
 //     previous finals. Groups are fine-grained: one per net's
 //     instruction cluster, unioned only where a scratch-slot dependence
-//     crosses clusters, and each (level, shard) cell is cut into
-//     contiguous per-group segments the engine executes as active
-//     ranges (Engine.SetGate) — so a level that must run for one hot
-//     cone still skips every cold one.
+//     crosses clusters, and each level is cut into contiguous per-group
+//     segments the engine executes as active ranges (Engine.SetGate) —
+//     so a level that must run for one hot cone still skips every cold
+//     one.
 //  2. Flattening. A skipped net's field still holds the previous
 //     vector's waveform, which downstream readers and History would see.
 //     Under the flat and trimmed layouts the correct field of a settled
@@ -62,10 +62,9 @@ import (
 // Each vector then runs on the cheaper of two bit-identical executors,
 // chosen once per vector right after the decision (see decide): the
 // core's sequential execution form over the whole program, or the level
-// loop over the active ranges, which a gated engine runs on the caller
-// alone (shard.Engine.SetGate). The first vector after compile,
-// ResetConsistent, a checkpoint restore or a state detach (valid ==
-// false) runs the sequential form.
+// loop over the active ranges (shard.Engine.SetGate). The first vector
+// after compile, ResetConsistent, a checkpoint restore or a fault (valid
+// == false) runs the sequential form.
 //
 // Bookkeeping is proportional to activity. Per vector it costs one
 // primary-input diff and a branch-free cone intersection per group, then
@@ -79,8 +78,7 @@ import (
 // queued instead. All per-group lists are flat CSR arrays and every
 // buffer is sized here, so the steady state allocates nothing.
 type gater struct {
-	levels  int
-	workers int
+	levels int
 
 	// The gate groups' activation cones: primary-input bitsets stored
 	// word-major, word w of group g at [w*numGroups+g], so the scan
@@ -88,17 +86,17 @@ type gater struct {
 	numGroups int
 	groupCone []uint64
 
-	// Segmentation: each (level, shard) cell's slice cut into contiguous
-	// per-group segments. Segment i lies in cell segCell[i] and spans
+	// Segmentation: each level's slice cut into contiguous per-group
+	// segments. Segment i lies in level segLevel[i] and spans
 	// code[segSpan[2i]:segSpan[2i+1]] of it; segCost[i] is its price in
 	// op units (see segmentOps). The init program is cut the same way
 	// into initSpan segments.
-	segCell  []int32
+	segLevel []int32
 	segSpan  []int32
 	segCost  []int32
 	initSpan []int32
 
-	// Per group g, as CSR slices [off[g]:off[g+1]]: its cell segments,
+	// Per group g, as CSR slices [off[g]:off[g+1]]: its level segments,
 	// its init segments and its nets; grpCost[g] is the summed segCost.
 	grpSegOff, grpSegs   []int32
 	grpInitOff, grpInits []int32
@@ -130,7 +128,7 @@ type gater struct {
 	initOn   []uint64
 	runLevel []bool  // the engine's level gates
 	runs     []int32 // the engine's active-range pairs
-	runOff   []int32 // per-cell offsets into runs
+	runOff   []int32 // per-level offsets into runs
 	initRuns []int32 // the init program's active-range pairs
 
 	valid bool // false forces the next vector onto the sequential form
@@ -141,16 +139,15 @@ type gater struct {
 	exec    int // this vector's executor: obs.GatedSequential or obs.GatedCaller
 
 	// Cumulative gating tallies since ConfigureExec, read by
-	// GatingLevels: vectors decided, levels run, levels skipped
-	// (barrier-included). Plain int64s — decide runs on the caller's
-	// goroutine before any worker is dispatched.
+	// GatingLevels: vectors decided, levels run, levels skipped. Plain
+	// int64s — decide runs on the caller's goroutine.
 	decVectors, decLevelsRun, decLevelsSkipped int64
 }
 
 // The executor choice's cost model, in the plan's op units (shard.OpCost).
 // A gated vector's estimated cost is the op cost of its active segments
 // plus segmentOps per active segment, for the range each segment adds to
-// the level loop and to the init run. The level loop runs cells in
+// the level loop and to the init run. The level loop runs levels in
 // emission order, in short ranges, through program.Exec's
 // per-instruction switch; the sequential form runs the whole program
 // through its opcode-clustered loop. Timed vector by vector in lockstep
@@ -168,7 +165,7 @@ const (
 // invalidate forces the next vector to run (and re-materialize) every
 // group — the reset after any operation that makes the state array's
 // relation to PrevPI unknown. Pending flattening is dropped: the state
-// is rewritten (reset, restore) or undefined (detach, fault).
+// is rewritten (reset, restore) or undefined (fault).
 func (g *gater) invalidate() {
 	if g != nil {
 		g.valid = false
@@ -185,19 +182,20 @@ func (g *gater) dropPending() {
 }
 
 // Gate implements engine.Gating: it builds the activity gating for the
-// sharded engine's plan and installs it, or drops it when e is nil. The
-// gater it replaces flattens its pending fields first.
+// level loop's plan and installs it, or drops it when e is nil. The
+// gater it replaces flattens its pending fields first; a layout that
+// cannot be gated is refused before anything is replaced.
 func (s *Sim) Gate(e *shard.Engine) error {
+	if e != nil && s.cfg.Align != nil {
+		return fmt.Errorf("parsim: activity gating requires the flat or trimmed layout (shift elimination packs previous-vector bits that break the settled-field skip rule)")
+	}
+	if e != nil && s.cfg.Delays != nil {
+		return fmt.Errorf("parsim: activity gating does not support nominal gate delays")
+	}
 	s.Flatten()
 	s.gate = nil
 	if e == nil {
 		return nil
-	}
-	if s.cfg.Align != nil {
-		return fmt.Errorf("parsim: activity gating requires the flat or trimmed layout (shift elimination packs previous-vector bits that break the settled-field skip rule)")
-	}
-	if s.cfg.Delays != nil {
-		return fmt.Errorf("parsim: activity gating does not support nominal gate delays")
 	}
 	g := s.buildGater(e.Plan())
 	e.SetGate(g.runLevel, g.runs, g.runOff)
@@ -215,14 +213,12 @@ func (s *Sim) SequentialForm() bool { return s.gate != nil && s.gate.exec == obs
 
 // buildGater derives the gating structure for a configured plan: one
 // gate group per net's instruction cluster, unioned only where a
-// scratch-slot dependence crosses clusters, with every cell cut into
+// scratch-slot dependence crosses clusters, with every level cut into
 // contiguous per-group segments for the engine's active-range execution.
 func (s *Sim) buildGater(plan *shard.Plan) *gater {
 	scratchStart := s.ScratchStart()
-	workers := plan.Workers()
 	levels := plan.Stats().Levels
 	numNets := s.Circuit().NumNets()
-	numCells := levels * workers
 
 	// Persistent slot → net, via the disjoint bit-field layout (V003).
 	slotNet := make([]int32, scratchStart)
@@ -256,80 +252,70 @@ func (s *Sim) buildGater(plan *shard.Plan) *gater {
 		}
 	}
 
-	// Pass 1 — attribution and segmentation, per cell in engine order.
+	// Pass 1 — attribution and segmentation, per level in engine order.
 	// A field-writing instruction belongs to its destination's net; a
 	// scratch write belongs to the cluster that consumes it, which the
 	// backward fill identifies as the next field-writing instruction.
-	owners := make([][]int32, numCells)
+	owners := make([][]int32, levels)
 	var segNet []int32 // per segment: owning net, or the always class
 	var segEnd []int32
-	cellSegOff := make([]int32, numCells+1)
+	levelSegOff := make([]int32, levels+1)
 	for l := 0; l < levels; l++ {
-		for w := 0; w < workers; w++ {
-			c := l*workers + w
-			cellSegOff[c] = int32(len(segEnd))
-			code := plan.CellCode(l, w)
-			if len(code) == 0 {
-				continue
-			}
-			own := make([]int32, len(code))
-			cur := always
-			for i := len(code) - 1; i >= 0; i-- {
-				in := &code[i]
-				if in.Writes() && in.Dst < scratchStart {
-					if n := slotNet[in.Dst]; n >= 0 {
-						cur = n
-					} else {
-						cur = always
-					}
+		levelSegOff[l] = int32(len(segEnd))
+		code := plan.LevelCode(l)
+		own := make([]int32, len(code))
+		cur := always
+		for i := len(code) - 1; i >= 0; i-- {
+			in := &code[i]
+			if in.Writes() && in.Dst < scratchStart {
+				if n := slotNet[in.Dst]; n >= 0 {
+					cur = n
+				} else {
+					cur = always
 				}
-				own[i] = cur
 			}
-			owners[c] = own
-			for i := range code {
-				if i == 0 || own[i] != own[i-1] {
-					segNet = append(segNet, own[i])
-					segEnd = append(segEnd, 0)
-				}
-				segEnd[len(segEnd)-1] = int32(i + 1)
+			own[i] = cur
+		}
+		owners[l] = own
+		for i := range code {
+			if i == 0 || own[i] != own[i-1] {
+				segNet = append(segNet, own[i])
+				segEnd = append(segEnd, 0)
 			}
+			segEnd[len(segEnd)-1] = int32(i + 1)
 		}
 	}
-	cellSegOff[numCells] = int32(len(segEnd))
+	levelSegOff[levels] = int32(len(segEnd))
 
-	// Pass 2 — scratch dependences. Walking each shard column in
-	// execution order, a cluster that reads a scratch slot another
-	// cluster last wrote gates together with the writer (cross-level
-	// carry hand-offs, compaction-shared temporaries); a read with no
-	// recorded writer is conservatively never gated. Scratch arenas are
-	// per-worker slices of the state array, so one last-writer table
-	// covers all columns without resets.
-	lastW := make([]int32, plan.StateSize()-int(scratchStart))
+	// Pass 2 — scratch dependences. Walking the levels in execution
+	// order, a cluster that reads a scratch slot another cluster last
+	// wrote gates together with the writer (cross-level carry hand-offs,
+	// compaction-shared temporaries); a read with no recorded writer is
+	// conservatively never gated.
+	_, sim := s.Programs()
+	lastW := make([]int32, sim.NumVars-int(scratchStart))
 	for i := range lastW {
 		lastW[i] = -1
 	}
 	var rbuf [3]int32
-	for w := 0; w < workers; w++ {
-		for l := 0; l < levels; l++ {
-			c := l*workers + w
-			code := plan.CellCode(l, w)
-			own := owners[c]
-			for i := range code {
-				in := &code[i]
-				for _, r := range in.ReadSlots(rbuf[:0]) {
-					if r < scratchStart {
-						continue
-					}
-					switch lw := lastW[r-scratchStart]; {
-					case lw < 0:
-						union(own[i], always)
-					case lw != own[i]:
-						union(own[i], lw)
-					}
+	for l := 0; l < levels; l++ {
+		code := plan.LevelCode(l)
+		own := owners[l]
+		for i := range code {
+			in := &code[i]
+			for _, r := range in.ReadSlots(rbuf[:0]) {
+				if r < scratchStart {
+					continue
 				}
-				if in.Writes() && in.Dst >= scratchStart {
-					lastW[in.Dst-scratchStart] = own[i]
+				switch lw := lastW[r-scratchStart]; {
+				case lw < 0:
+					union(own[i], always)
+				case lw != own[i]:
+					union(own[i], lw)
 				}
+			}
+			if in.Writes() && in.Dst >= scratchStart {
+				lastW[in.Dst-scratchStart] = own[i]
 			}
 		}
 	}
@@ -373,22 +359,20 @@ func (s *Sim) buildGater(plan *shard.Plan) *gater {
 		}
 	}
 
-	return s.newGater(plan, slotNet, netGroup, int(numGroups), segGrp, segEnd, cellSegOff)
+	return s.newGater(plan, slotNet, netGroup, int(numGroups), segGrp, segEnd, levelSegOff)
 }
 
 // newGater builds the gating state from buildGater's grouping and
 // segmentation: activation cones, segment spans and costs, the init
 // program's segmentation, the per-group CSR lists and the per-vector
 // buffers.
-func (s *Sim) newGater(plan *shard.Plan, slotNet, netGroup []int32, numGroups int, segGrp, segEnd, cellSegOff []int32) *gater {
+func (s *Sim) newGater(plan *shard.Plan, slotNet, netGroup []int32, numGroups int, segGrp, segEnd, levelSegOff []int32) *gater {
 	numNets := s.Circuit().NumNets()
 	scratchStart := s.ScratchStart()
 	init, _ := s.Programs()
-	workers := plan.Workers()
-	numCells := len(cellSegOff) - 1
+	levels := len(levelSegOff) - 1
 	g := &gater{
-		levels:    numCells / workers,
-		workers:   workers,
+		levels:    levels,
 		numGroups: numGroups,
 	}
 
@@ -408,21 +392,21 @@ func (s *Sim) newGater(plan *shard.Plan, slotNet, netGroup []int32, numGroups in
 		}
 	}
 
-	// Segment spans and costs, cell by cell.
+	// Segment spans and costs, level by level.
 	numSegs := len(segEnd)
-	g.segCell = make([]int32, numSegs)
+	g.segLevel = make([]int32, numSegs)
 	g.segSpan = make([]int32, 2*numSegs)
 	g.segCost = make([]int32, numSegs)
 	var total int64
-	for c := 0; c < numCells; c++ {
-		code := plan.CellCode(c/workers, c%workers)
+	for l := 0; l < levels; l++ {
+		code := plan.LevelCode(l)
 		start := int32(0)
-		for i := cellSegOff[c]; i < cellSegOff[c+1]; i++ {
+		for i := levelSegOff[l]; i < levelSegOff[l+1]; i++ {
 			cost := int32(segmentOps)
 			for _, in := range code[start:segEnd[i]] {
 				cost += int32(shard.OpCost(in.Op))
 			}
-			g.segCell[i], g.segSpan[2*i], g.segSpan[2*i+1], g.segCost[i] = int32(c), start, segEnd[i], cost
+			g.segLevel[i], g.segSpan[2*i], g.segSpan[2*i+1], g.segCost[i] = int32(l), start, segEnd[i], cost
 			total += int64(cost - segmentOps)
 			start = segEnd[i]
 		}
@@ -492,7 +476,7 @@ func (s *Sim) newGater(plan *shard.Plan, slotNet, netGroup []int32, numGroups in
 	g.initOn = make([]uint64, len(g.initBase))
 	g.runLevel = make([]bool, g.levels)
 	g.runs = make([]int32, 2*numSegs)
-	g.runOff = make([]int32, numCells+1)
+	g.runOff = make([]int32, levels+1)
 	g.initRuns = make([]int32, len(g.initSpan))
 	return g
 }
@@ -621,11 +605,11 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 		// flattened yet.
 		clear(g.runLevel)
 		g.decLevelsSkipped += int64(g.levels)
-		return int64(len(g.segCell))
+		return int64(len(g.segLevel))
 	}
 
 	// Mark the active segments, then walk the marks in order: each
-	// cell's marked segments become its ranges (adjacent ones merged).
+	// level's marked segments become its ranges (adjacent ones merged).
 	copy(g.segOn, g.segBase)
 	for _, gi := range act {
 		for _, si := range g.grpSegs[g.grpSegOff[gi]:g.grpSegOff[gi+1]] {
@@ -637,12 +621,12 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 		for ; word != 0; word &= word - 1 {
 			si := wi<<6 | bits.TrailingZeros64(word)
 			marked++
-			c := g.segCell[si]
-			for ; next <= c; next++ {
+			l := g.segLevel[si]
+			for ; next <= l; next++ {
 				g.runOff[next] = ri
 			}
 			a, b := g.segSpan[2*si], g.segSpan[2*si+1]
-			if ri > g.runOff[c] && g.runs[2*ri-1] == a {
+			if ri > g.runOff[l] && g.runs[2*ri-1] == a {
 				g.runs[2*ri-1] = b
 			} else {
 				g.runs[2*ri], g.runs[2*ri+1] = a, b
@@ -656,7 +640,7 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 
 	// Level gates.
 	for l := 0; l < g.levels; l++ {
-		run := g.runOff[(l+1)*g.workers] > g.runOff[l*g.workers]
+		run := g.runOff[l+1] > g.runOff[l]
 		g.runLevel[l] = run
 		if run {
 			g.decLevelsRun++
@@ -664,7 +648,7 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 			g.decLevelsSkipped++
 		}
 	}
-	return int64(len(g.segCell) - marked)
+	return int64(len(g.segLevel) - marked)
 }
 
 // runAll sends this vector to the sequential form: every level runs and
@@ -679,10 +663,9 @@ func (g *gater) runAll() int64 {
 
 // GatingLevels reports the activity-gated strategy's cumulative level
 // tally since ConfigureExec: vectors decided, levels executed, and
-// levels skipped. A vector on the sequential form runs every level. No
-// gated vector crosses a barrier (the observer counts crossings in
-// obs.WorkerStat.Crossings, and the vectors per executor). All zeros
-// when the configured strategy is not ActivityGated.
+// levels skipped. A vector on the sequential form runs every level (the
+// observer counts the vectors per executor). All zeros when the
+// configured strategy is not ActivityGated.
 func (s *Sim) GatingLevels() (vectors, run, skipped int64) {
 	if s.gate == nil {
 		return 0, 0, 0
@@ -718,7 +701,7 @@ func (s *Sim) gatedInit(inputs []bool) {
 // and otherwise the pending flattening followed by the init program
 // minus the instructions that initialize skipped nets, as ranges of the
 // emission-order stream built from the active groups' init segments the
-// way decide builds the cell ranges.
+// way decide builds the level ranges.
 func (s *Sim) runGatedInit() {
 	g := s.gate
 	switch {

@@ -19,6 +19,7 @@ package parsim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"udsim/internal/align"
 	"udsim/internal/circuit"
@@ -256,21 +257,37 @@ func (s *Sim) Fork() engine.Technique {
 
 // observeActivity scans every net's waveform of the last vector into
 // the observer's activity profile: one transition per (net, time) value
-// change, per-net toggle totals. Allocation-free; O(nets × depth).
+// change, per-net toggle totals. A value can change only at the times
+// its field holds (before them it is the previous final, after them the
+// field's last bit), so the scan compares each field word with itself
+// shifted by one time step and visits only the bits that differ.
+// Allocation-free; O(nets × words + transitions).
 func (s *Sim) observeActivity() {
+	s.Flatten()
 	o := s.Observer()
 	d := s.Depth()
+	W := s.cfg.WordBits
 	for n := range s.Circuit().Nets {
-		id := circuit.NetID(n)
-		prev := s.ValueAt(id, 0)
+		align := s.alignOf[n]
+		lo := max(align, 1) - align              // first field bit that can differ from the one before
+		hi := min(align+s.width[n]-1, d) - align // last field bit a time up to Depth reads
+		if lo > hi {
+			continue
+		}
+		var prev uint64 // the value just before the word: time lo-1 for the first word
+		if s.ValueAt(circuit.NetID(n), align+lo-1) {
+			prev = 1
+		}
 		var toggles int64
-		for t := 1; t <= d; t++ {
-			v := s.ValueAt(id, t)
-			if v != prev {
-				o.AddTransition(t)
+		for w := lo / W; w <= hi/W; w++ {
+			x := s.St[s.base[n]+int32(w)]
+			first, last := max(lo-w*W, 0), min(hi-w*W, W-1)
+			diff := (x ^ (x<<1 | prev)) & (^uint64(0) << uint(first)) & (^uint64(0) >> uint(63-last))
+			prev = x >> uint(W-1) & 1
+			for ; diff != 0; diff &= diff - 1 {
+				o.AddTransition(align + w*W + bits.TrailingZeros64(diff))
 				toggles++
 			}
-			prev = v
 		}
 		if toggles > 0 {
 			o.AddNetToggles(n, toggles)

@@ -74,8 +74,8 @@ func (s *Sim) Spec() *verify.Spec {
 		}
 		spec.Phase = phase
 	}
-	// When a sharded engine is configured, export its static plan so rule
-	// V012 checks the partition against the sequential dataflow.
+	// When activity gating is configured, export its leveled plan so rule
+	// V012 checks the leveling against the sequential dataflow.
 	if plan := s.ExecPlan(); plan != nil {
 		spec.Shards = plan.Assignment()
 	}

@@ -199,11 +199,6 @@ func (s *Sim) Spec() *verify.Spec {
 			spec.LiveOut = append(spec.LiveOut, vs[len(vs)-1])
 		}
 	}
-	// When a sharded engine is configured, export its static plan so rule
-	// V012 checks the partition against the sequential dataflow.
-	if plan := s.ExecPlan(); plan != nil {
-		spec.Shards = plan.Assignment()
-	}
 	return spec
 }
 

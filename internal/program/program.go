@@ -254,8 +254,8 @@ func ExecRanges(code []Instr, runs []int32, st []uint64, wordBits int) int {
 
 // Exec executes a straight-line instruction slice over st with the given
 // logical word width. It is the shared hot loop behind Program.Run and the
-// sharded multicore engine (package shard), which executes per-level,
-// per-worker sub-slices of a program's code. The loop is deliberately a
+// activity-gated level loop (package shard), which executes ranges of a
+// program's levels. The loop is deliberately a
 // single switch over a flat slice: no per-instruction allocation, no
 // bounds rechecking beyond the slice accesses. Whole sim programs run
 // sequentially take Sequential.Run instead, which switches once per run

@@ -15,8 +15,8 @@ import (
 // opcode sit back to back, and Sequential.Run switches once per such run.
 // Only whole-program sequential execution uses it: the emission-order
 // Program stays the artifact that verification, code generation, the
-// native backend and the shard planner see, and the sharded and gated
-// engines keep running contiguous emission-order ranges through Exec.
+// native backend and the shard planner see, and the gated level loop
+// keeps running contiguous emission-order ranges through Exec.
 
 // schedWindow is how many consecutive emission-order instructions are
 // list-scheduled together. Windows run in emission order, so every

@@ -1,6 +1,6 @@
 // Package chaos provides deterministic, seeded fault injectors for the
-// guarded execution paths: worker panics at a chosen level, state-word
-// corruption, artificial barrier delays, and mid-stream context
+// guarded execution paths: panics at a chosen level, state-word
+// corruption, artificial level delays, and mid-stream context
 // cancellation. Injectors implement resilience.Injector and are
 // consulted only on the guarded paths (RunCtx/ApplyVectorCtx), so
 // unguarded hot loops never pay for them.
@@ -8,7 +8,7 @@
 // Determinism is the point: every injector fires at an exact (run,
 // level, shard) coordinate, counted by BeginRun, and fires exactly once
 // unless Reset. The chaos test suite replays the same failure on every
-// circuit, every word width, every worker count — a seeded randomized
+// circuit and every word width — a seeded randomized
 // injector exists for sweeps, and its choices are a pure function of the
 // seed.
 package chaos
@@ -157,7 +157,7 @@ func CorruptBits(run, level, shard, slot int, mask uint64) *Injector {
 }
 
 // Delay builds a single-shot stall injector that sleeps d on run run at
-// (level, shard) — long enough a sleep trips the barrier watchdog.
+// (level, shard) — long enough a sleep overruns the guard's level budget.
 func Delay(run, level, shard int, d time.Duration) *Injector {
 	return &Injector{Event: EventDelay, Run: run, Level: level, Shard: shard, Sleep: d}
 }

@@ -1,24 +1,24 @@
 // Package resilience is the supervision layer around the compiled
-// simulation engines: typed engine faults, guard policies, the barrier
-// watchdog, and the fault-injection seam the chaos harness drives.
+// simulation engines: typed engine faults, guard policies, and the
+// fault-injection seam the chaos harness drives.
 //
 // The paper's compiled techniques produce straight-line programs with no
 // branches — and therefore no error paths. That is exactly right for the
 // hot loop and exactly wrong for a runtime meant to serve heavy traffic:
-// a panicking shard worker must not kill the process, a wedged worker
-// must not hang a barrier forever, and silent state corruption must be
-// detectable. This package supplies the vocabulary (EngineFault, with
+// a panic must not kill the process, a wedged level must not hang the
+// caller forever, and silent state corruption must be detectable. This
+// package supplies the vocabulary (EngineFault, with
 // level/shard/instruction witness coordinates in the style of the static
-// race proofs of rule V012), the knobs (Policy), and the machinery
-// (Watchdog) that the shard engine, the compiled simulators and the
-// facade's Guarded engine share. It imports nothing but the standard
-// library, so every engine package can depend on it.
+// race proofs of rule V012) and the knobs (Policy) that the shard
+// engine, the compiled simulators and the facade's Guarded engine share.
+// It imports nothing but the standard library, so every engine package
+// can depend on it.
 //
 // The degradation ladder implemented by the guarded facade engine:
 //
-//  1. A fault on the sharded path (panic, barrier stall, corruption
-//     caught by cross-check) quarantines the shard plan: the worker pool
-//     is released and the engine reverts to sequential execution.
+//  1. A fault on the configured strategy's path (panic, level stall,
+//     corruption caught by cross-check) quarantines the strategy: the
+//     engine reverts to sequential execution.
 //  2. The faulted vector batch is rolled back to its checkpoint and
 //     replayed on the sequential engine — outputs stay bit-identical to
 //     an all-sequential run.
@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 )
 
@@ -41,12 +40,12 @@ import (
 type FaultKind int
 
 const (
-	// FaultPanic is a recovered panic in a shard worker or the sequential
+	// FaultPanic is a recovered panic in the level loop or the sequential
 	// dispatch loop.
 	FaultPanic FaultKind = iota
-	// FaultDeadline is a deadline violation: the barrier watchdog caught
-	// a generation stuck past the per-level budget, or the caller's
-	// context deadline expired.
+	// FaultDeadline is a deadline violation: a guarded level loop ran a
+	// level past the per-level budget, or the caller's context deadline
+	// expired.
 	FaultDeadline
 	// FaultCanceled is a caller cancellation through context.Context.
 	FaultCanceled
@@ -87,13 +86,13 @@ func (k FaultKind) String() string {
 
 // Sentinel causes wrapped by EngineFault.
 var (
-	// ErrBarrierStall marks a guarded sharded run stuck past the
-	// per-level budget: a barrier generation the watchdog saw stop
-	// advancing, or a level of a solo run (one worker, or activity-gated)
-	// that the run itself timed past the budget.
+	// ErrBarrierStall marks a level of a guarded level loop (an
+	// activity-gated vector run on the caller) that the run timed past
+	// the per-level budget. The name is kept from the level-synchronous
+	// runs whose barrier it once watched.
 	ErrBarrierStall = errors.New("resilience: barrier generation stalled past level budget")
 	// ErrQuarantined marks an attempt to run an engine that already
-	// faulted; a faulted sharded engine supports only Close.
+	// faulted.
 	ErrQuarantined = errors.New("resilience: engine is quarantined after a fault")
 	// ErrCrossCheck marks a guarded-engine output mismatch against the
 	// zero-delay reference oracle.
@@ -271,20 +270,15 @@ func Protocol(engine string, frame int64, stderr string, err error) *EngineFault
 
 // Policy is the guard configuration of the facade's Guarded engine and
 // the shard engine's guarded run path. The zero value guards panics and
-// cancellation but runs no watchdog, no retries and no cross-checks;
+// cancellation but enforces no budget, no retries and no cross-checks;
 // DefaultPolicy enables the full ladder with conservative budgets.
 type Policy struct {
-	// LevelBudget is the sharded engine's per-level stall budget. A
-	// guarded run on several workers whose barrier generation does not
-	// advance within the budget is canceled by the watchdog; a solo run
-	// (one worker, or an activity-gated vector on the level loop), which
-	// crosses no barrier, times each level itself and stops after one
-	// that overran. Either way the fault is a FaultDeadline wrapping
-	// ErrBarrierStall. Work outside the engine's levels has no budget
-	// of its own: a watchdog armed for a whole batch counts the work
-	// between two vectors toward the next crossing, and the sequential
-	// strategy and gated vectors on the sequential form are not
-	// budgeted at all. 0 disables it.
+	// LevelBudget is the per-level stall budget of the level loop that
+	// runs activity-gated vectors on the caller: the run times each
+	// level and stops after one that overran, with a FaultDeadline
+	// wrapping ErrBarrierStall. Work outside those levels has no budget
+	// of its own: the sequential strategy and gated vectors on the
+	// sequential form are not budgeted at all. 0 disables it.
 	LevelBudget time.Duration
 	// MaxRetries bounds sequential-replay retries of a transient fault.
 	MaxRetries int
@@ -296,30 +290,17 @@ type Policy struct {
 	// the zero-delay reference oracle, converting silent corruption into
 	// a FaultCorruption. 0 disables cross-checking.
 	CrossCheckEvery int
-	// QuarantineGrace bounds how long a faulted run waits for in-flight
-	// workers before abandoning them (leaking the goroutine and detaching
-	// the state arena). 0 means one second.
-	QuarantineGrace time.Duration
 }
 
 // DefaultPolicy returns the guard configuration used when a caller asks
-// for guarding without tuning knobs: a generous watchdog, two retries
-// with millisecond backoff, and no output sampling.
+// for guarding without tuning knobs: a generous level budget, two
+// retries with millisecond backoff, and no output sampling.
 func DefaultPolicy() Policy {
 	return Policy{
-		LevelBudget:     time.Second,
-		MaxRetries:      2,
-		RetryBackoff:    time.Millisecond,
-		QuarantineGrace: time.Second,
+		LevelBudget:  time.Second,
+		MaxRetries:   2,
+		RetryBackoff: time.Millisecond,
 	}
-}
-
-// Grace returns QuarantineGrace with its default applied.
-func (p Policy) Grace() time.Duration {
-	if p.QuarantineGrace <= 0 {
-		return time.Second
-	}
-	return p.QuarantineGrace
 }
 
 // Backoff returns the pause before retry attempt (0-based): attempt n
@@ -342,111 +323,15 @@ func (p Policy) Backoff(attempt int) time.Duration {
 
 // Injector is the fault-injection seam consulted by the guarded
 // execution paths (and only by them — the unguarded hot paths never see
-// it). Implementations may panic (worker-panic injection), sleep
-// (barrier-stall injection) or mutate the state array (corruption
-// injection); package chaos provides deterministic, seeded ones.
+// it). Implementations may panic (panic injection), sleep (stall
+// injection) or mutate the state array (corruption injection); package
+// chaos provides deterministic, seeded ones.
 type Injector interface {
 	// BeginRun is called once per simulation-program execution (one per
 	// vector), before any level runs.
 	BeginRun()
-	// AtLevel is called by worker shard before it executes its slice of
-	// level. Sequential dispatch calls it once per run with (0, 0).
+	// AtLevel is called before level runs, with shard 0: by the level
+	// loop once per level, and by sequential dispatch once per run with
+	// (0, 0).
 	AtLevel(level, shard int, st []uint64)
-}
-
-// Watchdog supervises guarded runs from a single persistent goroutine:
-// Arm starts watching a progress counter (the barrier generation) and a
-// context; if the counter fails to advance within the budget the stall
-// callback fires, and if the context ends first the context callback
-// fires. Disarm must be called exactly once per Arm, after the guarded
-// run finishes. Arm/Disarm are allocation-free, so guarded steady-state
-// execution stays at 0 allocs/op.
-type Watchdog struct {
-	arm    chan watch
-	disarm chan struct{}
-	tick   *time.Ticker
-	closed chan struct{}
-}
-
-type watch struct {
-	done     <-chan struct{} // ctx.Done(); nil when the context cannot end
-	budget   time.Duration   // 0 = no stall detection
-	progress *atomic.Uint32
-	onStall  func()
-	onCtx    func()
-}
-
-// NewWatchdog spawns the supervisor goroutine. Close releases it.
-func NewWatchdog() *Watchdog {
-	w := &Watchdog{
-		arm:    make(chan watch),
-		disarm: make(chan struct{}),
-		tick:   time.NewTicker(time.Hour),
-		closed: make(chan struct{}),
-	}
-	w.tick.Stop()
-	go w.loop()
-	return w
-}
-
-// Arm starts supervising one guarded run. progress must be advanced by
-// the supervised run (one increment per barrier generation); onStall and
-// onCtx must be safe to call from the watchdog goroutine and must cause
-// the run to finish so Disarm is reached.
-func (w *Watchdog) Arm(ctx context.Context, budget time.Duration, progress *atomic.Uint32, onStall, onCtx func()) {
-	w.arm <- watch{done: ctx.Done(), budget: budget, progress: progress, onStall: onStall, onCtx: onCtx}
-}
-
-// Disarm ends the supervision started by the last Arm.
-func (w *Watchdog) Disarm() { w.disarm <- struct{}{} }
-
-// Close terminates the supervisor goroutine; the Watchdog must be
-// disarmed.
-func (w *Watchdog) Close() {
-	close(w.arm)
-	<-w.closed
-	w.tick.Stop()
-}
-
-func (w *Watchdog) loop() {
-	defer close(w.closed)
-	for a := range w.arm {
-		if a.budget > 0 {
-			poll := a.budget / 4
-			if poll < time.Millisecond {
-				poll = time.Millisecond
-			}
-			w.tick.Reset(poll)
-		}
-		last := a.progress.Load()
-		deadline := time.Now().Add(a.budget)
-		armed := true
-		for armed {
-			select {
-			case <-w.disarm:
-				armed = false
-			case <-a.done:
-				a.onCtx()
-				<-w.disarm
-				armed = false
-			case <-w.tick.C:
-				// A stale tick from a previous arming is harmless: the
-				// progress/deadline checks below are idempotent.
-				if a.budget <= 0 {
-					continue
-				}
-				if g := a.progress.Load(); g != last {
-					last = g
-					deadline = time.Now().Add(a.budget)
-					continue
-				}
-				if time.Now().After(deadline) {
-					a.onStall()
-					<-w.disarm
-					armed = false
-				}
-			}
-		}
-		w.tick.Stop()
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -147,94 +146,6 @@ func TestPolicyBackoff(t *testing.T) {
 	for _, p := range []Policy{{}, {RetryBackoff: -time.Second}} {
 		if p.Backoff(3) != 0 {
 			t.Errorf("RetryBackoff=%v should not back off", p.RetryBackoff)
-		}
-	}
-}
-
-func TestPolicyGrace(t *testing.T) {
-	if (Policy{}).Grace() != time.Second {
-		t.Error("zero QuarantineGrace should default to one second")
-	}
-	if (Policy{QuarantineGrace: time.Minute}).Grace() != time.Minute {
-		t.Error("explicit QuarantineGrace ignored")
-	}
-}
-
-func TestWatchdogStall(t *testing.T) {
-	w := NewWatchdog()
-	defer w.Close()
-	var progress atomic.Uint32
-	stalled := make(chan struct{})
-	w.Arm(context.Background(), 5*time.Millisecond, &progress,
-		func() { close(stalled) },
-		func() { t.Error("onCtx fired for a background context") })
-	select {
-	case <-stalled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog never detected the stall")
-	}
-	w.Disarm()
-}
-
-func TestWatchdogProgressSuppressesStall(t *testing.T) {
-	w := NewWatchdog()
-	defer w.Close()
-	var progress atomic.Uint32
-	var stalls atomic.Int32
-	w.Arm(context.Background(), 40*time.Millisecond, &progress,
-		func() { stalls.Add(1) }, func() {})
-	// Keep advancing well within the budget: no stall may fire.
-	for i := 0; i < 10; i++ {
-		time.Sleep(10 * time.Millisecond)
-		progress.Add(1)
-	}
-	w.Disarm()
-	if n := stalls.Load(); n != 0 {
-		t.Fatalf("watchdog fired %d stalls despite steady progress", n)
-	}
-}
-
-func TestWatchdogContext(t *testing.T) {
-	w := NewWatchdog()
-	defer w.Close()
-	var progress atomic.Uint32
-	ctx, cancel := context.WithCancel(context.Background())
-	fired := make(chan struct{})
-	w.Arm(ctx, 0, &progress, func() { t.Error("onStall fired with no budget") }, func() { close(fired) })
-	cancel()
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog never saw the cancellation")
-	}
-	w.Disarm()
-}
-
-// TestWatchdogReuse arms the same watchdog many times in a row — the
-// usage pattern of guarded streaming — interleaving clean runs, stalls
-// and cancellations.
-func TestWatchdogReuse(t *testing.T) {
-	w := NewWatchdog()
-	defer w.Close()
-	var progress atomic.Uint32
-	for i := 0; i < 20; i++ {
-		switch i % 3 {
-		case 0: // clean run
-			w.Arm(context.Background(), time.Second, &progress, func() {}, func() {})
-			progress.Add(1)
-			w.Disarm()
-		case 1: // stall
-			st := make(chan struct{})
-			w.Arm(context.Background(), time.Millisecond, &progress, func() { close(st) }, func() {})
-			<-st
-			w.Disarm()
-		case 2: // cancellation
-			ctx, cancel := context.WithCancel(context.Background())
-			cx := make(chan struct{})
-			w.Arm(ctx, time.Second, &progress, func() {}, func() { close(cx) })
-			cancel()
-			<-cx
-			w.Disarm()
 		}
 	}
 }

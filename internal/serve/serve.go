@@ -173,9 +173,10 @@ func (s *Server) Drain(ctx context.Context) error {
 // cache key, so two tenants naming the same configuration share one
 // compile.
 type BatchOptions struct {
-	// Exec is the execution strategy ("sequential", "sharded",
-	// "activity-gated", "vector-batch", "auto"; default sequential)
-	// and Workers its worker count (0 = GOMAXPROCS).
+	// Exec is the execution strategy ("sequential", "activity-gated",
+	// "vector-batch", "auto"; default sequential; any other value is
+	// refused) and Workers the vector-batch worker count (0 =
+	// GOMAXPROCS).
 	Exec    string `json:"exec,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 	// WordBits is the parallel technique's logical word width.

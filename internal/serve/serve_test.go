@@ -209,7 +209,7 @@ func TestCacheKeySplitsByConfiguration(t *testing.T) {
 
 	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Vectors: vecs}, nil)
 	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Technique: "pcset", Vectors: vecs}, nil)
-	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Options: BatchOptions{Exec: "sharded", Workers: 2}, Vectors: vecs}, nil)
+	post(t, hs, "/v1/batches", "", BatchRequest{Bench: bench, Options: BatchOptions{Exec: "activity-gated", Workers: 2}, Vectors: vecs}, nil)
 	if st := srv.Stats(); st.Compiles != 3 {
 		t.Fatalf("3 configurations compiled %d programs", st.Compiles)
 	}
@@ -575,6 +575,29 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRetiredExecRejected: the level-sharded strategy is gone, and its
+// spellings are refused with a 400 that names the value, before anything
+// compiles. A cache key carrying the old exec string must never resolve
+// to a program built under another strategy.
+func TestRetiredExecRejected(t *testing.T) {
+	srv, hs := newTestServer(t, Config{})
+	vec := `["` + strings.Repeat("0", 36) + `"]`
+	for _, exec := range []string{"sharded", "shard"} {
+		var er errorResponse
+		body := `{"gen":"c432","options":{"exec":"` + exec + `","workers":2},"vectors":` + vec + `}`
+		resp := post(t, hs, "/v1/batches", "", json.RawMessage(body), &er)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("exec %q: %s, want 400", exec, resp.Status)
+		}
+		if !strings.Contains(er.Error, `"`+exec+`"`) {
+			t.Errorf("exec %q: error %q does not name the value", exec, er.Error)
+		}
+	}
+	if st := srv.Stats(); st.Compiles != 0 {
+		t.Errorf("rejected batches compiled %d programs", st.Compiles)
+	}
+}
+
 // TestUnknownFieldsRejected: a batch naming a field the server does not
 // know — an option it no longer has, or a misspelled top-level field —
 // is refused with a 400 that names the field, before anything compiles,
@@ -583,7 +606,7 @@ func TestUnknownFieldsRejected(t *testing.T) {
 	srv, hs := newTestServer(t, Config{})
 	vec := `["` + strings.Repeat("0", 36) + `"]`
 	cases := []struct{ field, body string }{
-		{"fuse", `{"gen":"c432","options":{"exec":"sharded","workers":2,"fuse":true},"vectors":` + vec + `}`},
+		{"fuse", `{"gen":"c432","options":{"exec":"activity-gated","workers":2,"fuse":true},"vectors":` + vec + `}`},
 		{"tecnique", `{"gen":"c432","tecnique":"pcset","vectors":` + vec + `}`},
 	}
 	for _, tc := range cases {

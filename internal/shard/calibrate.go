@@ -1,21 +1,55 @@
 package shard
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"udsim/internal/program"
 )
 
-// Barrier calibration: the cost model prices a barrier crossing in op
-// units (barrierCostOps), and BENCH_r2/r3 showed the static default is
-// wildly optimistic on loaded or single-core machines — which made
-// EstimatedSpeedup favour sharded execution exactly where it loses.
-// CalibrateBarrier replaces the guess with a measurement: it times real
-// crossings of the engine's own barrier at the requested worker count,
-// times a reference instruction workload to convert nanoseconds into op
-// units, and caches the result per worker count so the measurement runs
-// once per process.
+// Barrier calibration prices one crossing of a generation barrier in op
+// units (see OpCost): it times real crossings at the requested worker
+// count, times a reference instruction workload to convert nanoseconds
+// into op units, and caches the result per worker count so the
+// measurement runs once per process. No executor crosses a barrier; the
+// measurement prices what a level-synchronous multicore schedule would
+// pay per level, and benchmark tooling reports it.
+
+// barrierCostOps is the floor of a calibrated crossing in op units. A
+// real crossing on a loaded or single-core machine costs far more.
+const barrierCostOps = 150
+
+// barrier is a reusable generation barrier for a fixed party count: an
+// atomic arrival countdown and a generation counter. Waiters yield the
+// processor with runtime.Gosched until the generation moves, so a
+// crossing never parks and the barrier still makes progress with
+// GOMAXPROCS=1 or more parties than cores.
+type barrier struct {
+	parties int32
+	arrived atomic.Int32
+	gen     atomic.Uint32
+}
+
+func newBarrier(parties int) *barrier { return &barrier{parties: int32(parties)} }
+
+// await blocks until all parties have arrived at the barrier's current
+// generation. The last arriver resets the countdown and advances the
+// generation; the generation advance is the release point that orders
+// every party's pre-barrier writes before every party's post-barrier
+// reads.
+func (b *barrier) await() {
+	gen := b.gen.Load()
+	if b.arrived.Add(1) == b.parties {
+		b.arrived.Store(0)
+		b.gen.Store(gen + 1)
+		return
+	}
+	for b.gen.Load() == gen {
+		runtime.Gosched()
+	}
+}
 
 var calibration struct {
 	sync.Mutex
@@ -24,9 +58,9 @@ var calibration struct {
 
 // CalibrateBarrier measures one barrier crossing for the given worker
 // count on this machine and returns its cost in op units, never less
-// than the static default. The result is cached per worker count; the
-// first call per count blocks for roughly a millisecond. workers < 2
-// returns the static default (a solo plan crosses no barriers).
+// than barrierCostOps. The result is cached per worker count; the first
+// call per count blocks for roughly a millisecond. workers < 2 returns
+// barrierCostOps (one party crosses nothing).
 func CalibrateBarrier(workers int) int64 {
 	if workers < 2 {
 		return barrierCostOps

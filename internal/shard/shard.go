@@ -1,29 +1,20 @@
-// Package shard partitions a compiled simulation program into per-level,
-// load-balanced shards and executes them across cores with bit-identical
-// results.
+// Package shard levels a compiled simulation program for activity-gated
+// execution and runs vector streams concurrently.
 //
 // The paper's compiled techniques turn event-driven simulation into a
-// flat, branch-free instruction stream; this package turns that stream
-// into a bulk-synchronous parallel schedule. Partition groups the stream
+// flat, branch-free instruction stream. Partition groups that stream
 // into atomic clusters (a gate's emission, glued together by its scratch
-// temporaries and fold continuations), levels the clusters by their
-// read/write dependencies on persistent state, and balances each level
-// across a fixed number of shards with an op-class cost model. Engine then
-// executes the plan on a persistent worker pool, one barrier per level.
-//
-// Scratch slots (at or above the scratch boundary) are reused by every
-// gate in the sequential stream, which would serialize all clusters. The
-// planner instead gives each shard a private scratch arena: cluster
-// formation guarantees a scratch value is produced and consumed within one
-// cluster, so remapping scratch operands to per-shard arenas preserves
-// semantics exactly while removing every cross-cluster scratch hazard.
+// temporaries and fold continuations) and levels the clusters by their
+// read/write dependencies on persistent state, so that each level is one
+// instruction slice in which any cluster may be skipped on its own.
+// Engine runs a plan's levels on the caller, skipping what the activity
+// gates close. Pool runs the contiguous blocks of a vector stream
+// concurrently, one worker per block (the vector-batch strategy).
 package shard
 
 import (
 	"fmt"
-	"sort"
 
-	"udsim/internal/dataflow"
 	"udsim/internal/program"
 	"udsim/internal/verify"
 )
@@ -35,24 +26,21 @@ type Strategy int
 const (
 	// Sequential is the classic single-core dispatch loop.
 	Sequential Strategy = iota
-	// Sharded executes the level-sharded plan on a persistent worker
-	// pool, one barrier per level, bit-identical to Sequential.
-	Sharded
-	// VectorBatch runs independent contiguous blocks of the input-vector
-	// stream concurrently on cloned state arenas — the right strategy for
-	// shallow or narrow programs where per-level barriers would dominate.
-	// Blocks are independent streams, like the PC-set method's 64 lanes.
+	// VectorBatch runs contiguous blocks of the input-vector stream
+	// concurrently on cloned state arenas, each block seeded with the
+	// settled state of the vector before it, so the stream stays one
+	// coherent stream, bit-identical to Sequential.
 	VectorBatch
 	// Auto picks VectorBatch on more than one worker and Sequential on
-	// one (see Recommend).
+	// one.
 	Auto
-	// ActivityGated is the Sharded plan plus per-vector activity
-	// gating: the caller diffs each vector's primary inputs against the
-	// previous vector and skips every shard cell — and every whole
-	// level — whose static input cone is untouched (Maurer's Table 3:
-	// most gates are idle on most vectors), running the rest on the
-	// caller alone (Engine.SetGate). Bit-identical to Sequential; the
-	// first vector after a reset conservatively runs everything.
+	// ActivityGated levels the program and gates it per vector: the
+	// caller diffs each vector's primary inputs against the previous
+	// vector and skips every instruction range — and every whole level —
+	// whose static input cone is untouched (Maurer's Table 3: most gates
+	// are idle on most vectors), running the rest on the caller alone
+	// (Engine.SetGate). Bit-identical to Sequential; the first vector
+	// after a reset conservatively runs everything.
 	ActivityGated
 	// Native runs the circuit's validated codegen output as a supervised
 	// out-of-process subprocess (internal/native): the generated Go is
@@ -68,8 +56,6 @@ func (s Strategy) String() string {
 	switch s {
 	case Sequential:
 		return "sequential"
-	case Sharded:
-		return "sharded"
 	case VectorBatch:
 		return "vector-batch"
 	case Auto:
@@ -87,8 +73,6 @@ func ParseStrategy(s string) (Strategy, error) {
 	switch s {
 	case "sequential", "seq":
 		return Sequential, nil
-	case "sharded", "shard":
-		return Sharded, nil
 	case "vector-batch", "batch":
 		return VectorBatch, nil
 	case "auto":
@@ -103,8 +87,8 @@ func ParseStrategy(s string) (Strategy, error) {
 
 // OpCost weighs an instruction in the plan's cost model: plain word
 // operations cost 1, shift/carry operations cost 2 (two reads, a shift
-// and a merge). Load balancing, EstimatedSpeedup and the activity-gated
-// strategy's per-vector executor choice all price code with it.
+// and a merge). The activity-gated strategy's per-vector executor choice
+// prices code with it.
 func OpCost(op program.Op) int64 {
 	switch op {
 	case program.OpNop:
@@ -115,71 +99,39 @@ func OpCost(op program.Op) int64 {
 	return 1
 }
 
-// Stats summarizes a plan for the strategy picker and the harness tables.
+// Stats summarizes a plan for the harness tables.
 type Stats struct {
 	// Instrs is the number of partitioned instructions.
 	Instrs int
 	// Clusters is the number of atomic instruction clusters.
 	Clusters int
-	// Levels is the number of bulk-synchronous levels (barriers per Run).
+	// Levels is the number of levels.
 	Levels int
-	// TotalCost is the sequential cost of the whole program in op units.
+	// TotalCost is the cost of the whole program in op units.
 	TotalCost int64
-	// BulkCost is the bulk-synchronous critical path: the sum over levels
-	// of the most expensive shard in that level.
-	BulkCost int64
 }
 
-// Width returns the average parallel width in op units per level — the
-// denominator of the critical-path/width ratio.
-func (s Stats) Width() float64 {
-	if s.Levels == 0 {
-		return 0
-	}
-	return float64(s.TotalCost) / float64(s.Levels)
-}
-
-// barrierCostOps approximates one barrier crossing in op units — the
-// default used when no measured cost has been installed with
-// Plan.SetBarrierCost. It deliberately errs low so that plans built
-// directly in tests stay deterministic; BENCH_r2/r3 show a real crossing
-// on a loaded or single-core machine costs far more (see
-// CalibrateBarrier).
-const barrierCostOps = 150
-
-// Plan is a static level-sharded schedule for one program: per level, one
-// instruction slice per shard, with scratch operands remapped into
-// per-shard private arenas.
+// Plan is a static leveled schedule for one program: per level, the
+// instructions of its clusters in program order.
 type Plan struct {
 	wordBits     int
-	numVars      int
 	scratchStart int32
-	workers      int
-	stride       int32 // per-shard scratch arena size, cache-line padded
-	levels       [][][]program.Instr
+	levels       [][]program.Instr
 	assign       *verify.ShardAssignment
 	stats        Stats
-	// barrierOps, when > 0, is a measured per-crossing barrier cost in op
-	// units that replaces the barrierCostOps constant in the cost model.
-	barrierOps int64
 }
 
-// Partition builds a load-balanced shard plan for p across the given
-// number of shards. Slots at or above scratchStart are per-vector scratch
-// (written before read, reused between gates); everything below is
-// persistent state. The plan is valid for any state array of at least
-// Plan.StateSize() words whose first p.NumVars words are the program's
-// state — Engine.Run on such an array is bit-identical to p.Run on its
-// prefix.
-func Partition(p *program.Program, scratchStart int32, workers int) (*Plan, error) {
+// Partition levels p. Slots at or above scratchStart are per-vector
+// scratch (written before read, reused between gates); everything below
+// is persistent state. Running the levels in order, each level's
+// instructions in program order, is bit-identical to p.Run, and so is
+// any run that skips only clusters whose outputs would not change.
+func Partition(p *program.Program, scratchStart int32) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	if scratchStart < 0 || int(scratchStart) > p.NumVars {
 		return nil, fmt.Errorf("shard: scratch boundary %d outside [0,%d]", scratchStart, p.NumVars)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	n := len(p.Code)
 
@@ -252,7 +204,7 @@ func Partition(p *program.Program, scratchStart int32, workers int) (*Plan, erro
 	// cluster it has a read-after-write, write-after-read or
 	// write-after-write dependency with on persistent slots. Scratch
 	// slots carry no cross-cluster dependencies: reads were unioned into
-	// the writer's cluster, and writes are renamed into per-shard arenas.
+	// the writer's cluster, and clusters run whole, one after another.
 	level := make([]int32, nClusters)
 	cost := make([]int64, nClusters)
 	lastWriteLevel := make([]int32, p.NumVars)
@@ -313,82 +265,25 @@ func Partition(p *program.Program, scratchStart int32, workers int) (*Plan, erro
 		lo = hi
 	}
 
-	// ---- Shard assignment: longest-processing-time within each level.
-	shardOf := make([]int32, nClusters)
-	byLevel := make([][]int32, numLevels)
-	for c := int32(0); c < nClusters; c++ {
-		byLevel[level[c]] = append(byLevel[level[c]], c)
-	}
-	load := make([]int64, workers)
-	bulkCost := int64(0)
-	for _, clusters := range byLevel {
-		sort.SliceStable(clusters, func(a, b int) bool { return cost[clusters[a]] > cost[clusters[b]] })
-		for i := range load {
-			load[i] = 0
-		}
-		for _, c := range clusters {
-			best := 0
-			for w := 1; w < workers; w++ {
-				if load[w] < load[best] {
-					best = w
-				}
-			}
-			shardOf[c] = int32(best)
-			load[best] += cost[c]
-		}
-		max := int64(0)
-		for _, l := range load {
-			if l > max {
-				max = l
-			}
-		}
-		bulkCost += max
-	}
-	// ---- Assembly: per level, per shard, a contiguous copy of the member
-	// clusters' instructions in original order, with scratch operands
-	// remapped into the shard's private arena (cache-line padded).
-	stride := int32(0)
-	if workers > 1 {
-		stride = (int32(p.NumVars) - scratchStart + 7) &^ 7
-	}
-	scratchBase := func(w int32) int32 { return int32(p.NumVars) + w*stride - scratchStart }
+	// ---- Assembly: per level, a contiguous copy of the member clusters'
+	// instructions in original order.
 	pl := &Plan{
 		wordBits:     p.WordBits,
-		numVars:      p.NumVars,
 		scratchStart: scratchStart,
-		workers:      workers,
-		stride:       stride,
-		levels:       make([][][]program.Instr, numLevels),
-	}
-	for l := range pl.levels {
-		pl.levels[l] = make([][]program.Instr, workers)
+		levels:       make([][]program.Instr, numLevels),
 	}
 	assign := &verify.ShardAssignment{
-		Workers: workers,
+		Workers: 1,
 		Levels:  int(numLevels),
 		Level:   make([]int32, n),
 		Shard:   make([]int32, n),
 	}
 	var totalCost int64
 	for i := 0; i < n; i++ {
-		c := clusterOf[i]
-		l, w := level[c], shardOf[c]
+		l := level[clusterOf[i]]
 		assign.Level[i] = l
-		assign.Shard[i] = w
-		in := p.Code[i]
-		totalCost += OpCost(in.Op)
-		if workers > 1 {
-			if in.Writes() && in.Dst >= scratchStart {
-				in.Dst += scratchBase(w)
-			}
-			if in.UsesA() && in.A >= scratchStart {
-				in.A += scratchBase(w)
-			}
-			if in.UsesBSlot() && in.B >= scratchStart {
-				in.B += scratchBase(w)
-			}
-		}
-		pl.levels[l][w] = append(pl.levels[l][w], in)
+		totalCost += OpCost(p.Code[i].Op)
+		pl.levels[l] = append(pl.levels[l], p.Code[i])
 	}
 	pl.assign = assign
 	pl.stats = Stats{
@@ -396,87 +291,20 @@ func Partition(p *program.Program, scratchStart int32, workers int) (*Plan, erro
 		Clusters:  int(nClusters),
 		Levels:    int(numLevels),
 		TotalCost: totalCost,
-		BulkCost:  bulkCost,
 	}
 	return pl, nil
 }
 
-// StateSize returns the state-array length Engine.Run requires: the
-// program's NumVars plus one private scratch arena per shard.
-func (p *Plan) StateSize() int { return p.numVars + p.workers*int(p.stride) }
-
-// SetBarrierCost installs a measured per-crossing barrier cost in op
-// units (see CalibrateBarrier); <= 0 restores the static default. It
-// feeds EstimatedSpeedup.
-func (p *Plan) SetBarrierCost(ops int64) {
-	if ops < 0 {
-		ops = 0
-	}
-	p.barrierOps = ops
-}
-
-// BarrierCost returns the per-crossing barrier cost the plan's cost
-// model uses: the measured value when one was installed, otherwise the
-// static default.
-func (p *Plan) BarrierCost() int64 {
-	if p.barrierOps > 0 {
-		return p.barrierOps
-	}
-	return barrierCostOps
-}
-
-// Workers returns the number of shards per level.
-func (p *Plan) Workers() int { return p.workers }
-
-// CellCode returns the instruction slice worker w executes at level l —
-// the exact stream (and order) the engine runs, which the activity-gated
-// strategy segments into per-cone instruction ranges (Engine.SetGate).
-// The returned slice is the plan's own storage; callers must not mutate it.
-func (p *Plan) CellCode(l, w int) []program.Instr { return p.levels[l][w] }
+// LevelCode returns the instructions of level l — the exact stream (and
+// order) the engine runs, which the activity-gated strategy segments
+// into per-cone instruction ranges (Engine.SetGate). The returned slice
+// is the plan's own storage; callers must not mutate it.
+func (p *Plan) LevelCode(l int) []program.Instr { return p.levels[l] }
 
 // Stats returns the plan's partition statistics.
 func (p *Plan) Stats() Stats { return p.stats }
 
-// Assignment exports the per-instruction (level, shard) assignment for
-// static verification (rule V012 in package verify).
+// Assignment exports the per-instruction level assignment for static
+// verification (rule V012 in package verify); every instruction is on
+// shard 0.
 func (p *Plan) Assignment() *verify.ShardAssignment { return p.assign }
-
-// Races runs the happens-before race detector over the plan for the
-// given program — the same proof as verify rule V012, available directly
-// to engine code and tests. A nil result means every conflicting access
-// pair is ordered by the plan's barrier/shard structure; the program must
-// be the one the plan was partitioned from.
-func (p *Plan) Races(prog *program.Program) ([]dataflow.Race, error) {
-	a := p.assign
-	return dataflow.CheckSchedule(prog.Code, p.scratchStart, &dataflow.Schedule{
-		Workers: a.Workers, Levels: a.Levels, Level: a.Level, Shard: a.Shard,
-	})
-}
-
-// EstimatedSpeedup predicts the sharded engine's speedup over sequential
-// execution from the cost model: the sequential cost divided by the
-// bulk-synchronous critical path plus one barrier per level, using the
-// measured barrier cost when one was installed (SetBarrierCost).
-func (p *Plan) EstimatedSpeedup() float64 {
-	if p.stats.TotalCost == 0 {
-		return 1
-	}
-	par := float64(p.stats.BulkCost)
-	if p.workers > 1 {
-		par += float64(p.stats.Levels) * float64(p.BarrierCost())
-	}
-	return float64(p.stats.TotalCost) / par
-}
-
-// Recommend resolves the Auto strategy for a worker count: VectorBatch
-// on more than one worker, Sequential on one. It never picks Sharded:
-// measured at 2 workers on the ISCAS-85 profiles, sharded execution ran
-// slower than sequential in every cell, even where EstimatedSpeedup
-// cleared 1.3 (4-9x slower on the PC-set compiles of c5315, c6288 and
-// c7552).
-func Recommend(workers int) Strategy {
-	if workers <= 1 {
-		return Sequential
-	}
-	return VectorBatch
-}

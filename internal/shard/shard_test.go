@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"context"
 	"math/rand"
-	"runtime"
+	"sync"
 	"testing"
-	"time"
 
 	"udsim/internal/program"
 	"udsim/internal/verify"
@@ -68,9 +66,9 @@ func genProgram(tb testing.TB, rng *rand.Rand, numPersist, numScratch, groups in
 }
 
 // TestEngineEquivalence is the core planner/engine check: for random
-// gate-style programs, sharded execution — on every worker, or gated and
-// so on the caller alone — must leave the persistent state bit-identical
-// to sequential execution, for every worker count.
+// gate-style programs, running the plan's levels — ungated, or gated
+// with every level open — must leave the persistent state bit-identical
+// to sequential execution.
 func TestEngineEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -81,32 +79,27 @@ func TestEngineEquivalence(t *testing.T) {
 		}
 		init := append([]uint64(nil), want...)
 		p.Run(want)
-		for workers := 1; workers <= 4; workers++ {
-			plan, err := Partition(p, scratchStart, workers)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			for _, callerOnly := range []bool{false, true} {
-				st := make([]uint64, plan.StateSize())
-				copy(st, init)
-				e := NewEngine(plan)
-				gateAll(e, callerOnly)
-				e.Run(st)
-				e.Close()
-				for i := 0; i < int(scratchStart); i++ {
-					if st[i] != want[i] {
-						t.Fatalf("seed %d workers %d caller-only %v: slot %d = %#x, sequential %#x",
-							seed, workers, callerOnly, i, st[i], want[i])
-					}
+		plan, err := Partition(p, scratchStart)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, gated := range []bool{false, true} {
+			st := append([]uint64(nil), init...)
+			e := NewEngine(plan)
+			gateAll(e, gated)
+			e.Run(st)
+			for i := 0; i < int(scratchStart); i++ {
+				if st[i] != want[i] {
+					t.Fatalf("seed %d gated %v: slot %d = %#x, sequential %#x",
+						seed, gated, i, st[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// gateAll installs gates that run every level's whole cells, which puts
-// the engine's runs on the caller alone, or with on == false removes
-// them.
+// gateAll installs gates that run every level whole, or with on == false
+// removes them.
 func gateAll(e *Engine, on bool) {
 	if !on {
 		e.SetGate(nil, nil, nil)
@@ -126,26 +119,24 @@ func TestPlanPassesV008(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		p, scratchStart := genProgram(t, rng, 30, 6, 40)
-		for _, workers := range []int{1, 2, 4, 8} {
-			plan, err := Partition(p, scratchStart, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := &verify.Spec{
-				Name:         "fuzz",
-				Sim:          p,
-				ScratchStart: scratchStart,
-				Shards:       plan.Assignment(),
-			}
-			// The random program is not levelized, so only the
-			// happens-before rule is meaningful here.
-			r := verify.Check(spec, verify.Options{
-				Disable: []string{verify.RuleDefUse, verify.RuleWAW, verify.RuleLayout, verify.RulePhase, verify.RuleDead, verify.RuleCycle},
-			})
-			for _, f := range r.Findings {
-				if f.Rule == verify.RuleRace {
-					t.Fatalf("seed %d workers %d: %v", seed, workers, f)
-				}
+		plan, err := Partition(p, scratchStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := &verify.Spec{
+			Name:         "fuzz",
+			Sim:          p,
+			ScratchStart: scratchStart,
+			Shards:       plan.Assignment(),
+		}
+		// The random program is not levelized, so only the happens-before
+		// rule is meaningful here.
+		r := verify.Check(spec, verify.Options{
+			Disable: []string{verify.RuleDefUse, verify.RuleWAW, verify.RuleLayout, verify.RulePhase, verify.RuleDead, verify.RuleCycle},
+		})
+		for _, f := range r.Findings {
+			if f.Rule == verify.RuleRace {
+				t.Fatalf("seed %d: %v", seed, f)
 			}
 		}
 	}
@@ -156,7 +147,7 @@ func TestPlanPassesV008(t *testing.T) {
 func TestV008CatchesBadPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p, scratchStart := genProgram(t, rng, 30, 6, 40)
-	plan, err := Partition(p, scratchStart, 4)
+	plan, err := Partition(p, scratchStart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,108 +183,28 @@ func TestV008CatchesBadPlan(t *testing.T) {
 	}
 }
 
-// TestBarrier hammers the generation barrier across reuse cycles.
+// TestBarrier hammers the calibration barrier across reuse cycles:
+// every party completes every round exactly once.
 func TestBarrier(t *testing.T) {
 	const parties, rounds = 4, 200
 	b := newBarrier(parties)
 	counts := make([][rounds]int, parties)
-	done := make(chan struct{}, parties)
+	var wg sync.WaitGroup
+	wg.Add(parties)
 	for p := 0; p < parties; p++ {
 		go func(p int) {
+			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				counts[p][r]++
 				b.await()
 			}
-			done <- struct{}{}
 		}(p)
 	}
-	for p := 0; p < parties; p++ {
-		<-done
-	}
+	wg.Wait()
 	for p := range counts {
 		for r, c := range counts[p] {
 			if c != 1 {
 				t.Fatalf("party %d round %d ran %d times", p, r, c)
-			}
-		}
-	}
-
-	// Poisoning releases the waiters spinning on a generation that can
-	// no longer advance, with false, and refuses every later arrival.
-	b = newBarrier(parties)
-	released := make(chan bool, parties-1)
-	for p := 0; p < parties-1; p++ {
-		go func() { released <- b.await() }()
-	}
-	for b.arrived.Load() != parties-1 {
-		runtime.Gosched()
-	}
-	b.cancel()
-	for p := 0; p < parties-1; p++ {
-		if <-released {
-			t.Fatal("poisoned barrier released a waiter with true")
-		}
-	}
-	if b.await() {
-		t.Fatal("poisoned barrier admitted a new arrival")
-	}
-}
-
-// TestEngineHandoff drives the between-run handoff: back-to-back runs
-// (helpers still polling) alternate with runs that find every helper
-// parked after an idle gap, at 2 and 4 workers, guarded and unguarded,
-// and every run must match sequential execution. Engines are then
-// closed once with every helper parked and once right after a run,
-// while the helpers are still polling; Close must return, which it does
-// only after every helper has exited.
-func TestEngineHandoff(t *testing.T) {
-	waitParked := func(t *testing.T, e *Engine) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for _, h := range e.helpers {
-			for !h.parked.Load() {
-				if time.Now().After(deadline) {
-					t.Fatal("helpers never parked while idle")
-				}
-				time.Sleep(idleWait)
-			}
-		}
-	}
-	for _, workers := range []int{2, 4} {
-		for _, guarded := range []bool{false, true} {
-			plan, st, want := guardFixture(t, 21, workers)
-			init := append([]uint64(nil), st...)
-			for _, parkAtClose := range []bool{true, false} {
-				e := NewEngine(plan)
-				for run := 0; run < 12; run++ {
-					if run%4 == 3 {
-						waitParked(t, e)
-					}
-					copy(st, init)
-					if guarded {
-						if err := e.RunCtx(context.Background(), st); err != nil {
-							t.Fatalf("workers %d run %d: %v", workers, run, err)
-						}
-					} else {
-						e.Run(st)
-					}
-					for i, w := range want {
-						if st[i] != w {
-							t.Fatalf("workers %d guarded=%v run %d: slot %d = %#x, sequential %#x",
-								workers, guarded, run, i, st[i], w)
-						}
-					}
-				}
-				if parkAtClose {
-					waitParked(t, e)
-				}
-				done := make(chan struct{})
-				go func() { e.Close(); close(done) }()
-				select {
-				case <-done:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("workers %d: Close did not release the helpers", workers)
-				}
 			}
 		}
 	}
@@ -317,37 +228,18 @@ func TestPoolDo(t *testing.T) {
 	}
 }
 
-// TestLoadBalance checks LPT puts comparable cost on every shard for a
-// wide single-level program.
-func TestLoadBalance(t *testing.T) {
-	var code []program.Instr
-	nv := 400
-	for i := 0; i < 200; i++ {
-		code = append(code, program.Instr{Op: program.OpAnd, Dst: int32(200 + i), A: int32(i), B: int32((i + 1) % 200)})
-	}
-	p := &program.Program{WordBits: 32, NumVars: nv, Code: code}
-	plan, err := Partition(p, int32(nv), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := plan.Stats()
-	if st.Levels != 1 {
-		t.Fatalf("independent ops leveled into %d levels", st.Levels)
-	}
-	if st.BulkCost > st.TotalCost/4+1 {
-		t.Fatalf("bulk cost %d for total %d over 4 shards: imbalanced", st.BulkCost, st.TotalCost)
-	}
-}
-
-// TestStrategyParsing round-trips the strategy names.
+// TestStrategyParsing round-trips the strategy names and refuses the
+// retired level-sharded spellings.
 func TestStrategyParsing(t *testing.T) {
-	for _, s := range []Strategy{Sequential, Sharded, VectorBatch, Auto} {
+	for _, s := range []Strategy{Sequential, VectorBatch, Auto, ActivityGated, Native} {
 		got, err := ParseStrategy(s.String())
 		if err != nil || got != s {
 			t.Fatalf("round-trip %v: got %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Fatal("bogus strategy parsed")
+	for _, bad := range []string{"bogus", "sharded", "shard"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Fatalf("%q parsed", bad)
+		}
 	}
 }

@@ -104,20 +104,81 @@ func TestMutationCollidingAccumulation(t *testing.T) {
 	t.Fatalf("no redirected accumulation detected as %s", verify.RuleInterval)
 }
 
-// shardedSpec compiles c432 and attaches a real 4-worker shard plan.
+// shardedSpec compiles c432, levels it with shard.Partition and attaches
+// a 2-shard schedule of that leveling: within each program-order run of
+// one level's instructions, the pieces between independent neighbours
+// (no instruction after the cut reads a slot written before it within
+// the run, or writes a persistent slot accessed before it) go to the two
+// shards in turn, so the schedule is race-free.
 func shardedSpec(t *testing.T) *verify.Spec {
 	t.Helper()
 	spec := compileSpec(t, parsim.Config{})
-	plan, err := shard.Partition(spec.Sim, spec.ScratchStart, 4)
+	plan, err := shard.Partition(spec.Sim, spec.ScratchStart)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Shards = plan.Assignment()
+	one, code := plan.Assignment(), spec.Sim.Code
+	two := &verify.ShardAssignment{
+		Workers: 2,
+		Levels:  one.Levels,
+		Level:   append([]int32(nil), one.Level...),
+		Shard:   make([]int32, len(code)),
+	}
+	var buf []int32
+	for lo := 0; lo < len(code); {
+		hi := lo
+		for hi < len(code) && one.Level[hi] == one.Level[lo] {
+			hi++
+		}
+		// dep[k]: the earliest instruction of the run that k depends on:
+		// the last writer of each slot it reads and, for a persistent
+		// destination, its earliest access since (and including) the
+		// previous write. Scratch writes conflict with nothing, since each
+		// shard has its own scratch.
+		dep := make([]int, hi-lo)
+		lastW := map[int32]int{}
+		firstAcc := map[int32]int{}
+		for k := lo; k < hi; k++ {
+			dep[k-lo] = k
+			in := &code[k]
+			buf = in.ReadSlots(buf[:0])
+			for _, sl := range buf {
+				if w, ok := lastW[sl]; ok && w < dep[k-lo] {
+					dep[k-lo] = w
+				}
+				if _, ok := firstAcc[sl]; !ok && sl < spec.ScratchStart {
+					firstAcc[sl] = k
+				}
+			}
+			if in.Writes() {
+				if a, ok := firstAcc[in.Dst]; ok && a < dep[k-lo] {
+					dep[k-lo] = a
+				}
+				lastW[in.Dst] = k
+				if in.Dst < spec.ScratchStart {
+					firstAcc[in.Dst] = k
+				}
+			}
+		}
+		// A cut before k is safe when nothing from k on depends on an
+		// instruction before k.
+		cut := make([]bool, hi-lo)
+		for k, m := hi-1, hi; k > lo; k-- {
+			m = min(m, dep[k-lo])
+			cut[k-lo] = m >= k
+		}
+		var sh int32
+		for k := lo; k < hi; k++ {
+			if cut[k-lo] {
+				sh ^= 1
+			}
+			two.Shard[k] = sh
+		}
+		lo = hi
+	}
+	spec.Shards = two
 	if err := verify.Check(spec, verify.Options{}).Err(); err != nil {
 		t.Fatalf("baseline sharded spec not clean: %v", err)
-	}
-	if plan.Assignment().Workers < 2 {
-		t.Skip("partitioner produced a single shard")
 	}
 	return spec
 }

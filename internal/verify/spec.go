@@ -110,8 +110,9 @@ type Spec struct {
 	// words (the PC-set method) or that use non-unit gate delays.
 	Phase []int
 
-	// Shards optionally carries the multicore engine's static shard plan
-	// for Sim, enabling rule V012; nil when executing sequentially.
+	// Shards optionally carries a leveled schedule of Sim — the
+	// activity-gated strategy's one-shard plan — enabling rule V012; nil
+	// under the other strategies.
 	Shards *ShardAssignment
 }
 

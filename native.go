@@ -298,15 +298,6 @@ func (n *NativeSim) ValueAt(id NetID, t int) (bool, bool) {
 	return n.compiledEngine.ValueAt(id, t)
 }
 
-// BlockFinal returns the final value of a net; the native backend never
-// uses vector batching, so only block 0 is meaningful.
-func (n *NativeSim) BlockFinal(k int, id NetID) bool {
-	if k == 0 {
-		return n.Final(id)
-	}
-	return n.compiledEngine.BlockFinal(k, id)
-}
-
 // ExecStrategy returns ExecNative while the child serves and the
 // fallback engine's strategy after a quarantine degraded it.
 func (n *NativeSim) ExecStrategy() ExecStrategy {

@@ -27,10 +27,9 @@ import (
 // two respawns before quarantine.
 func nativeDrillPolicy() GuardPolicy {
 	return GuardPolicy{
-		LevelBudget:     400 * time.Millisecond,
-		MaxRetries:      2,
-		RetryBackoff:    time.Millisecond,
-		QuarantineGrace: 5 * time.Second,
+		LevelBudget:  400 * time.Millisecond,
+		MaxRetries:   2,
+		RetryBackoff: time.Millisecond,
 	}
 }
 

@@ -103,7 +103,7 @@ func TestOpenRejectsInapplicableOptions(t *testing.T) {
 		{"pcset+WithTrimming", TechPCSet, WithTrimming()},
 		{"pcset+WithShiftElimination", TechPCSet, WithShiftElimination(PathTracing)},
 		{"parallel+WithMonitor", TechParallel, WithMonitor(c.Outputs[0])},
-		{"event3+WithExec", TechEvent3, WithExec(ExecSharded, 2)},
+		{"event3+WithExec", TechEvent3, WithExec(ExecVectorBatch, 2)},
 		{"event2+WithVerify", TechEvent2, WithVerify()},
 		{"lcc+WithObserver", TechLCC, WithObserver(NewObserver(ObserverConfig{}))},
 		{"lcc+WithMonitor", TechLCC, WithMonitor(c.Outputs[0])},

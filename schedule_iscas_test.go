@@ -62,8 +62,9 @@ func TestSequentialFormISCAS(t *testing.T) {
 					t.Fatalf("%s/%s: %v", name, label, err)
 				}
 				sim, seq, persistent, code := compiledForms(t, e)
-				if want := int64(e.(Introspector).CodeSize())*instr + seq.Bytes(); code != want {
-					t.Errorf("%s/%s: CodeBytes = %d, want %d (both programs and the sequential form)", name, label, code, want)
+				initSeq := e.(compiledEngine).unwrap().core.InitSequential()
+				if want := int64(e.(Introspector).CodeSize())*instr + initSeq.Bytes() + seq.Bytes(); code != want {
+					t.Errorf("%s/%s: CodeBytes = %d, want %d (both programs and both sequential forms)", name, label, code, want)
 				}
 				emit := make([]uint64, sim.NumVars)
 				st := make([]uint64, seq.NumVars())

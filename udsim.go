@@ -143,7 +143,7 @@ type Engine interface {
 //	Closer       — owns releasable resources (worker goroutines); Close
 //	               reverts to sequential execution, never invalidates.
 //	Streamer     — whole-stream execution under a configured strategy
-//	               (ApplyStream / ExecStrategy / BlockFinal).
+//	               (ApplyStream / ExecStrategy).
 //	Cloner       — compile-once/simulate-many: Clone returns an
 //	               independent engine sharing the compiled programs but
 //	               owning private mutable state. The basis of the serve
@@ -174,7 +174,7 @@ type Tracer interface {
 }
 
 // Closer is implemented by engines that own releasable resources —
-// today the multicore execution workers configured with WithExec.
+// today the vector-batch workers configured with WithExec.
 // Closing never invalidates the engine; it reverts to sequential
 // execution.
 type Closer interface {
@@ -186,17 +186,14 @@ type Closer interface {
 // such as the CLIs and the benchmark harness should drive engines
 // through this interface rather than concrete types.
 type Streamer interface {
-	// ApplyStream simulates a stream of input vectors. Sequential and
-	// sharded execution produce one coherent, bit-identical stream;
-	// vector batching splits the stream into per-worker blocks that run
-	// concurrently as independent substreams.
+	// ApplyStream simulates a stream of input vectors: under every
+	// strategy one coherent stream, bit-identical to applying the
+	// vectors one at a time, that leaves the engine on the stream's last
+	// vector.
 	ApplyStream(vecs [][]bool) error
 	// ExecStrategy returns the resolved execution strategy
 	// (ExecSequential unless WithExec was given).
 	ExecStrategy() ExecStrategy
-	// BlockFinal returns the final value of a net in vector-batch block
-	// k (block 0 is the stream the engine itself carries).
-	BlockFinal(k int, n NetID) bool
 }
 
 // Cloner is implemented by engines that can duplicate themselves
@@ -232,8 +229,7 @@ type Introspector interface {
 	// sim program, as emitted).
 	CodeSize() int
 	// CodeBytes returns the memory the compiled code occupies: both
-	// programs plus the sequential execution form built from the sim
-	// program.
+	// programs plus the sequential execution forms built from them.
 	CodeBytes() int64
 }
 
@@ -242,7 +238,7 @@ type Introspector interface {
 // Open) and read aggregated counters back as a Snapshot.
 type Observable interface {
 	// Observe attaches an observer (nil detaches). Attaching resets the
-	// observer's counters and sizes its per-level/per-shard grid for
+	// observer's counters and sizes its per-level grid for
 	// the engine's current execution configuration.
 	Observe(o *Observer)
 	// Snapshotter reads the attached observer's counters back.
@@ -252,9 +248,9 @@ type Observable interface {
 // Runtime observability types, re-exported from the internal collector.
 type (
 	// Observer collects low-overhead runtime counters from a compiled
-	// engine: per-level/per-shard wall time and instruction counts,
-	// stream-level throughput, barrier wait per worker, and (optionally)
-	// unit-delay activity profiles. Enabled collection is allocation-free
+	// engine: per-level wall time and instruction counts, stream-level
+	// throughput, activity-gating decisions, and (optionally) unit-delay
+	// activity profiles. Enabled collection is allocation-free
 	// in steady state; a nil observer costs one pointer check.
 	Observer = obs.Observer
 	// Snapshot is a consistent copy of an Observer's counters.
@@ -283,32 +279,30 @@ const (
 )
 
 // ExecStrategy selects how a compiled engine executes its instruction
-// stream (see the internal shard package for the partitioning scheme).
+// stream. Every strategy keeps one contract: ApplyStream is one coherent
+// stream, bit-identical to sequential execution.
 type ExecStrategy = shard.Strategy
 
 const (
 	// ExecSequential is the classic single-core dispatch loop.
 	ExecSequential = shard.Sequential
-	// ExecSharded runs the level-sharded plan on a persistent worker
-	// pool, bit-identical to sequential execution.
-	ExecSharded = shard.Sharded
 	// ExecVectorBatch runs contiguous blocks of an ApplyStream vector
-	// stream concurrently as independent substreams on cloned state.
+	// stream concurrently on cloned state, each block seeded with the
+	// settled state of the vector before it, so the stream stays
+	// coherent.
 	ExecVectorBatch = shard.VectorBatch
 	// ExecAuto picks ExecVectorBatch on more than one worker and
-	// ExecSequential on one; it never picks ExecSharded, which measured
-	// slower than sequential on every ISCAS-85 profile.
+	// ExecSequential on one.
 	ExecAuto = shard.Auto
-	// ExecActivityGated runs the level-sharded plan with per-vector
-	// activity gating (parallel technique, flat/trimmed layouts only):
-	// each vector's primary inputs are diffed against the previous
-	// vector's, and shard slices — whole levels included — whose input
-	// cones are untouched are skipped, their fields flattened to the
-	// settled values sequential execution would produce. The rest runs
-	// on the calling goroutine alone, crossing no barrier, or as the
-	// whole program's sequential form when much of it is active anyway.
-	// Bit-identical to ExecSequential; the first vector after a reset or
-	// restore runs everything.
+	// ExecActivityGated runs the program with per-vector activity gating
+	// (parallel technique, flat/trimmed layouts only): each vector's
+	// primary inputs are diffed against the previous vector's, and
+	// instruction ranges — whole levels included — whose input cones are
+	// untouched are skipped, their fields flattened to the settled values
+	// sequential execution would produce. The rest runs level by level on
+	// the calling goroutine, or as the whole program's sequential form
+	// when much of it is active anyway. Bit-identical to ExecSequential;
+	// the first vector after a reset or restore runs everything.
 	ExecActivityGated = shard.ActivityGated
 	// ExecNative runs the compiled programs as genuinely straight-line
 	// native code: the validated codegen output is `go build`-ed out of
@@ -318,8 +312,9 @@ const (
 	ExecNative = shard.Native
 )
 
-// ParseExecStrategy parses "sequential", "sharded", "activity-gated"
-// (alias "gated"), "vector-batch" or "auto" (CLI spellings).
+// ParseExecStrategy parses "sequential", "activity-gated" (alias
+// "gated"), "vector-batch" (alias "batch"), "auto" or "native" (CLI
+// spellings).
 func ParseExecStrategy(s string) (ExecStrategy, error) { return shard.ParseStrategy(s) }
 
 // Technique selects a simulation technique for Open.
@@ -463,9 +458,9 @@ func WithCodegenValidation() Option { return func(o *options) { o.cgValidate = t
 // hence an explicit option rather than a default.
 func WithDeadStoreElimination() Option { return func(o *options) { o.deadStore = true } }
 
-// WithExec configures multicore execution: strategy selects
-// level-sharded, vector-batch or automatic execution, and workers is the
-// number of cores to use (<= 0 means GOMAXPROCS). Sharded execution is
+// WithExec configures stream execution: strategy selects vector-batch,
+// activity-gated or automatic execution, and workers is the number of
+// cores vector batching uses (<= 0 means GOMAXPROCS). Every strategy is
 // bit-identical to the sequential engine; Close the engine when done to
 // release the workers.
 func WithExec(strategy ExecStrategy, workers int) Option {
@@ -474,10 +469,9 @@ func WithExec(strategy ExecStrategy, workers int) Option {
 
 // WithActivityGating selects the activity-gated execution strategy
 // (ExecActivityGated; parallel technique, flat/trimmed layouts only):
-// shards whose input cones are untouched by the vector-to-vector input
-// diff are skipped. Equivalent to WithExec(ExecActivityGated, workers)
-// while keeping a worker count set by an earlier WithExec (default
-// GOMAXPROCS).
+// instruction ranges whose input cones are untouched by the
+// vector-to-vector input diff are skipped. Equivalent to
+// WithExec(ExecActivityGated, 0).
 func WithActivityGating() Option {
 	return func(o *options) {
 		o.exec, o.execSet = ExecActivityGated, true
@@ -743,27 +737,16 @@ func (p *compiled) ResetConsistent(inputs []bool) error { return p.sim.ResetCons
 func (p *compiled) Apply(vec []bool) error { return p.sim.Apply(nil, vec) }
 
 // ApplyStream simulates a stream of input vectors under the configured
-// execution strategy (see WithExec). Sequential and sharded execution
-// produce one coherent, bit-identical stream; vector batching splits the
-// stream into per-worker blocks that run concurrently as independent
-// substreams.
+// execution strategy (see WithExec): one coherent stream, bit-identical
+// to sequential execution, ending on the stream's last vector.
 func (p *compiled) ApplyStream(vecs [][]bool) error { return p.core.ApplyStream(vecs) }
 
 // ExecStrategy returns the resolved execution strategy (ExecSequential
 // unless WithExec was given).
 func (p *compiled) ExecStrategy() ExecStrategy { return p.core.ExecStrategy() }
 
-// BlockFinal returns the final value of a net in vector-batch block k
-// (block 0 is the stream the simulator itself carries).
-func (p *compiled) BlockFinal(k int, n NetID) bool {
-	if p.rs != nil {
-		return p.rs.final(func(x NetID) bool { return p.core.BlockFinal(k, x) }, n)
-	}
-	return p.core.BlockFinal(k, n)
-}
-
-// Close releases any multicore execution workers; the simulator remains
-// usable sequentially. A no-op for sequential engines.
+// Close releases any vector-batch workers; the simulator remains usable
+// sequentially. A no-op for sequential engines.
 func (p *compiled) Close() { p.core.Close() }
 
 // Clone returns an independent engine sharing the compiled programs and
@@ -1057,7 +1040,8 @@ type (
 // consistency, dead code, combinational-cycle and structural checks
 // (rules V001–V007), the dataflow rules — vector-loop liveness agreement
 // and bit-interval containment (V009, V011) — and the happens-before race
-// proof V012 over any attached shard plan, sharded or activity-gated.
+// proof V012 over the activity-gated strategy's leveled plan, when one
+// is attached.
 // Engines without compiled instruction streams (the interpreted baselines
 // and the zero-delay LCC engine, whose program has no unit-delay layout
 // metadata) return an error.

@@ -131,11 +131,12 @@ func TestVerifyStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestVerifyISCAS85Sharded re-runs the analyzer with a sharded execution
-// plan attached, so rule V012 (happens-before race proof) is exercised
-// on every profile circuit for both compiled techniques.
-// Any finding means the planner and the analyzer disagree about what a
-// legal bulk-synchronous schedule is.
+// TestVerifyISCAS85Sharded re-runs the analyzer on engines configured
+// for stream execution at 2 and 4 workers: the parallel technique
+// activity-gated, which attaches its leveled plan so rule V012
+// (happens-before race proof) checks the leveling on every profile
+// circuit, and the PC-set method on vector batching. Any finding means
+// the planner and the analyzer disagree about what a legal leveling is.
 func TestVerifyISCAS85Sharded(t *testing.T) {
 	names := gen.Names()
 	if testing.Short() {
@@ -148,7 +149,7 @@ func TestVerifyISCAS85Sharded(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/parallel/w%d", name, workers), func(t *testing.T) {
-				e, err := openParallelSim(c, WithExec(ExecSharded, workers))
+				e, err := openParallelSim(c, WithExec(ExecActivityGated, workers))
 				if err != nil {
 					t.Fatalf("Open parallel: %v", err)
 				}
@@ -162,7 +163,7 @@ func TestVerifyISCAS85Sharded(t *testing.T) {
 				}
 			})
 			t.Run(fmt.Sprintf("%s/pcset/w%d", name, workers), func(t *testing.T) {
-				e, err := openPCSetSim(c, nil, WithExec(ExecSharded, workers))
+				e, err := openPCSetSim(c, nil, WithExec(ExecVectorBatch, workers))
 				if err != nil {
 					t.Fatalf("Open pcset: %v", err)
 				}
