@@ -148,7 +148,7 @@ func TestChaosPanicISCAS(t *testing.T) {
 				t.Fatal(err)
 			}
 			vecs := chaosStream(c, 101)
-			inj := chaos.PanicAt(3, 0, 0)
+			inj := chaos.PanicAt(3, 0)
 			g, ob := openGuarded(t, c, TechParallel, inj, chaosPolicy())
 			defer g.Close()
 
@@ -196,7 +196,7 @@ func TestChaosCorruptionISCAS(t *testing.T) {
 			slot, mask, last := probe.FaultTarget(out)
 			probe.Close()
 
-			inj := chaos.CorruptBits(3, last, 0, slot, mask)
+			inj := chaos.CorruptBits(3, last, slot, mask)
 			g, ob := openGuarded(t, c, TechParallel, inj, chaosPolicy())
 			defer g.Close()
 
@@ -235,7 +235,7 @@ func TestChaosStallISCAS(t *testing.T) {
 			}
 			vecs := chaosStream(c, 303)
 			// Six times chaosPolicy's level budget, at either race setting.
-			inj := chaos.Delay(3, 0, 0, raceSlowdown*150*time.Millisecond)
+			inj := chaos.Delay(3, 0, raceSlowdown*150*time.Millisecond)
 			g, ob := openGuarded(t, c, TechParallel, inj, chaosPolicy())
 			defer g.Close()
 
@@ -250,7 +250,7 @@ func TestChaosStallISCAS(t *testing.T) {
 				t.Fatal("stall did not quarantine the gated strategy")
 			}
 			f := g.LastFault()
-			if f == nil || f.Kind != FaultDeadline || !errors.Is(f, resilience.ErrBarrierStall) {
+			if f == nil || f.Kind != FaultDeadline || !errors.Is(f, resilience.ErrLevelStall) {
 				t.Fatalf("LastFault = %v, want a level-stall deadline fault", f)
 			}
 			checkFinals(t, g, referenceFinals(t, c, TechParallel, vecs))
@@ -312,7 +312,7 @@ func TestChaosPCSet(t *testing.T) {
 			vecs := vectors.Random(6, len(c.Inputs), 505).Bits
 
 			t.Run("panic", func(t *testing.T) {
-				inj := chaos.PanicAt(3, 0, 0)
+				inj := chaos.PanicAt(3, 0)
 				g, _ := openGuarded(t, c, TechPCSet, inj, chaosPolicy())
 				defer g.Close()
 				if err := g.ApplyStream(vecs); err != nil {
@@ -333,7 +333,7 @@ func TestChaosPCSet(t *testing.T) {
 				slot, mask := int(s.Inputs()[pi].Base), s.Mask()
 				probe.Close()
 
-				inj := chaos.CorruptBits(3, 0, 0, slot, mask)
+				inj := chaos.CorruptBits(3, 0, slot, mask)
 				g, _ := openGuarded(t, c, TechPCSet, inj, chaosPolicy())
 				defer g.Close()
 				if err := g.ApplyStream(vecs); err != nil {
@@ -393,7 +393,7 @@ func TestChaosExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	vecs := vectors.Random(6, len(c.Inputs), 606).Bits
-	g, ob := openGuarded(t, c, TechParallel, chaos.PanicAt(2, 0, 0), chaosPolicy())
+	g, ob := openGuarded(t, c, TechParallel, chaos.PanicAt(2, 0), chaosPolicy())
 	defer g.Close()
 	if err := g.ApplyStream(vecs); err != nil {
 		t.Fatal(err)
@@ -434,7 +434,7 @@ func TestGuardOptionValidation(t *testing.T) {
 	if _, err := Open(c, TechEvent3, WithGuard(DefaultGuardPolicy())); err == nil {
 		t.Error("WithGuard accepted for an interpreted technique")
 	}
-	if _, err := Open(c, TechParallel, WithFaultInjection(chaos.PanicAt(1, 0, 0))); err == nil {
+	if _, err := Open(c, TechParallel, WithFaultInjection(chaos.PanicAt(1, 0))); err == nil {
 		t.Error("WithFaultInjection accepted without WithGuard")
 	}
 	eng, err := Open(c, TechParallel, WithGuard(DefaultGuardPolicy()))

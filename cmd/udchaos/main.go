@@ -143,12 +143,12 @@ func main() {
 		if lvl < 0 {
 			lvl = 0
 		}
-		inj = chaos.PanicAt(*run, lvl, 0)
+		inj = chaos.PanicAt(*run, lvl)
 	case "delay":
 		if lvl < 0 {
 			lvl = 0
 		}
-		inj = chaos.Delay(*run, lvl, 0, *sleep)
+		inj = chaos.Delay(*run, lvl, *sleep)
 	case "corrupt":
 		probe := open(nil, nil)
 		target := probe.Circuit().Outputs[0]
@@ -166,7 +166,7 @@ func main() {
 		}
 		fmt.Printf("corrupt target: net %s → state word %d mask %#x, injected at level %d\n",
 			probe.Circuit().Net(target).Name, slot, mask, lvl)
-		inj = chaos.CorruptBits(*run, lvl, 0, slot, mask)
+		inj = chaos.CorruptBits(*run, lvl, slot, mask)
 	case "cancel":
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
@@ -185,7 +185,7 @@ func main() {
 	g := open(inj, ob)
 	defer g.Close()
 
-	fmt.Printf("# drill: %s on %s/%s, %d vectors, run %d level %d shard 0\n",
+	fmt.Printf("# drill: %s on %s/%s, %d vectors, run %d level %d\n",
 		*fault, c.Name, g.EngineName(), *nvec, *run, lvl)
 	streamErr := g.ApplyStreamCtx(ctx, vecs)
 

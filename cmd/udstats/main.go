@@ -133,7 +133,7 @@ func main() {
 	tc := texttable.New("generated code (C statements)", "technique", "instructions", "statements",
 		"sim runs (emitted)", "sim runs (scheduled)")
 	// The verification table reports rule IDs dynamically: any rule that
-	// fires — including the netlist-level rules above V012 — lands in the
+	// fires — including the netlist-level rules above V011 — lands in the
 	// "rules fired" column instead of being silently dropped.
 	tv := texttable.New("static verification", "technique", "errors", "warnings", "rules fired",
 		"dead instrs", "unused slots", "live-in slots", "passes", "word util")
@@ -192,7 +192,7 @@ func main() {
 	if *doVerify {
 		fmt.Println(tv)
 		fmt.Println(tg)
-		// Enumerate the full rule catalogue so rules above V012 — the
+		// Enumerate the full rule catalogue so rules above V011 — the
 		// netlist-level resubstitution rules — are visible even when the
 		// per-technique instruction-stream checks cannot fire them.
 		tr := texttable.New(fmt.Sprintf("verification rules (%d documented)", len(verify.RuleDocs)),

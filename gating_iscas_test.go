@@ -207,11 +207,11 @@ func TestChaosGatedSkippedShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Repeats of one vector: from the second vector on, every level
-			// is gate-skipped, so run 3's injection lands in skipped-shard
+			// is gate-skipped, so run 3's injection lands in skipped-level
 			// bookkeeping.
 			vec := vectors.Random(1, len(c.Inputs), 808).Bits[0]
 			vecs := [][]bool{vec, vec, vec, vec, vec, vec}
-			inj := chaos.PanicAt(3, 1, 0)
+			inj := chaos.PanicAt(3, 1)
 			ob := NewObserver(ObserverConfig{})
 			eng, err := Open(c, TechParallel,
 				WithGuard(chaosPolicy()),

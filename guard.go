@@ -32,7 +32,7 @@ import (
 // Resilience types, re-exported from the internal supervision layer.
 type (
 	// EngineFault is a typed, located engine failure: fault kind plus
-	// level/shard/instruction witness coordinates (V012-style).
+	// level and instruction witness coordinates.
 	EngineFault = resilience.EngineFault
 	// FaultKind classifies an EngineFault.
 	FaultKind = resilience.FaultKind

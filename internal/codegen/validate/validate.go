@@ -34,7 +34,7 @@ func GoSource(name string, units []ir.Source) (string, error) {
 
 // CheckUnits validates the emission of the units in one step — the
 // facade and CLI entry point. A non-nil spec must describe the units'
-// programs: the static verifier (rules V001–V012) runs over it first,
+// programs: the static verifier (rules V001–V011) runs over it first,
 // and a spec with any warning or error finding is rejected with that
 // report before anything is lifted. The Go rendering is then lifted and
 // proven equal to the programs (V016), so the emitted statements carry

@@ -1,6 +1,6 @@
 // Package dataflow is a lattice dataflow engine for compiled simulation
 // programs — the abstract-interpretation layer under verify rules
-// V009, V011 and V012 and the dead-store eliminator.
+// V009 and V011 and the dead-store eliminator.
 //
 // The compiled techniques emit flat, branch-free instruction streams, so
 // the classic worklist algorithm degenerates pleasantly: each program is a
@@ -17,9 +17,6 @@
 // Clients supply the lattice: Liveness (backward bitset, drives the
 // dead-store eliminator and rule V009) and Intervals (forward
 // possibly-set bit ranges proving shift/mask containment, rule V011).
-// CheckSchedule is the happens-before race detector over shard plans
-// (rule V012); it is a path-sensitive sweep rather than a lattice problem
-// and lives beside the engine in hb.go.
 package dataflow
 
 import (

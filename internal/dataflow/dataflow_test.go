@@ -1,4 +1,4 @@
-// Unit tests for the dataflow engine and its three clients on tiny
+// Unit tests for the dataflow engine and its two clients on tiny
 // hand-built streams where the exact solution is known. The ISCAS-scale
 // behaviour is covered by package verify's mutation tests; these pin the
 // lattice semantics themselves.
@@ -126,112 +126,5 @@ func TestIntervalsCollision(t *testing.T) {
 func TestIntervalsDisjointPacking(t *testing.T) {
 	if fs := dataflow.Intervals(packingStream(1)); len(fs) != 0 {
 		t.Fatalf("disjoint packing flagged: %+v", fs)
-	}
-}
-
-// schedule builds a Schedule with one instruction per (level, shard) pair
-// given as parallel slices.
-func schedule(workers int, levels []int32, shards []int32) *dataflow.Schedule {
-	maxL := int32(0)
-	for _, l := range levels {
-		if l >= maxL {
-			maxL = l + 1
-		}
-	}
-	return &dataflow.Schedule{Workers: workers, Levels: int(maxL), Level: levels, Shard: shards}
-}
-
-// TestCheckScheduleClean: producer on level 0, consumer on level 1 —
-// ordered by the barrier regardless of shard.
-func TestCheckScheduleClean(t *testing.T) {
-	code := []program.Instr{
-		instr(program.OpConst1, 0, program.None, program.None, 0),
-		instr(program.OpMove, 1, 0, program.None, 0),
-	}
-	races, err := dataflow.CheckSchedule(code, 2, schedule(2, []int32{0, 1}, []int32{0, 1}))
-	if err != nil || len(races) != 0 {
-		t.Fatalf("clean schedule rejected: races=%v err=%v", races, err)
-	}
-}
-
-// TestCheckScheduleStaleRead: consumer in the same level on a different
-// shard — no barrier between producer and consumer.
-func TestCheckScheduleStaleRead(t *testing.T) {
-	code := []program.Instr{
-		instr(program.OpConst1, 0, program.None, program.None, 0),
-		instr(program.OpMove, 1, 0, program.None, 0),
-	}
-	races, err := dataflow.CheckSchedule(code, 2, schedule(2, []int32{0, 0}, []int32{0, 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(races) != 1 || races[0].Kind != dataflow.RaceStaleRead {
-		t.Fatalf("stale read not detected: %v", races)
-	}
-	r := races[0]
-	if r.Slot != 0 || r.First != 0 || r.Second != 1 {
-		t.Fatalf("witness coordinates wrong: %+v", r)
-	}
-	if !strings.Contains(r.String(), "stale-read on slot 0") {
-		t.Fatalf("unexpected witness rendering: %s", r)
-	}
-}
-
-// TestCheckScheduleScratchEscape: a scratch value consumed on another
-// shard in a LATER level. Persistent state would be fine (the barrier
-// orders it); scratch lives in per-shard arenas, so it is an escape.
-func TestCheckScheduleScratchEscape(t *testing.T) {
-	code := []program.Instr{
-		instr(program.OpConst1, 2, program.None, program.None, 0), // scratch producer
-		instr(program.OpMove, 0, 2, program.None, 0),              // consumer, other shard
-	}
-	races, err := dataflow.CheckSchedule(code, 2, schedule(2, []int32{0, 1}, []int32{0, 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(races) != 1 || races[0].Kind != dataflow.RaceScratchEscape {
-		t.Fatalf("scratch escape not detected: %v", races)
-	}
-	// Same pair on the same shard is the private-arena happy path.
-	races, err = dataflow.CheckSchedule(code, 2, schedule(2, []int32{0, 1}, []int32{1, 1}))
-	if err != nil || len(races) != 0 {
-		t.Fatalf("same-shard scratch flow flagged: races=%v err=%v", races, err)
-	}
-}
-
-// TestCheckScheduleWriteWrite: two unordered writes of one persistent
-// slot; and the same pair ordered by a barrier verifies silently.
-func TestCheckScheduleWriteWrite(t *testing.T) {
-	code := []program.Instr{
-		instr(program.OpConst1, 0, program.None, program.None, 0),
-		instr(program.OpConst0, 0, program.None, program.None, 0),
-	}
-	races, err := dataflow.CheckSchedule(code, 2, schedule(2, []int32{0, 0}, []int32{0, 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(races) != 1 || races[0].Kind != dataflow.RaceWriteWrite {
-		t.Fatalf("write-write not detected: %v", races)
-	}
-	races, err = dataflow.CheckSchedule(code, 2, schedule(2, []int32{0, 1}, []int32{0, 1}))
-	if err != nil || len(races) != 0 {
-		t.Fatalf("barrier-ordered writes flagged: races=%v err=%v", races, err)
-	}
-}
-
-// TestCheckScheduleMalformed: wrong lengths and out-of-range coordinates
-// are schedule errors, not races.
-func TestCheckScheduleMalformed(t *testing.T) {
-	code := []program.Instr{instr(program.OpConst1, 0, program.None, program.None, 0)}
-	cases := []*dataflow.Schedule{
-		{Workers: 2, Levels: 1, Level: []int32{0, 0}, Shard: []int32{0, 0}}, // wrong length
-		{Workers: 2, Levels: 1, Level: []int32{1}, Shard: []int32{0}},       // level out of range
-		{Workers: 2, Levels: 1, Level: []int32{0}, Shard: []int32{2}},       // shard out of range
-		{Workers: 2, Levels: 1, Level: []int32{-1}, Shard: []int32{0}},      // negative level
-	}
-	for i, sch := range cases {
-		if _, err := dataflow.CheckSchedule(code, 1, sch); err == nil {
-			t.Fatalf("case %d: malformed schedule accepted", i)
-		}
 	}
 }

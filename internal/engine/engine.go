@@ -400,12 +400,12 @@ func (c *Core) WriteInputs(inputs []bool) {
 // (Gating.SequentialForm). A nil ctx selects the unguarded run;
 // otherwise the run is guarded — the level loop's RunCtx, or for the
 // sequential form a context check and the injector (BeginRun, then
-// AtLevel(0, 0)), with the ApplyVectorCtx recover for panic isolation
-// and no stall budget. With an observer attached it brackets the run
-// with monotonic-clock reads; the sequential form additionally books the
-// whole program as level 0 of worker 0, so the snapshot's
-// cell/instruction totals stay consistent across strategies (the level
-// loop books its own per-level cells).
+// AtLevel(0)), with the ApplyVectorCtx recover for panic isolation and
+// no stall budget. With an observer attached it brackets the run with
+// monotonic-clock reads; the sequential form additionally books the
+// whole program as level 0, so the snapshot's cell/instruction totals
+// stay consistent across strategies (the level loop books its own
+// per-level cells).
 func (c *Core) RunSim(ctx context.Context) error {
 	seq := c.exec == nil || c.gating.SequentialForm()
 	if ctx != nil && seq {
@@ -414,7 +414,7 @@ func (c *Core) RunSim(ctx context.Context) error {
 		}
 		if inj := c.inj; inj != nil {
 			inj.BeginRun()
-			inj.AtLevel(0, 0, c.St)
+			inj.AtLevel(0, c.St)
 		}
 	}
 	o := c.obs
@@ -435,7 +435,7 @@ func (c *Core) RunSim(ctx context.Context) error {
 		d := time.Since(t0)
 		o.AddRun(d)
 		if seq {
-			o.AddLevel(0, 0, d, len(c.simProg.Code))
+			o.AddLevel(0, d, len(c.simProg.Code))
 		}
 	}
 	return err
@@ -501,9 +501,7 @@ func (c *Core) Snapshot() *obs.Snapshot {
 // re-partitioned for the stripped program; an attached observer is
 // re-attached so its per-level shape tracks the new code.
 func (c *Core) EliminateDeadStores() (int, error) {
-	spec := c.t.Spec()
-	spec.Shards = nil // the plan is rebuilt below; liveness ignores it
-	res := dataflow.Liveness(verify.StreamOf(spec))
+	res := dataflow.Liveness(verify.StreamOf(c.t.Spec()))
 	if res.NDead() == 0 {
 		return 0, nil
 	}
@@ -512,9 +510,7 @@ func (c *Core) EliminateDeadStores() (int, error) {
 	c.simProg, _ = program.Strip(c.simProg, res.DeadSim)
 
 	restore := func() { c.initProg, c.simProg, c.initSeq, c.seq = oldInit, oldSim, oldInitSeq, oldSeq }
-	check := c.t.Spec()
-	check.Shards = nil
-	if rep := verify.Check(check, verify.Options{}); !rep.Clean() {
+	if rep := verify.Check(c.t.Spec(), verify.Options{}); !rep.Clean() {
 		restore()
 		return 0, fmt.Errorf("%s: dead-store elimination rejected by verifier: %w", c.label, rep.Err())
 	}

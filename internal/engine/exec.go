@@ -239,7 +239,7 @@ func (c *Core) ApplyVectorCtx(ctx context.Context, inputs []bool) (err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = resilience.FromPanic(c.label, 0, 0, -1, r)
+			err = resilience.FromPanic(c.label, 0, -1, r)
 		}
 	}()
 	return c.t.Apply(ctx, inputs)

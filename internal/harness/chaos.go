@@ -81,7 +81,7 @@ func Chaos(o Options) (*Result, error) {
 		fmt.Sprintf("%+.1f%%", 100*(sumGuard-sumBare)/sumBare), "", "", "", "")
 	return &Result{Table: t, Notes: []string{
 		"target: guarded steady state ≤2% over bare; 0 allocs/op enforced by BenchmarkGuardedStream -benchmem",
-		"drill: deterministic panic at (run 3, level 0, shard 0) → quarantine + sequential replay;",
+		"drill: deterministic panic at (run 3, level 0) → quarantine + sequential replay;",
 		"Recovered=yes means the stream completed and every settled net matched a sequential reference",
 	}}, nil
 }
@@ -95,7 +95,7 @@ func chaosDrill(o Options, c *udsim.Circuit, vecs [][]bool) (drill, recovered st
 	if len(vecs) < run {
 		run = 1
 	}
-	inj := chaos.PanicAt(run, 0, 0)
+	inj := chaos.PanicAt(run, 0)
 	pol := udsim.DefaultGuardPolicy()
 	if n := len(vecs) / 8; n > 0 {
 		pol.CrossCheckEvery = n // sample the oracle a few times per stream

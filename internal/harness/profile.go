@@ -89,19 +89,19 @@ func ObsProfile(o Options, name string) (*ObsReport, error) {
 		"Level", "Instrs", "Time ms", "Share", "Heat")
 	var totalNanos, maxNanos int64
 	for l := range s.Level {
-		n := s.Level[l].Nanos()
+		n := s.Level[l].Nanos
 		totalNanos += n
 		if n > maxNanos {
 			maxNanos = n
 		}
 	}
 	for l := range s.Level {
-		n := s.Level[l].Nanos()
+		n := s.Level[l].Nanos
 		share := 0.0
 		if totalNanos > 0 {
 			share = 100 * float64(n) / float64(totalNanos)
 		}
-		lt.Add(l, s.Level[l].Instrs(), ms(n),
+		lt.Add(l, s.Level[l].Instrs, ms(n),
 			fmt.Sprintf("%.1f%%", share),
 			heatBar(n, maxNanos, 30))
 	}

@@ -467,7 +467,7 @@ func (s *Supervisor) fault(frame int64, err error) *resilience.EngineFault {
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		f := &resilience.EngineFault{
 			Kind: resilience.FaultDeadline, Engine: s.cfg.Engine,
-			Level: -1, Shard: -1, Instr: -1,
+			Level: -1, Instr: -1,
 			Frame: frame, Stderr: s.stderrTail(), Err: resilience.ErrChildStall,
 		}
 		return f

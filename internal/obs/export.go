@@ -12,10 +12,10 @@ import (
 // WriteText renders the snapshot in the Prometheus text exposition
 // format (one `name{labels} value` sample per line, `# TYPE` comments
 // per family). The export carries the stream-level counters, the
-// per-worker busy time, the per-(level, shard) grid and the
-// activity-per-step profile — everything a scraper or a diff needs,
-// except the per-net activity vectors, which stay in the Snapshot
-// (they are circuit-sized and belong in internal/activity reports).
+// per-level grid and the activity-per-step profile — everything a
+// scraper or a diff needs, except the per-net activity vectors, which
+// stay in the Snapshot (they are circuit-sized and belong in
+// internal/activity reports).
 func (s *Snapshot) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	eng := s.Engine
@@ -63,24 +63,13 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	family("udsim_vectors_per_second", "gauge")
 	sample("udsim_vectors_per_second", "", s.VectorsPerSec())
 
-	if len(s.Worker) > 0 {
-		family("udsim_worker_busy_seconds_total", "counter")
-		family("udsim_worker_instrs_total", "counter")
-		for w := range s.Worker {
-			l := fmt.Sprintf("worker=%q", strconv.Itoa(w))
-			sample("udsim_worker_busy_seconds_total", l, secs(s.Worker[w].BusyNanos))
-			sample("udsim_worker_instrs_total", l, float64(s.Worker[w].Instrs))
-		}
-	}
 	if len(s.Level) > 0 {
 		family("udsim_level_seconds_total", "counter")
 		family("udsim_level_instrs_total", "counter")
 		for l := range s.Level {
-			for w := range s.Level[l].ShardNanos {
-				lb := fmt.Sprintf("level=%q,shard=%q", strconv.Itoa(l), strconv.Itoa(w))
-				sample("udsim_level_seconds_total", lb, secs(s.Level[l].ShardNanos[w]))
-				sample("udsim_level_instrs_total", lb, float64(s.Level[l].ShardInstrs[w]))
-			}
+			lb := fmt.Sprintf("level=%q", strconv.Itoa(l))
+			sample("udsim_level_seconds_total", lb, secs(s.Level[l].Nanos))
+			sample("udsim_level_instrs_total", lb, float64(s.Level[l].Instrs))
 		}
 	}
 	family("udsim_guard_faults_total", "counter")

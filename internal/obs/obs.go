@@ -20,9 +20,7 @@
 //  3. Reading is cheap but not free. Snapshot() allocates a coherent
 //     copy; it is meant for the end (or quiet moments) of a run.
 //
-// Layout: the per-(level, worker) cell grid is worker-major, so each
-// worker's cells are contiguous; the per-worker busy counters are padded
-// to a cache line each.
+// Layout: the cell grid holds one cell per level of the executing plan.
 package obs
 
 import (
@@ -50,12 +48,10 @@ type Config struct {
 type Shape struct {
 	// Engine is the attaching engine's name (e.g. "parallel", "pcset").
 	Engine string
-	// Levels is the number of bulk-synchronous levels the simulation
-	// program executes in (1 for sequential execution: the whole program
-	// is one level).
+	// Levels is the number of levels the simulation program executes in:
+	// the activity-gated plan's levels, or 1 for sequential execution
+	// (the whole program is one level).
 	Levels int
-	// Workers is the number of shards per level (1 for sequential).
-	Workers int
 	// Steps is the number of unit-delay time steps per vector
 	// (circuit depth + 1); used only when Config.Activity is set.
 	Steps int
@@ -74,18 +70,10 @@ type Shape struct {
 	SimWords, InitWords, SimScratch int64
 }
 
-// cell accumulates one (level, worker) pair's execution time and
-// instruction count.
+// cell accumulates one level's execution time and instruction count.
 type cell struct {
 	nanos  atomic.Int64
 	instrs atomic.Int64
-}
-
-// workerCtr accumulates one worker's busy time, padded so adjacent
-// workers never share a cache line.
-type workerCtr struct {
-	busy atomic.Int64 // nanoseconds executing level slices
-	_    [56]byte
 }
 
 // The executors an activity-gated vector can run on, indexing
@@ -124,10 +112,9 @@ type Observer struct {
 	initRuns  atomic.Int64 // initialization-program executions
 	initNanos atomic.Int64
 
-	cells   []cell // worker-major: cells[w*shape.Levels + l]
-	workers []workerCtr
+	cells []cell // one per level
 
-	// Activity gating (the ActivityGated strategy): shard slices skipped
+	// Activity gating (the ActivityGated strategy): gate segments skipped
 	// because their input cone was untouched, and the bookkeeping time
 	// the gating decision itself cost.
 	shardsSkipped atomic.Int64
@@ -183,18 +170,13 @@ func (o *Observer) Shape() Shape { return o.shape }
 // Attach (re)sizes the counter arrays for an engine's shape and resets
 // every counter — attaching is the observation epoch boundary. Engines
 // call it from SetObserver and again when reconfiguring execution
-// (ConfigureExec changes Levels/Workers). Must not race a running
-// simulation.
+// (ConfigureExec changes Levels). Must not race a running simulation.
 func (o *Observer) Attach(s Shape) {
 	if s.Levels < 1 {
 		s.Levels = 1
 	}
-	if s.Workers < 1 {
-		s.Workers = 1
-	}
 	o.shape = s
-	o.cells = make([]cell, s.Levels*s.Workers)
-	o.workers = make([]workerCtr, s.Workers)
+	o.cells = make([]cell, s.Levels)
 	o.steps, o.netToggles, o.netGlitches = nil, nil, nil
 	if o.cfg.Activity {
 		o.steps = make([]atomic.Int64, s.Steps)
@@ -231,17 +213,16 @@ func (o *Observer) AddInit(d time.Duration) {
 	o.initNanos.Add(int64(d))
 }
 
-// AddLevel records worker executing its slice of a level: d of busy time
-// over instrs instructions. Bounds are the attaching engine's contract.
-func (o *Observer) AddLevel(level, worker int, d time.Duration, instrs int) {
-	c := &o.cells[worker*o.shape.Levels+level]
+// AddLevel records one execution of a level: d of busy time over
+// instrs instructions. Bounds are the attaching engine's contract.
+func (o *Observer) AddLevel(level int, d time.Duration, instrs int) {
+	c := &o.cells[level]
 	c.nanos.Add(int64(d))
 	c.instrs.Add(int64(instrs))
-	o.workers[worker].busy.Add(int64(d))
 }
 
-// AddShardsSkipped counts n shard level-slices skipped by activity
-// gating in one run.
+// AddShardsSkipped counts n gate segments skipped by activity gating in
+// one run.
 func (o *Observer) AddShardsSkipped(n int64) { o.shardsSkipped.Add(n) }
 
 // AddGatingNanos records the bookkeeping cost of one gating decision:

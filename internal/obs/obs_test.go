@@ -14,7 +14,7 @@ import (
 func TestCounterMath(t *testing.T) {
 	o := New(Config{Activity: true})
 	o.Attach(Shape{
-		Engine: "parallel", Levels: 2, Workers: 2, Steps: 4, Nets: 3,
+		Engine: "parallel", Levels: 2, Steps: 4, Nets: 3,
 		SimInstrs: 10, InitInstrs: 4,
 		SimWords: 25, InitWords: 8, SimScratch: 6,
 	})
@@ -23,11 +23,11 @@ func TestCounterMath(t *testing.T) {
 	o.AddInit(2 * time.Microsecond)
 	o.AddRun(10 * time.Microsecond)
 	o.AddRun(10 * time.Microsecond)
-	// level 0: balanced; level 1: worker 0 does triple the work.
-	o.AddLevel(0, 0, 4*time.Microsecond, 6)
-	o.AddLevel(0, 1, 4*time.Microsecond, 6)
-	o.AddLevel(1, 0, 3*time.Microsecond, 5)
-	o.AddLevel(1, 1, 1*time.Microsecond, 3)
+	// Two executions of each level, of different sizes on level 1.
+	o.AddLevel(0, 4*time.Microsecond, 6)
+	o.AddLevel(0, 4*time.Microsecond, 6)
+	o.AddLevel(1, 3*time.Microsecond, 5)
+	o.AddLevel(1, 1*time.Microsecond, 3)
 	o.AddTransition(1)
 	o.AddTransition(1)
 	o.AddTransition(3)
@@ -36,7 +36,7 @@ func TestCounterMath(t *testing.T) {
 	o.AddActivityVector()
 
 	s := o.Snapshot()
-	if s.Engine != "parallel" || s.Levels != 2 || s.Workers != 2 {
+	if s.Engine != "parallel" || s.Levels != 2 || len(s.Level) != 2 {
 		t.Fatalf("shape mangled: %+v", s)
 	}
 	if s.Vectors != 3 || s.Runs != 2 || s.InitRuns != 2 {
@@ -51,11 +51,8 @@ func TestCounterMath(t *testing.T) {
 	if s.Words != 2*25+2*8 || s.Scratch != 2*6 {
 		t.Fatalf("traffic: words=%d scratch=%d", s.Words, s.Scratch)
 	}
-	if s.Level[1].Instrs() != 8 || s.Level[1].Nanos() != 4000 {
-		t.Fatalf("level 1 totals: %d instrs %d ns", s.Level[1].Instrs(), s.Level[1].Nanos())
-	}
-	if s.Worker[0].BusyNanos != 7000 || s.Worker[0].Instrs != 11 {
-		t.Fatalf("worker 0: %+v", s.Worker[0])
+	if s.Level[0] != (LevelStat{Nanos: 8000, Instrs: 12}) || s.Level[1] != (LevelStat{Nanos: 4000, Instrs: 8}) {
+		t.Fatalf("level totals: %+v", s.Level)
 	}
 	if s.BusyNanos() != 12000 || s.BarrierWaitNanos() != 0 {
 		t.Fatalf("totals: busy=%d wait=%d", s.BusyNanos(), s.BarrierWaitNanos())
@@ -76,14 +73,14 @@ func TestCounterMath(t *testing.T) {
 
 // TestConcurrentMerging hammers one observer from concurrent workers —
 // the vector-batch usage pattern, whose clones share one observer — and
-// checks the snapshot totals are exact. Run under -race this also proves the Add* paths and a
-// concurrent Snapshot are data-race free.
+// checks the snapshot totals are exact. Run under -race this also proves
+// the Add* paths and a concurrent Snapshot are data-race free.
 func TestConcurrentMerging(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const levels, rounds = 5, 200
 			o := New(Config{Activity: true})
-			o.Attach(Shape{Engine: "test", Levels: levels, Workers: workers, Steps: 8, Nets: 4})
+			o.Attach(Shape{Engine: "test", Levels: levels, Steps: 8, Nets: 4})
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -91,7 +88,7 @@ func TestConcurrentMerging(t *testing.T) {
 					defer wg.Done()
 					for r := 0; r < rounds; r++ {
 						for l := 0; l < levels; l++ {
-							o.AddLevel(l, w, time.Nanosecond*7, 3)
+							o.AddLevel(l, time.Nanosecond*7, 3)
 						}
 						o.AddTransition(r % 8)
 						o.AddNetToggles(r%4, 2)
@@ -129,9 +126,9 @@ func TestConcurrentMerging(t *testing.T) {
 			if s.TotalToggles() != int64(workers*rounds*2) {
 				t.Fatalf("toggles %d", s.TotalToggles())
 			}
-			for w := 0; w < workers; w++ {
-				if s.Worker[w].Instrs != int64(rounds*levels*3) {
-					t.Fatalf("worker %d instrs %d", w, s.Worker[w].Instrs)
+			for l := range s.Level {
+				if s.Level[l].Instrs != int64(workers*rounds*3) {
+					t.Fatalf("level %d instrs %d", l, s.Level[l].Instrs)
 				}
 			}
 		})
@@ -143,12 +140,12 @@ func TestConcurrentMerging(t *testing.T) {
 func TestSnapshotMerge(t *testing.T) {
 	mk := func(runs int64) *Snapshot {
 		o := New(Config{})
-		o.Attach(Shape{Engine: "parallel", Levels: 2, Workers: 2, SimInstrs: 5, SimWords: 9, SimScratch: 2})
+		o.Attach(Shape{Engine: "parallel", Levels: 2, SimInstrs: 5, SimWords: 9, SimScratch: 2})
 		for i := int64(0); i < runs; i++ {
 			o.AddVectors(1)
 			o.AddRun(time.Microsecond)
-			o.AddLevel(0, 0, time.Microsecond/2, 3)
-			o.AddLevel(1, 1, time.Microsecond/2, 2)
+			o.AddLevel(0, time.Microsecond/2, 3)
+			o.AddLevel(1, time.Microsecond/2, 2)
 		}
 		return o.Snapshot()
 	}
@@ -159,10 +156,10 @@ func TestSnapshotMerge(t *testing.T) {
 	if a.Vectors != 8 || a.Runs != 8 || a.Instrs != 8*5 || a.Words != 8*9 || a.Scratch != 8*2 {
 		t.Fatalf("merged totals: %+v", a)
 	}
-	if a.Level[0].ShardInstrs[0] != 8*3 || a.Worker[1].BusyNanos != 8*500 {
-		t.Fatalf("merged grid: %+v %+v", a.Level, a.Worker)
+	if a.Level[0].Instrs != 8*3 || a.Level[1].Nanos != 8*500 {
+		t.Fatalf("merged grid: %+v", a.Level)
 	}
-	other := &Snapshot{Engine: "pcset", Levels: 2, Workers: 2}
+	other := &Snapshot{Engine: "pcset", Levels: 2}
 	if err := a.Merge(other); err == nil {
 		t.Fatal("merged snapshots of different engines")
 	}
@@ -172,10 +169,10 @@ func TestSnapshotMerge(t *testing.T) {
 // few sample lines; ValidateText must reject malformed exports.
 func TestTextExport(t *testing.T) {
 	o := New(Config{Activity: true})
-	o.Attach(Shape{Engine: "parallel+trim", Levels: 2, Workers: 2, Steps: 3, Nets: 2, SimInstrs: 4})
+	o.Attach(Shape{Engine: "parallel+trim", Levels: 2, Steps: 3, Nets: 2, SimInstrs: 4})
 	o.AddVectors(2)
 	o.AddRun(time.Microsecond)
-	o.AddLevel(0, 0, time.Microsecond, 4)
+	o.AddLevel(0, time.Microsecond, 4)
 	o.AddTransition(1)
 	o.AddNetToggles(0, 1)
 
@@ -186,9 +183,9 @@ func TestTextExport(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`udsim_vectors_total{engine="parallel+trim"} 2`,
-		`udsim_level_instrs_total{engine="parallel+trim",level="0",shard="0"} 4`,
+		`udsim_level_instrs_total{engine="parallel+trim",level="0"} 4`,
 		`udsim_activity_transitions_total{engine="parallel+trim",step="1"} 1`,
-		"# TYPE udsim_worker_busy_seconds_total counter",
+		"# TYPE udsim_level_seconds_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %q\n%s", want, out)
@@ -227,7 +224,7 @@ func TestNilAndDetached(t *testing.T) {
 // TestExpvar checks the expvar adapter renders JSON.
 func TestExpvar(t *testing.T) {
 	o := New(Config{})
-	o.Attach(Shape{Engine: "parallel", Levels: 1, Workers: 1})
+	o.Attach(Shape{Engine: "parallel", Levels: 1})
 	o.AddVectors(7)
 	js := o.Expvar().String()
 	if !strings.Contains(js, `"vectors": 7`) && !strings.Contains(js, `"vectors":7`) {

@@ -5,37 +5,11 @@ import (
 	"time"
 )
 
-// LevelStat is one bulk-synchronous level's per-shard execution profile.
+// LevelStat is one level's execution profile.
 type LevelStat struct {
-	// ShardNanos[w] is worker w's accumulated busy time in this level.
-	ShardNanos []int64 `json:"shard_nanos"`
-	// ShardInstrs[w] is the instructions worker w executed in this level.
-	ShardInstrs []int64 `json:"shard_instrs"`
-}
-
-// Nanos is the level's total busy time across shards.
-func (l *LevelStat) Nanos() int64 {
-	var t int64
-	for _, v := range l.ShardNanos {
-		t += v
-	}
-	return t
-}
-
-// Instrs is the level's total instruction count across shards.
-func (l *LevelStat) Instrs() int64 {
-	var t int64
-	for _, v := range l.ShardInstrs {
-		t += v
-	}
-	return t
-}
-
-// WorkerStat is one worker's stream-level execution profile.
-type WorkerStat struct {
-	// BusyNanos is time spent executing level slices.
-	BusyNanos int64 `json:"busy_nanos"`
-	// Instrs is the total instructions the worker executed.
+	// Nanos is the level's accumulated busy time.
+	Nanos int64 `json:"nanos"`
+	// Instrs is the instructions executed in the level.
 	Instrs int64 `json:"instrs"`
 }
 
@@ -43,10 +17,9 @@ type WorkerStat struct {
 // data: safe to retain, merge, serialize or diff after the observer
 // moves on.
 type Snapshot struct {
-	Engine  string `json:"engine"`
-	Config  Config `json:"config"`
-	Levels  int    `json:"levels"`
-	Workers int    `json:"workers"`
+	Engine string `json:"engine"`
+	Config Config `json:"config"`
+	Levels int    `json:"levels"`
 
 	// WallNanos is the wall time between Attach and Snapshot — the
 	// denominator of the stream-level rates.
@@ -70,16 +43,15 @@ type Snapshot struct {
 	Words   int64 `json:"words"`
 	Scratch int64 `json:"scratch"`
 
-	// Activity gating: ShardsSkipped counts shard level-slices elided
-	// because their input cone was untouched, GatingNanos the bookkeeping
+	// Activity gating: ShardsSkipped counts gate segments elided because
+	// their input cone was untouched, GatingNanos the bookkeeping
 	// time the gating decisions cost, and GatedVectors the gated vectors
 	// per executor (indexed and named like GatedExecutors).
 	ShardsSkipped int64                    `json:"shards_skipped"`
 	GatingNanos   int64                    `json:"gating_overhead_ns"`
 	GatedVectors  [NumGatedExecutors]int64 `json:"gated_vectors"`
 
-	Level  []LevelStat  `json:"level"`
-	Worker []WorkerStat `json:"worker"`
+	Level []LevelStat `json:"level"`
 
 	// Activity profile (nil unless Config.Activity): Steps[t] is the
 	// number of net value changes observed at time step t across
@@ -109,7 +81,6 @@ func (o *Observer) Snapshot() *Snapshot {
 		Engine:    o.shape.Engine,
 		Config:    o.cfg,
 		Levels:    o.shape.Levels,
-		Workers:   o.shape.Workers,
 		Vectors:   o.vectors.Load(),
 		Runs:      o.runs.Load(),
 		RunNanos:  o.runNanos.Load(),
@@ -131,22 +102,10 @@ func (o *Observer) Snapshot() *Snapshot {
 	s.Words = s.Runs*o.shape.SimWords + s.InitRuns*o.shape.InitWords
 	s.Scratch = s.Runs * o.shape.SimScratch
 	if o.cells != nil {
-		s.Level = make([]LevelStat, o.shape.Levels)
-		s.Worker = make([]WorkerStat, o.shape.Workers)
-		for l := range s.Level {
-			s.Level[l].ShardNanos = make([]int64, o.shape.Workers)
-			s.Level[l].ShardInstrs = make([]int64, o.shape.Workers)
-		}
-		for w := 0; w < o.shape.Workers; w++ {
-			for l := 0; l < o.shape.Levels; l++ {
-				c := &o.cells[w*o.shape.Levels+l]
-				n, i := c.nanos.Load(), c.instrs.Load()
-				s.Level[l].ShardNanos[w] = n
-				s.Level[l].ShardInstrs[w] = i
-				s.Worker[w].Instrs += i
-				s.Instrs += i
-			}
-			s.Worker[w].BusyNanos = o.workers[w].busy.Load()
+		s.Level = make([]LevelStat, len(o.cells))
+		for l := range o.cells {
+			s.Level[l] = LevelStat{Nanos: o.cells[l].nanos.Load(), Instrs: o.cells[l].instrs.Load()}
+			s.Instrs += s.Level[l].Instrs
 		}
 	}
 	if o.steps != nil {
@@ -173,11 +132,11 @@ func (s *Snapshot) VectorsPerSec() float64 {
 	return float64(s.Vectors) / (float64(s.WallNanos) / 1e9)
 }
 
-// BusyNanos sums every worker's busy time.
+// BusyNanos sums the level cells' busy time.
 func (s *Snapshot) BusyNanos() int64 {
 	var t int64
-	for i := range s.Worker {
-		t += s.Worker[i].BusyNanos
+	for i := range s.Level {
+		t += s.Level[i].Nanos
 	}
 	return t
 }
@@ -205,14 +164,14 @@ func (s *Snapshot) TotalGlitches() int64 {
 }
 
 // Merge folds t's counters into s. Snapshots must come from observers
-// attached with the same shape (engine, levels, workers, activity
-// dimensions); wall time takes the maximum rather than the sum, since
-// merged windows overlap in the vector-batch use case.
+// attached with the same shape (engine, levels, activity dimensions);
+// wall time takes the maximum rather than the sum, since merged windows
+// overlap in the vector-batch use case.
 func (s *Snapshot) Merge(t *Snapshot) error {
-	if s.Engine != t.Engine || s.Levels != t.Levels || s.Workers != t.Workers ||
+	if s.Engine != t.Engine || s.Levels != t.Levels || len(s.Level) != len(t.Level) ||
 		len(s.Steps) != len(t.Steps) || len(s.NetToggles) != len(t.NetToggles) {
-		return fmt.Errorf("obs: merging snapshots of different shapes (%s %dx%d vs %s %dx%d)",
-			s.Engine, s.Levels, s.Workers, t.Engine, t.Levels, t.Workers)
+		return fmt.Errorf("obs: merging snapshots of different shapes (%s, %d levels vs %s, %d levels)",
+			s.Engine, s.Levels, t.Engine, t.Levels)
 	}
 	if t.WallNanos > s.WallNanos {
 		s.WallNanos = t.WallNanos
@@ -232,14 +191,8 @@ func (s *Snapshot) Merge(t *Snapshot) error {
 	s.Words += t.Words
 	s.Scratch += t.Scratch
 	for l := range s.Level {
-		for w := range s.Level[l].ShardNanos {
-			s.Level[l].ShardNanos[w] += t.Level[l].ShardNanos[w]
-			s.Level[l].ShardInstrs[w] += t.Level[l].ShardInstrs[w]
-		}
-	}
-	for w := range s.Worker {
-		s.Worker[w].BusyNanos += t.Worker[w].BusyNanos
-		s.Worker[w].Instrs += t.Worker[w].Instrs
+		s.Level[l].Nanos += t.Level[l].Nanos
+		s.Level[l].Instrs += t.Level[l].Instrs
 	}
 	for i := range s.Steps {
 		s.Steps[i] += t.Steps[i]

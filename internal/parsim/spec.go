@@ -74,10 +74,5 @@ func (s *Sim) Spec() *verify.Spec {
 		}
 		spec.Phase = phase
 	}
-	// When activity gating is configured, export its leveled plan so rule
-	// V012 checks the leveling against the sequential dataflow.
-	if plan := s.ExecPlan(); plan != nil {
-		spec.Shards = plan.Assignment()
-	}
 	return spec
 }

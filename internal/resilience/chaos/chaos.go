@@ -6,11 +6,9 @@
 // unguarded hot loops never pay for them.
 //
 // Determinism is the point: every injector fires at an exact (run,
-// level, shard) coordinate, counted by BeginRun, and fires exactly once
-// unless Reset. The chaos test suite replays the same failure on every
-// circuit and every word width — a seeded randomized
-// injector exists for sweeps, and its choices are a pure function of the
-// seed.
+// level) coordinate, counted by BeginRun, and fires exactly once unless
+// Reset. The chaos test suite replays the same failure on every circuit
+// and every word width.
 package chaos
 
 import (
@@ -25,12 +23,12 @@ import (
 type Event int
 
 const (
-	// EventPanic panics in the worker that reaches the trigger.
+	// EventPanic panics in the level loop that reaches the trigger.
 	EventPanic Event = iota
 	// EventCorrupt flips the low bit of a chosen state word.
 	EventCorrupt
-	// EventDelay sleeps in the worker that reaches the trigger,
-	// simulating a wedged shard.
+	// EventDelay sleeps in the level loop that reaches the trigger,
+	// simulating a wedged level.
 	EventDelay
 	// EventCancel cancels a context when the trigger run begins.
 	EventCancel
@@ -52,19 +50,18 @@ func (e Event) String() string {
 }
 
 // Injector fires one fault at an exact coordinate: the trigger matches
-// when the current run (1-based, counted by BeginRun) equals Run and a
-// worker consults it at (Level, Shard). Each injector fires at most once
-// until Reset, so a sequential replay of the faulted batch does not
-// re-inject. The zero values of Level and Shard trigger on sequential
-// dispatch too (which always reports level 0, shard 0).
+// when the current run (1-based, counted by BeginRun) equals Run and the
+// engine consults it at Level. Each injector fires at most once until
+// Reset, so a sequential replay of the faulted batch does not re-inject.
+// Level 0 triggers on sequential dispatch too (which always reports
+// level 0).
 type Injector struct {
 	// Event selects the fault to inject.
 	Event Event
 	// Run is the 1-based simulation-program run the trigger arms on.
 	Run int
-	// Level and Shard are the bulk-synchronous coordinates the armed
-	// trigger fires at.
-	Level, Shard int
+	// Level is the level the armed trigger fires at.
+	Level int
 
 	// Slot is the state word EventCorrupt flips; Mask selects the bits
 	// (zero means the low bit).
@@ -91,13 +88,12 @@ func (i *Injector) BeginRun() {
 	}
 }
 
-// AtLevel fires the armed event at its (level, shard) coordinate. Safe
-// for concurrent use: shard workers consult it in parallel.
-func (i *Injector) AtLevel(level, shard int, st []uint64) {
+// AtLevel fires the armed event at its level. Safe for concurrent use.
+func (i *Injector) AtLevel(level int, st []uint64) {
 	if i.Event == EventCancel {
 		return
 	}
-	if int(i.run.Load()) != i.Run || level != i.Level || shard != i.Shard {
+	if int(i.run.Load()) != i.Run || level != i.Level {
 		return
 	}
 	if !i.fired.CompareAndSwap(false, true) {
@@ -110,8 +106,8 @@ func (i *Injector) AtLevel(level, shard int, st []uint64) {
 		panic(&resilience.EngineFault{
 			Kind:   resilience.FaultPanic,
 			Engine: "chaos",
-			Level:  level, Shard: shard, Instr: -1,
-			Value: "injected worker panic",
+			Level:  level, Instr: -1,
+			Value: "injected level panic",
 		})
 	case EventCorrupt:
 		if i.Slot >= 0 && i.Slot < len(st) {
@@ -138,60 +134,28 @@ func (i *Injector) Reset() {
 	i.fired.Store(false)
 }
 
-// PanicAt builds a single-shot worker-panic injector firing on run run
-// (1-based) at (level, shard).
-func PanicAt(run, level, shard int) *Injector {
-	return &Injector{Event: EventPanic, Run: run, Level: level, Shard: shard}
+// PanicAt builds a single-shot panic injector firing on run run
+// (1-based) at level.
+func PanicAt(run, level int) *Injector {
+	return &Injector{Event: EventPanic, Run: run, Level: level}
 }
 
-// CorruptWord builds a single-shot corruption injector that flips the
-// low bit of state word slot on run run at (level, shard).
-func CorruptWord(run, level, shard, slot int) *Injector {
-	return &Injector{Event: EventCorrupt, Run: run, Level: level, Shard: shard, Slot: slot}
-}
-
-// CorruptBits is CorruptWord with an explicit bit mask — pair it with
-// the simulators' FinalSlot helpers to hit an output-visible bit.
-func CorruptBits(run, level, shard, slot int, mask uint64) *Injector {
-	return &Injector{Event: EventCorrupt, Run: run, Level: level, Shard: shard, Slot: slot, Mask: mask}
+// CorruptBits builds a single-shot corruption injector that flips the
+// mask bits (the low bit when mask is 0) of state word slot on run run at
+// level — pair it with the simulators' FinalSlot helpers to hit an
+// output-visible bit.
+func CorruptBits(run, level, slot int, mask uint64) *Injector {
+	return &Injector{Event: EventCorrupt, Run: run, Level: level, Slot: slot, Mask: mask}
 }
 
 // Delay builds a single-shot stall injector that sleeps d on run run at
-// (level, shard) — long enough a sleep overruns the guard's level budget.
-func Delay(run, level, shard int, d time.Duration) *Injector {
-	return &Injector{Event: EventDelay, Run: run, Level: level, Shard: shard, Sleep: d}
+// level — long enough a sleep overruns the guard's level budget.
+func Delay(run, level int, d time.Duration) *Injector {
+	return &Injector{Event: EventDelay, Run: run, Level: level, Sleep: d}
 }
 
 // CancelAfter builds an injector that invokes cancel when run run
 // begins — mid-stream cancellation without test-side timing games.
 func CancelAfter(cancel context.CancelFunc, run int) *Injector {
 	return &Injector{Event: EventCancel, Run: run, Cancel: cancel}
-}
-
-// Seeded derives a deterministic injector of the given event for a
-// schedule with levels levels and shards shards, spreading the trigger
-// coordinate with a splitmix64 step of the seed. Corruption targets
-// slot range [0, slots); runs bounds the 1-based trigger run.
-func Seeded(seed uint64, event Event, runs, levels, shards, slots int) *Injector {
-	next := func() uint64 {
-		seed += 0x9e3779b97f4a7c15
-		z := seed
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	pick := func(n int) int {
-		if n < 1 {
-			n = 1
-		}
-		return int(next() % uint64(n))
-	}
-	return &Injector{
-		Event: event,
-		Run:   1 + pick(runs),
-		Level: pick(levels),
-		Shard: pick(shards),
-		Slot:  pick(slots),
-		Sleep: time.Duration(1+pick(20)) * time.Millisecond,
-	}
 }

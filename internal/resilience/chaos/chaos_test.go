@@ -9,18 +9,18 @@ import (
 )
 
 func TestPanicAtFiresOnceAtCoordinate(t *testing.T) {
-	inj := PanicAt(2, 1, 3)
+	inj := PanicAt(2, 1)
 	st := make([]uint64, 4)
 
 	inj.BeginRun() // run 1: wrong run, nothing fires
-	inj.AtLevel(1, 3, st)
+	inj.AtLevel(1, st)
 	if inj.Fired() {
 		t.Fatal("fired on the wrong run")
 	}
 
 	inj.BeginRun() // run 2
-	inj.AtLevel(0, 3, st)
-	inj.AtLevel(1, 0, st)
+	inj.AtLevel(0, st)
+	inj.AtLevel(2, st)
 	if inj.Fired() {
 		t.Fatal("fired at the wrong coordinate")
 	}
@@ -34,11 +34,11 @@ func TestPanicAtFiresOnceAtCoordinate(t *testing.T) {
 			if !ok {
 				t.Fatalf("panicked with %T, want *EngineFault", r)
 			}
-			if f.Kind != resilience.FaultPanic || f.Level != 1 || f.Shard != 3 {
-				t.Fatalf("fault = %v, want panic at level 1 shard 3", f)
+			if f.Kind != resilience.FaultPanic || f.Level != 1 {
+				t.Fatalf("fault = %v, want panic at level 1", f)
 			}
 		}()
-		inj.AtLevel(1, 3, st)
+		inj.AtLevel(1, st)
 	}()
 	if !inj.Fired() {
 		t.Fatal("Fired() false after firing")
@@ -47,37 +47,40 @@ func TestPanicAtFiresOnceAtCoordinate(t *testing.T) {
 	// Single shot: the same coordinate on a later run stays quiet — a
 	// sequential replay of the faulted batch must not re-inject.
 	inj.BeginRun()
-	inj.AtLevel(1, 3, st) // must not panic
+	inj.AtLevel(1, st) // must not panic
 }
 
 func TestCorruptWordAndMask(t *testing.T) {
 	st := make([]uint64, 4)
-	inj := CorruptWord(1, 0, 0, 2)
+	inj := CorruptBits(1, 0, 2, 0) // mask 0 flips the low bit
 	inj.BeginRun()
-	inj.AtLevel(0, 0, st)
+	inj.AtLevel(0, st)
 	if st[2] != 1 {
 		t.Fatalf("st[2] = %#x, want low bit flipped", st[2])
 	}
 
 	st2 := make([]uint64, 4)
-	bits := CorruptBits(1, 0, 0, 1, 1<<17)
+	bits := CorruptBits(1, 0, 1, 1<<17)
 	bits.BeginRun()
-	bits.AtLevel(0, 0, st2)
+	bits.AtLevel(0, st2)
 	if st2[1] != 1<<17 {
 		t.Fatalf("st2[1] = %#x, want bit 17 flipped", st2[1])
 	}
 
 	// Out-of-range slots must be ignored, not panic.
-	oob := CorruptWord(1, 0, 0, 99)
+	oob := CorruptBits(1, 0, 99, 0)
 	oob.BeginRun()
-	oob.AtLevel(0, 0, st)
+	oob.AtLevel(0, st)
+	if !oob.Fired() || st[2] != 1 {
+		t.Fatalf("out-of-range corruption: fired=%v st=%v", oob.Fired(), st)
+	}
 }
 
 func TestDelaySleeps(t *testing.T) {
-	inj := Delay(1, 0, 0, 20*time.Millisecond)
+	inj := Delay(1, 0, 20*time.Millisecond)
 	inj.BeginRun()
 	t0 := time.Now()
-	inj.AtLevel(0, 0, nil)
+	inj.AtLevel(0, nil)
 	if d := time.Since(t0); d < 20*time.Millisecond {
 		t.Fatalf("slept %v, want >= 20ms", d)
 	}
@@ -95,14 +98,14 @@ func TestCancelAfter(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Fatal("trigger run did not cancel")
 	}
-	inj.AtLevel(0, 0, nil) // cancel event never touches state
+	inj.AtLevel(0, nil) // cancel event never touches state
 }
 
 func TestReset(t *testing.T) {
 	st := make([]uint64, 1)
-	inj := CorruptWord(1, 0, 0, 0)
+	inj := CorruptBits(1, 0, 0, 0)
 	inj.BeginRun()
-	inj.AtLevel(0, 0, st)
+	inj.AtLevel(0, st)
 	if !inj.Fired() || inj.Runs() != 1 {
 		t.Fatalf("fired=%v runs=%d after firing", inj.Fired(), inj.Runs())
 	}
@@ -111,24 +114,9 @@ func TestReset(t *testing.T) {
 		t.Fatal("Reset did not rearm")
 	}
 	inj.BeginRun()
-	inj.AtLevel(0, 0, st)
+	inj.AtLevel(0, st)
 	if st[0] != 0 { // flipped twice: back to zero
 		t.Fatalf("st[0] = %#x after two single-shot firings", st[0])
-	}
-}
-
-func TestSeededDeterminism(t *testing.T) {
-	a := Seeded(42, EventPanic, 10, 8, 4, 100)
-	b := Seeded(42, EventPanic, 10, 8, 4, 100)
-	if a.Run != b.Run || a.Level != b.Level || a.Shard != b.Shard || a.Slot != b.Slot || a.Sleep != b.Sleep {
-		t.Fatal("same seed produced different injectors")
-	}
-	if a.Run < 1 || a.Run > 10 || a.Level < 0 || a.Level >= 8 || a.Shard < 0 || a.Shard >= 4 {
-		t.Fatalf("injector out of range: run %d level %d shard %d", a.Run, a.Level, a.Shard)
-	}
-	c := Seeded(43, EventPanic, 1000, 1000, 1000, 1000)
-	if a.Run == c.Run && a.Level == c.Level && a.Shard == c.Shard && a.Slot == c.Slot {
-		t.Fatal("different seeds produced the identical injector (suspicious)")
 	}
 }
 

@@ -7,9 +7,8 @@
 // hot loop and exactly wrong for a runtime meant to serve heavy traffic:
 // a panic must not kill the process, a wedged level must not hang the
 // caller forever, and silent state corruption must be detectable. This
-// package supplies the vocabulary (EngineFault, with
-// level/shard/instruction witness coordinates in the style of the static
-// race proofs of rule V012) and the knobs (Policy) that the shard
+// package supplies the vocabulary (EngineFault, with level and
+// instruction witness coordinates) and the knobs (Policy) that the shard
 // engine, the compiled simulators and the facade's Guarded engine share.
 // It imports nothing but the standard library, so every engine package
 // can depend on it.
@@ -86,11 +85,10 @@ func (k FaultKind) String() string {
 
 // Sentinel causes wrapped by EngineFault.
 var (
-	// ErrBarrierStall marks a level of a guarded level loop (an
+	// ErrLevelStall marks a level of a guarded level loop (an
 	// activity-gated vector run on the caller) that the run timed past
-	// the per-level budget. The name is kept from the level-synchronous
-	// runs whose barrier it once watched.
-	ErrBarrierStall = errors.New("resilience: barrier generation stalled past level budget")
+	// the per-level budget.
+	ErrLevelStall = errors.New("resilience: level ran past its budget")
 	// ErrQuarantined marks an attempt to run an engine that already
 	// faulted.
 	ErrQuarantined = errors.New("resilience: engine is quarantined after a fault")
@@ -107,19 +105,18 @@ var (
 	ErrChildStall = errors.New("resilience: native child stalled past batch deadline")
 )
 
-// EngineFault is a typed, located engine failure. It carries the same
-// witness coordinates the static race proofs (verify rule V012) use —
-// level, shard, instruction — so a runtime fault and a static finding
-// read the same way. Unknown coordinates are -1.
+// EngineFault is a typed, located engine failure: its witness
+// coordinates are the level of the level loop and an instruction (or
+// state slot). Unknown coordinates are -1.
 type EngineFault struct {
 	// Kind classifies the fault.
 	Kind FaultKind
 	// Engine names the faulting engine ("parallel", "pcset", "shard",
 	// "async").
 	Engine string
-	// Level, Shard and Instr locate the fault in the bulk-synchronous
-	// schedule (-1 when unknown; sequential execution is level 0 shard 0).
-	Level, Shard, Instr int
+	// Level and Instr locate the fault in the level loop (-1 when
+	// unknown; sequential execution is level 0).
+	Level, Instr int
 	// Value is the recovered panic value for FaultPanic.
 	Value any
 	// Stack is the panicking goroutine's stack for FaultPanic.
@@ -139,7 +136,7 @@ type EngineFault struct {
 
 // Error renders the fault as a one-line witness:
 //
-//	resilience: panic in parallel (level 3 shard 1): runtime error: ...
+//	resilience: panic in parallel (level 3): runtime error: ...
 func (f *EngineFault) Error() string {
 	loc := ""
 	switch {
@@ -152,7 +149,7 @@ func (f *EngineFault) Error() string {
 			loc += ")"
 		}
 	case f.Level >= 0:
-		loc = fmt.Sprintf(" (level %d shard %d", f.Level, f.Shard)
+		loc = fmt.Sprintf(" (level %d", f.Level)
 		if f.Instr >= 0 {
 			loc += fmt.Sprintf(" instr %d", f.Instr)
 		}
@@ -187,7 +184,7 @@ func (f *EngineFault) Transient() bool {
 		return true
 	}
 	return f.Kind == FaultPanic ||
-		(f.Kind == FaultDeadline && (errors.Is(f.Err, ErrBarrierStall) || errors.Is(f.Err, ErrChildStall)))
+		(f.Kind == FaultDeadline && (errors.Is(f.Err, ErrLevelStall) || errors.Is(f.Err, ErrChildStall)))
 }
 
 // AsFault extracts an *EngineFault from an error chain.
@@ -203,13 +200,13 @@ func AsFault(err error) (*EngineFault, bool) {
 // value already is an *EngineFault (a chaos injector panicking with a
 // pre-located fault), it is returned as-is so injected coordinates
 // survive.
-func FromPanic(engine string, level, shard, instr int, v any) *EngineFault {
+func FromPanic(engine string, level, instr int, v any) *EngineFault {
 	if f, ok := v.(*EngineFault); ok {
 		return f
 	}
 	return &EngineFault{
 		Kind: FaultPanic, Engine: engine,
-		Level: level, Shard: shard, Instr: instr,
+		Level: level, Instr: instr,
 		Value: v, Stack: debug.Stack(),
 	}
 }
@@ -221,18 +218,19 @@ func FromContext(engine string, err error) *EngineFault {
 	if errors.Is(err, context.DeadlineExceeded) {
 		k = FaultDeadline
 	}
-	return &EngineFault{Kind: k, Engine: engine, Level: -1, Shard: -1, Instr: -1, Err: err}
+	return &EngineFault{Kind: k, Engine: engine, Level: -1, Instr: -1, Err: err}
 }
 
-// Stall builds the barrier-stall fault at the given level.
+// Stall builds the fault of a guarded level loop whose level ran past
+// the per-level budget.
 func Stall(engine string, level int) *EngineFault {
-	return &EngineFault{Kind: FaultDeadline, Engine: engine, Level: level, Shard: -1, Instr: -1, Err: ErrBarrierStall}
+	return &EngineFault{Kind: FaultDeadline, Engine: engine, Level: level, Instr: -1, Err: ErrLevelStall}
 }
 
 // Quarantined builds the fault returned when a faulted engine is run
 // again.
 func Quarantined(engine string) *EngineFault {
-	return &EngineFault{Kind: FaultPanic, Engine: engine, Level: -1, Shard: -1, Instr: -1, Err: ErrQuarantined}
+	return &EngineFault{Kind: FaultPanic, Engine: engine, Level: -1, Instr: -1, Err: ErrQuarantined}
 }
 
 // Corruption builds the cross-check-mismatch fault; slot is the state
@@ -240,7 +238,7 @@ func Quarantined(engine string) *EngineFault {
 func Corruption(engine string, slot int) *EngineFault {
 	return &EngineFault{
 		Kind: FaultCorruption, Engine: engine,
-		Level: -1, Shard: -1, Instr: slot, Err: ErrCrossCheck,
+		Level: -1, Instr: slot, Err: ErrCrossCheck,
 	}
 }
 
@@ -252,7 +250,7 @@ func Corruption(engine string, slot int) *EngineFault {
 func Subprocess(engine string, frame int64, exit int, stderr string, err error) *EngineFault {
 	return &EngineFault{
 		Kind: FaultSubprocess, Engine: engine,
-		Level: -1, Shard: -1, Instr: -1,
+		Level: -1, Instr: -1,
 		Frame: frame, ExitStatus: exit, Stderr: stderr, Err: err,
 	}
 }
@@ -263,7 +261,7 @@ func Subprocess(engine string, frame int64, exit int, stderr string, err error) 
 func Protocol(engine string, frame int64, stderr string, err error) *EngineFault {
 	return &EngineFault{
 		Kind: FaultProtocol, Engine: engine,
-		Level: -1, Shard: -1, Instr: -1,
+		Level: -1, Instr: -1,
 		Frame: frame, Stderr: stderr, Err: err,
 	}
 }
@@ -276,7 +274,7 @@ type Policy struct {
 	// LevelBudget is the per-level stall budget of the level loop that
 	// runs activity-gated vectors on the caller: the run times each
 	// level and stops after one that overran, with a FaultDeadline
-	// wrapping ErrBarrierStall. Work outside those levels has no budget
+	// wrapping ErrLevelStall. Work outside those levels has no budget
 	// of its own: the sequential strategy and gated vectors on the
 	// sequential form are not budgeted at all. 0 disables it.
 	LevelBudget time.Duration
@@ -330,8 +328,7 @@ type Injector interface {
 	// BeginRun is called once per simulation-program execution (one per
 	// vector), before any level runs.
 	BeginRun()
-	// AtLevel is called before level runs, with shard 0: by the level
-	// loop once per level, and by sequential dispatch once per run with
-	// (0, 0).
-	AtLevel(level, shard int, st []uint64)
+	// AtLevel is called before level runs: by the level loop once per
+	// level, and by sequential dispatch once per run with level 0.
+	AtLevel(level int, st []uint64)
 }

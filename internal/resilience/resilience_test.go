@@ -15,16 +15,16 @@ func TestFaultError(t *testing.T) {
 		want string
 	}{
 		{
-			&EngineFault{Kind: FaultPanic, Engine: "parallel", Level: 3, Shard: 1, Instr: -1, Value: "boom"},
-			"resilience: panic in parallel (level 3 shard 1): boom",
+			&EngineFault{Kind: FaultPanic, Engine: "parallel", Level: 3, Instr: -1, Value: "boom"},
+			"resilience: panic in parallel (level 3): boom",
 		},
 		{
-			&EngineFault{Kind: FaultPanic, Engine: "shard", Level: 2, Shard: 0, Instr: 17, Value: "x"},
-			"resilience: panic in shard (level 2 shard 0 instr 17): x",
+			&EngineFault{Kind: FaultPanic, Engine: "shard", Level: 2, Instr: 17, Value: "x"},
+			"resilience: panic in shard (level 2 instr 17): x",
 		},
 		{
 			Stall("shard", 4),
-			"resilience: deadline in shard (level 4 shard -1): " + ErrBarrierStall.Error(),
+			"resilience: deadline in shard (level 4): " + ErrLevelStall.Error(),
 		},
 		{
 			FromContext("pcset", context.Canceled),
@@ -74,7 +74,7 @@ func TestTransient(t *testing.T) {
 		f    *EngineFault
 		want bool
 	}{
-		{FromPanic("shard", 1, 0, -1, "boom"), true},
+		{FromPanic("shard", 1, -1, "boom"), true},
 		{Stall("shard", 2), true},
 		{FromContext("shard", context.Canceled), false},
 		{FromContext("shard", context.DeadlineExceeded), false}, // caller deadline, not a stall
@@ -83,7 +83,7 @@ func TestTransient(t *testing.T) {
 		{Subprocess("native", 3, -1, "", errors.New("signal: killed")), true},
 		{Subprocess("native", -1, 1, "go build: ...", ErrChildBuild), false}, // rebuild cannot succeed
 		{Protocol("native", 7, "", errors.New("crc mismatch")), true},
-		{&EngineFault{Kind: FaultDeadline, Engine: "native", Level: -1, Shard: -1, Instr: -1, Frame: 2, Err: ErrChildStall}, true},
+		{&EngineFault{Kind: FaultDeadline, Engine: "native", Level: -1, Instr: -1, Frame: 2, Err: ErrChildStall}, true},
 	}
 	for i, tc := range cases {
 		if got := tc.f.Transient(); got != tc.want {
@@ -93,14 +93,14 @@ func TestTransient(t *testing.T) {
 }
 
 func TestFromPanicPassthrough(t *testing.T) {
-	orig := &EngineFault{Kind: FaultPanic, Engine: "chaos", Level: 5, Shard: 2, Instr: -1, Value: "injected"}
-	got := FromPanic("shard", 0, 0, -1, orig)
+	orig := &EngineFault{Kind: FaultPanic, Engine: "chaos", Level: 5, Instr: -1, Value: "injected"}
+	got := FromPanic("shard", 0, -1, orig)
 	if got != orig {
 		t.Fatal("FromPanic rewrote a pre-located fault; injected coordinates lost")
 	}
-	plain := FromPanic("shard", 1, 2, 3, "runtime error")
-	if plain.Level != 1 || plain.Shard != 2 || plain.Instr != 3 {
-		t.Fatalf("FromPanic coordinates = (%d,%d,%d)", plain.Level, plain.Shard, plain.Instr)
+	plain := FromPanic("shard", 1, 3, "runtime error")
+	if plain.Level != 1 || plain.Instr != 3 {
+		t.Fatalf("FromPanic coordinates = (%d,%d)", plain.Level, plain.Instr)
 	}
 	if len(plain.Stack) == 0 {
 		t.Fatal("FromPanic did not capture a stack")
@@ -114,7 +114,7 @@ func TestAsFault(t *testing.T) {
 	if !ok || got != f {
 		t.Fatal("AsFault did not find the fault through a wrap")
 	}
-	if !errors.Is(wrapped, ErrBarrierStall) {
+	if !errors.Is(wrapped, ErrLevelStall) {
 		t.Fatal("stall cause not visible through errors.Is")
 	}
 	if _, ok := AsFault(errors.New("plain")); ok {

@@ -175,8 +175,8 @@ func (s *Server) Drain(ctx context.Context) error {
 type BatchOptions struct {
 	// Exec is the execution strategy ("sequential", "activity-gated",
 	// "vector-batch", "auto"; default sequential; any other value is
-	// refused) and Workers the vector-batch worker count (0 =
-	// GOMAXPROCS).
+	// refused) and Workers the worker count of vector-batch and auto (0 =
+	// GOMAXPROCS; the other strategies ignore it).
 	Exec    string `json:"exec,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 	// WordBits is the parallel technique's logical word width.
@@ -187,10 +187,25 @@ type BatchOptions struct {
 	Resub bool `json:"resub,omitempty"`
 }
 
-// canonical renders the options as the cache-key fragment.
-func (o BatchOptions) canonical() string {
+// canonical renders the options as the cache-key fragment, the same for
+// equivalent configurations: the strategy by its canonical name (empty
+// meaning sequential), and the worker count only under vector-batch and
+// auto, the strategies that read it. An unknown or retired strategy is
+// an error naming the value.
+func (o BatchOptions) canonical() (string, error) {
+	strat := udsim.ExecSequential
+	if o.Exec != "" {
+		var err error
+		if strat, err = udsim.ParseExecStrategy(o.Exec); err != nil {
+			return "", err
+		}
+	}
+	workers := 0
+	if strat == udsim.ExecVectorBatch || strat == udsim.ExecAuto {
+		workers = o.Workers
+	}
 	return fmt.Sprintf("exec=%s,workers=%d,wordbits=%d,deadstore=%t,resub=%t",
-		o.Exec, o.Workers, o.WordBits, o.DeadStore, o.Resub)
+		strat, workers, o.WordBits, o.DeadStore, o.Resub), nil
 }
 
 // BatchRequest is the body of POST /v1/batches. Exactly one of
@@ -446,7 +461,12 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	key := rc.id + "|" + br.Technique + "|" + br.Options.canonical()
+	opts, err := br.Options.canonical()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	key := rc.id + "|" + br.Technique + "|" + opts
 	prog, hit, err := s.getProgram(ctx, key, rc, br.Technique, br.Options)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

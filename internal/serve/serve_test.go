@@ -226,6 +226,43 @@ func TestCacheKeySplitsByConfiguration(t *testing.T) {
 	}
 }
 
+// TestCacheKeyMergesEquivalentOptions: option spellings that name the
+// same engine configuration share one compile. Six batches on c432 —
+// the default, "sequential", "seq" at 4 workers, "activity-gated" at 2,
+// "gated" at 1 and "activity-gated" alone — are two configurations, since
+// only vector-batch and auto read the worker count; vector-batch at 2 and
+// 4 workers are two more.
+func TestCacheKeyMergesEquivalentOptions(t *testing.T) {
+	srv, hs := newTestServer(t, Config{})
+	c, err := udsim.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := randVectors(t, c, 4, 5)
+	batch := func(o BatchOptions) {
+		t.Helper()
+		post(t, hs, "/v1/batches", "", BatchRequest{Gen: "c432", Options: o, Vectors: vecs}, nil)
+	}
+	for _, o := range []BatchOptions{
+		{},
+		{Exec: "sequential"},
+		{Exec: "seq", Workers: 4},
+		{Exec: "activity-gated", Workers: 2},
+		{Exec: "gated", Workers: 1},
+		{Exec: "activity-gated"},
+	} {
+		batch(o)
+	}
+	if st := srv.Stats(); st.Compiles != 2 {
+		t.Fatalf("two configurations compiled %d programs", st.Compiles)
+	}
+	batch(BatchOptions{Exec: "vector-batch", Workers: 2})
+	batch(BatchOptions{Exec: "batch", Workers: 4})
+	if st := srv.Stats(); st.Compiles != 4 {
+		t.Fatalf("vector-batch at 2 and 4 workers: %d programs in all, want 4", st.Compiles)
+	}
+}
+
 // TestPoolBound floods one program with concurrent batches and asserts
 // the pool's high-water mark never exceeds the configured bound.
 func TestPoolBound(t *testing.T) {

@@ -102,7 +102,7 @@ func (e *Engine) run(ctx context.Context, st []uint64) (err error) {
 	if ctx != nil {
 		defer func() {
 			if r := recover(); r != nil {
-				err = e.poison(resilience.FromPanic(engineName, l, 0, -1, r))
+				err = e.poison(resilience.FromPanic(engineName, l, -1, r))
 			}
 		}()
 	}
@@ -117,14 +117,14 @@ func (e *Engine) run(ctx context.Context, st []uint64) (err error) {
 		if ctx != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				f := resilience.FromContext(engineName, cerr)
-				f.Level, f.Shard = l, 0
+				f.Level = l
 				return f
 			}
 			// The injector fires before the gate check on purpose: chaos
 			// tests must be able to panic inside the bookkeeping of a level
 			// the gates are about to skip.
 			if inj != nil {
-				inj.AtLevel(l, 0, st)
+				inj.AtLevel(l, st)
 				if budget > 0 {
 					if f := e.overrun(l, budget, &mark); f != nil {
 						return f
@@ -141,7 +141,7 @@ func (e *Engine) run(ctx context.Context, st []uint64) (err error) {
 		}
 		n := program.ExecRanges(levels[l], runs[2*off[l]:2*off[l+1]], st, wb)
 		if o != nil && off[l+1] > off[l] {
-			o.AddLevel(l, 0, time.Since(t0), n)
+			o.AddLevel(l, time.Since(t0), n)
 		}
 		if budget > 0 {
 			if f := e.overrun(l, budget, &mark); f != nil {

@@ -27,9 +27,9 @@ const engineName = "shard"
 // RunCtx.
 func (e *Engine) SetGuard(budget time.Duration) { e.budget = budget }
 
-// SetInjector attaches a fault injector consulted once per level, as
-// shard 0, on the guarded path only. Must not be called concurrently
-// with RunCtx; nil detaches.
+// SetInjector attaches a fault injector consulted once per level on the
+// guarded path only. Must not be called concurrently with RunCtx; nil
+// detaches.
 func (e *Engine) SetInjector(inj resilience.Injector) { e.inj = inj }
 
 // Fault returns the fault that poisoned the engine, or nil.
@@ -40,8 +40,8 @@ func (e *Engine) Fault() *resilience.EngineFault { return e.fault }
 // surface as a typed *resilience.EngineFault instead of crashing or
 // hanging. A nil return is bit-identical to Run. A run ended by its
 // context between levels damaged nothing, so the engine stays usable;
-// after a panic or an overrun — a stall fault witnessed by its (level,
-// shard) — the engine is poisoned and refuses every later run.
+// after a panic or an overrun — a stall fault witnessed by its level —
+// the engine is poisoned and refuses every later run.
 func (e *Engine) RunCtx(ctx context.Context, st []uint64) error {
 	if e.poisoned {
 		return resilience.Quarantined(engineName)
@@ -65,9 +65,7 @@ func (e *Engine) overrun(level int, budget time.Duration, mark *time.Time) *resi
 		*mark = now
 		return nil
 	}
-	f := resilience.Stall(engineName, level)
-	f.Shard = 0
-	return e.poison(f)
+	return e.poison(resilience.Stall(engineName, level))
 }
 
 // poison records f as the fault that poisoned the engine and returns it.

@@ -56,15 +56,15 @@ func TestRunCtxCleanEquivalence(t *testing.T) {
 func TestRunCtxPanicFault(t *testing.T) {
 	plan, st, _ := guardFixture(t, 12)
 	e := NewEngine(plan)
-	e.SetInjector(chaos.PanicAt(1, 1, 0))
+	e.SetInjector(chaos.PanicAt(1, 1))
 
 	err := e.RunCtx(context.Background(), st)
 	f, ok := resilience.AsFault(err)
 	if !ok {
 		t.Fatalf("RunCtx returned %v, want *EngineFault", err)
 	}
-	if f.Kind != resilience.FaultPanic || f.Level != 1 || f.Shard != 0 {
-		t.Fatalf("fault = %v, want injected panic at level 1 shard 0", f)
+	if f.Kind != resilience.FaultPanic || f.Level != 1 {
+		t.Fatalf("fault = %v, want injected panic at level 1", f)
 	}
 	if e.Fault() != f {
 		t.Fatal("Fault() does not return the poisoning fault")
@@ -78,24 +78,24 @@ func TestRunCtxPanicFault(t *testing.T) {
 }
 
 // TestRunCtxStall: a level wedged past the level budget is a stall
-// fault witnessed by its (level, shard) instead of a hang, and poisons
-// the engine.
+// fault witnessed by its level instead of a hang, and poisons the
+// engine.
 func TestRunCtxStall(t *testing.T) {
 	plan, st, _ := guardFixture(t, 13)
 	e := NewEngine(plan)
 	e.SetGuard(20 * time.Millisecond)
-	e.SetInjector(chaos.Delay(1, 0, 0, 300*time.Millisecond))
+	e.SetInjector(chaos.Delay(1, 0, 300*time.Millisecond))
 
 	err := e.RunCtx(context.Background(), st)
 	f, ok := resilience.AsFault(err)
 	if !ok {
 		t.Fatalf("RunCtx returned %v, want *EngineFault", err)
 	}
-	if f.Kind != resilience.FaultDeadline || !errors.Is(f, resilience.ErrBarrierStall) {
+	if f.Kind != resilience.FaultDeadline || !errors.Is(f, resilience.ErrLevelStall) {
 		t.Fatalf("fault = %v, want a level stall", f)
 	}
-	if f.Level != 0 || f.Shard != 0 {
-		t.Fatalf("stall witnessed at level %d shard %d, want level 0 shard 0", f.Level, f.Shard)
+	if f.Level != 0 {
+		t.Fatalf("stall witnessed at level %d, want level 0", f.Level)
 	}
 	if !errors.Is(e.RunCtx(context.Background(), st), resilience.ErrQuarantined) {
 		t.Fatal("engine not quarantined after a stall")
@@ -127,8 +127,8 @@ func TestRunCtxCancel(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	e.SetInjector(cancelAtLevel{level: 1, cancel: cancel})
 	f, ok = resilience.AsFault(e.RunCtx(ctx, st))
-	if !ok || f.Kind != resilience.FaultCanceled || f.Level != 2 || f.Shard != 0 {
-		t.Fatalf("run canceled at level 1 returned %v, want FaultCanceled at level 2 shard 0", f)
+	if !ok || f.Kind != resilience.FaultCanceled || f.Level != 2 {
+		t.Fatalf("run canceled at level 1 returned %v, want FaultCanceled at level 2", f)
 	}
 }
 
@@ -141,7 +141,7 @@ type cancelAtLevel struct {
 
 func (c cancelAtLevel) BeginRun() {}
 
-func (c cancelAtLevel) AtLevel(level, _ int, _ []uint64) {
+func (c cancelAtLevel) AtLevel(level int, _ []uint64) {
 	if level == c.level {
 		c.cancel()
 	}
@@ -194,7 +194,7 @@ func TestRunCtxSoloGuard(t *testing.T) {
 		}
 	}
 
-	e.SetInjector(chaos.PanicAt(1, 0, 0))
+	e.SetInjector(chaos.PanicAt(1, 0))
 	err = e.RunCtx(context.Background(), st)
 	if f, ok := resilience.AsFault(err); !ok || f.Kind != resilience.FaultPanic {
 		t.Fatalf("panic returned %v, want FaultPanic", err)
@@ -212,7 +212,7 @@ func TestRunCtxCorruptionIsSilentHere(t *testing.T) {
 	e := NewEngine(plan)
 	// Flip a persistent word between the last two levels so no gate
 	// recomputes it (slot 0 is written only at its own level).
-	e.SetInjector(chaos.CorruptBits(1, e.Levels()-1, 0, 0, 1<<63))
+	e.SetInjector(chaos.CorruptBits(1, e.Levels()-1, 0, 1<<63))
 
 	if err := e.RunCtx(context.Background(), st); err != nil {
 		t.Fatalf("corruption faulted at the engine layer: %v", err)
@@ -231,9 +231,9 @@ func TestRunCtxCorruptionIsSilentHere(t *testing.T) {
 // TestRunCtxCallerOnly: a gated engine is supervised like an ungated
 // one. It is bit-identical to sequential execution, guarded or not,
 // alternating with ungated runs; a context ending between levels returns
-// a fault without poisoning; a panic is recorded with its (level, shard)
-// and poisons the engine; and an overrun of the budget is a stall fault
-// at the wedged (level, shard).
+// a fault without poisoning; a panic is recorded with its level and
+// poisons the engine; and an overrun of the budget is a stall fault at
+// the wedged level.
 func TestRunCtxCallerOnly(t *testing.T) {
 	plan, st, want := guardFixture(t, 19)
 	init := append([]uint64(nil), st...)
@@ -268,10 +268,10 @@ func TestRunCtxCallerOnly(t *testing.T) {
 		t.Fatalf("gated engine unusable after cancellation: %v", err)
 	}
 
-	e.SetInjector(chaos.PanicAt(1, 1, 0))
+	e.SetInjector(chaos.PanicAt(1, 1))
 	f, ok := resilience.AsFault(e.RunCtx(context.Background(), st))
-	if !ok || f.Kind != resilience.FaultPanic || f.Level != 1 || f.Shard != 0 {
-		t.Fatalf("gated panic = %v, want a panic at level 1 shard 0", f)
+	if !ok || f.Kind != resilience.FaultPanic || f.Level != 1 {
+		t.Fatalf("gated panic = %v, want a panic at level 1", f)
 	}
 	if e.Fault() != f {
 		t.Fatalf("Fault() = %v after a gated panic", e.Fault())
@@ -283,9 +283,9 @@ func TestRunCtxCallerOnly(t *testing.T) {
 	e = NewEngine(plan)
 	gateAll(e, true)
 	e.SetGuard(20 * time.Millisecond)
-	e.SetInjector(chaos.Delay(1, 1, 0, 100*time.Millisecond))
+	e.SetInjector(chaos.Delay(1, 1, 100*time.Millisecond))
 	f, ok = resilience.AsFault(e.RunCtx(context.Background(), st))
-	if !ok || !errors.Is(f, resilience.ErrBarrierStall) || f.Level != 1 || f.Shard != 0 {
-		t.Fatalf("gated stall = %v, want a level stall at level 1 shard 0", f)
+	if !ok || !errors.Is(f, resilience.ErrLevelStall) || f.Level != 1 {
+		t.Fatalf("gated stall = %v, want a level stall at level 1", f)
 	}
 }

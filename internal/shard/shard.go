@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"udsim/internal/program"
-	"udsim/internal/verify"
 )
 
 // Strategy selects how a compiled simulator executes its instruction
@@ -85,7 +84,7 @@ func ParseStrategy(s string) (Strategy, error) {
 	return 0, fmt.Errorf("shard: unknown strategy %q", s)
 }
 
-// OpCost weighs an instruction in the plan's cost model: plain word
+// OpCost weighs an instruction in op units: plain word
 // operations cost 1, shift/carry operations cost 2 (two reads, a shift
 // and a merge). The activity-gated strategy's per-vector executor choice
 // prices code with it.
@@ -103,12 +102,8 @@ func OpCost(op program.Op) int64 {
 type Stats struct {
 	// Instrs is the number of partitioned instructions.
 	Instrs int
-	// Clusters is the number of atomic instruction clusters.
-	Clusters int
 	// Levels is the number of levels.
 	Levels int
-	// TotalCost is the cost of the whole program in op units.
-	TotalCost int64
 }
 
 // Plan is a static leveled schedule for one program: per level, the
@@ -117,7 +112,6 @@ type Plan struct {
 	wordBits     int
 	scratchStart int32
 	levels       [][]program.Instr
-	assign       *verify.ShardAssignment
 	stats        Stats
 }
 
@@ -206,7 +200,6 @@ func Partition(p *program.Program, scratchStart int32) (*Plan, error) {
 	// slots carry no cross-cluster dependencies: reads were unioned into
 	// the writer's cluster, and clusters run whole, one after another.
 	level := make([]int32, nClusters)
-	cost := make([]int64, nClusters)
 	lastWriteLevel := make([]int32, p.NumVars)
 	lastWriteCluster := make([]int32, p.NumVars)
 	readersMax := make([]int32, p.NumVars)
@@ -249,7 +242,6 @@ func Partition(p *program.Program, scratchStart int32) (*Plan, error) {
 		}
 		for i := lo; i < hi; i++ {
 			in := &p.Code[i]
-			cost[c] += OpCost(in.Op)
 			rbuf = in.ReadSlots(rbuf[:0])
 			for _, s := range rbuf {
 				if s < scratchStart && readersMax[s] < lvl {
@@ -272,26 +264,11 @@ func Partition(p *program.Program, scratchStart int32) (*Plan, error) {
 		scratchStart: scratchStart,
 		levels:       make([][]program.Instr, numLevels),
 	}
-	assign := &verify.ShardAssignment{
-		Workers: 1,
-		Levels:  int(numLevels),
-		Level:   make([]int32, n),
-		Shard:   make([]int32, n),
-	}
-	var totalCost int64
 	for i := 0; i < n; i++ {
 		l := level[clusterOf[i]]
-		assign.Level[i] = l
-		totalCost += OpCost(p.Code[i].Op)
 		pl.levels[l] = append(pl.levels[l], p.Code[i])
 	}
-	pl.assign = assign
-	pl.stats = Stats{
-		Instrs:    n,
-		Clusters:  int(nClusters),
-		Levels:    int(numLevels),
-		TotalCost: totalCost,
-	}
+	pl.stats = Stats{Instrs: n, Levels: int(numLevels)}
 	return pl, nil
 }
 
@@ -303,8 +280,3 @@ func (p *Plan) LevelCode(l int) []program.Instr { return p.levels[l] }
 
 // Stats returns the plan's partition statistics.
 func (p *Plan) Stats() Stats { return p.stats }
-
-// Assignment exports the per-instruction level assignment for static
-// verification (rule V012 in package verify); every instruction is on
-// shard 0.
-func (p *Plan) Assignment() *verify.ShardAssignment { return p.assign }

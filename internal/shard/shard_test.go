@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"udsim/internal/program"
-	"udsim/internal/verify"
 )
 
 // genProgram builds a random but valid gate-style program: numPersist
@@ -110,77 +109,6 @@ func gateAll(e *Engine, on bool) {
 		all[l] = true
 	}
 	e.SetGate(all, nil, nil)
-}
-
-// TestPlanPassesV008 checks that every generated plan satisfies the
-// happens-before rule V012 (which retired the shard rule V008) — the
-// planner and the checker must agree.
-func TestPlanPassesV008(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		p, scratchStart := genProgram(t, rng, 30, 6, 40)
-		plan, err := Partition(p, scratchStart)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := &verify.Spec{
-			Name:         "fuzz",
-			Sim:          p,
-			ScratchStart: scratchStart,
-			Shards:       plan.Assignment(),
-		}
-		// The random program is not levelized, so only the happens-before
-		// rule is meaningful here.
-		r := verify.Check(spec, verify.Options{
-			Disable: []string{verify.RuleDefUse, verify.RuleWAW, verify.RuleLayout, verify.RulePhase, verify.RuleDead, verify.RuleCycle},
-		})
-		for _, f := range r.Findings {
-			if f.Rule == verify.RuleRace {
-				t.Fatalf("seed %d: %v", seed, f)
-			}
-		}
-	}
-}
-
-// TestV008CatchesBadPlan mutates a valid plan and expects rule V012 to
-// object — the rule must have teeth.
-func TestV008CatchesBadPlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p, scratchStart := genProgram(t, rng, 30, 6, 40)
-	plan, err := Partition(p, scratchStart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := plan.Assignment()
-	if a.Levels < 2 {
-		t.Skip("degenerate plan: single level")
-	}
-	// Move the last instruction of the last level to level 0: its reads of
-	// values produced in between become forward reads.
-	bad := &verify.ShardAssignment{
-		Workers: a.Workers,
-		Levels:  a.Levels,
-		Level:   append([]int32(nil), a.Level...),
-		Shard:   append([]int32(nil), a.Shard...),
-	}
-	moved := false
-	for i := len(bad.Level) - 1; i >= 0; i-- {
-		if bad.Level[i] == int32(a.Levels-1) {
-			bad.Level[i] = 0
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("no instruction in the last level")
-	}
-	spec := &verify.Spec{Name: "mutated", Sim: p, ScratchStart: scratchStart, Shards: bad}
-	r := verify.Check(spec, verify.Options{
-		Disable: []string{verify.RuleDefUse, verify.RuleWAW, verify.RuleLayout, verify.RulePhase, verify.RuleDead, verify.RuleCycle},
-	})
-	if !r.HasRule(verify.RuleRace) {
-		t.Fatalf("mutated plan produced no V012 finding:\n%s", r)
-	}
 }
 
 // TestBarrier hammers the calibration barrier across reuse cycles:

@@ -98,32 +98,3 @@ func checkIntervals(spec *Spec, r *Report) {
 			Msg: f.Msg()})
 	}
 }
-
-// maxRaceFindings caps V012 findings: one bad partition tends to break
-// thousands of reads, and the first few localize it.
-const maxRaceFindings = 50
-
-// checkRaces is rule V012: the happens-before race detector over the
-// shard plan. It rejects a malformed assignment outright, then derives
-// the plan's happens-before relation (barrier-ordered levels, sequential
-// shards within a level) and proves every conflicting access pair
-// ordered, attaching a complete witness — kind, slot, both instruction
-// addresses and both (level, shard) coordinates — to each violation.
-func checkRaces(spec *Spec, r *Report) {
-	sh := spec.Shards
-	races, err := dataflow.CheckSchedule(spec.Sim.Code, spec.ScratchStart,
-		&dataflow.Schedule{Workers: sh.Workers, Levels: sh.Levels, Level: sh.Level, Shard: sh.Shard})
-	if err != nil {
-		r.add(Finding{Rule: RuleRace, Severity: SevError, Prog: "spec", Instr: -1, Slot: -1, Msg: err.Error()})
-		return
-	}
-	for i, race := range races {
-		if i == maxRaceFindings {
-			r.add(Finding{Rule: RuleRace, Severity: SevError, Prog: "sim", Instr: -1, Slot: -1,
-				Msg: fmt.Sprintf("%d further happens-before violations suppressed", len(races)-maxRaceFindings)})
-			break
-		}
-		r.add(Finding{Rule: RuleRace, Severity: SevError, Prog: "sim", Instr: race.Second, Slot: race.Slot,
-			Msg: race.String()})
-	}
-}

@@ -52,12 +52,6 @@ func cloneSpec(s *verify.Spec) *verify.Spec {
 	c.Phase = append([]int(nil), s.Phase...)
 	c.RuntimeWritten = append([]int32(nil), s.RuntimeWritten...)
 	c.LiveOut = append([]int32(nil), s.LiveOut...)
-	if s.Shards != nil {
-		sh := *s.Shards
-		sh.Level = append([]int32(nil), s.Shards.Level...)
-		sh.Shard = append([]int32(nil), s.Shards.Shard...)
-		c.Shards = &sh
-	}
 	return &c
 }
 
@@ -343,21 +337,6 @@ func FuzzCheck(f *testing.F) {
 		}
 		if len(data) > 0 && data[0]%2 == 0 {
 			spec.Phase = []int{0, 0, 1, 8, verify.NoPhase, verify.NoPhase, verify.NoPhase, verify.NoPhase}
-		}
-		if len(data) > 1 && data[1]%3 == 0 {
-			// Arbitrary shard schedules, including malformed shapes and
-			// out-of-range coordinates, must surface as V012 findings,
-			// never panics.
-			lv := make([]int32, len(code))
-			shd := make([]int32, len(code))
-			for i := range code {
-				lv[i] = int32(data[(i+2)%len(data)]%6) - 1
-				shd[i] = int32(data[(i+3)%len(data)]%5) - 1
-			}
-			spec.Shards = &verify.ShardAssignment{
-				Workers: int(data[1] % 4), Levels: int(data[1] % 6),
-				Level: lv, Shard: shd,
-			}
 		}
 		verify.Check(spec, verify.Options{ReportDead: true})
 	})

@@ -24,7 +24,6 @@ var RuleDocs = []RuleDoc{
 	{RuleStructure, "structural validity: opcode, operand and metadata ranges"},
 	{RuleLoopLive, "vector-loop liveness: the cross-vector fixpoint agrees with the census"},
 	{RuleInterval, "bit-interval containment: accumulated bits disjoint from bits already held"},
-	{RuleRace, "happens-before races: all conflicting shard accesses are ordered"},
 	{RuleRewrite, "resubstitution rewrite: optimized netlist structurally valid, boundary preserved, net map consistent"},
 	{RuleCert, "resubstitution certificate: merge and constant proofs replay, original and optimized circuits equivalent"},
 	{RuleLift, "translation validation: emitted source lifts back to an instruction stream equivalent to the compiled program"},

@@ -43,7 +43,6 @@ const (
 	RuleStructure = "V007"
 	RuleLoopLive  = "V009"
 	RuleInterval  = "V011"
-	RuleRace      = "V012"
 	// RuleLift is the translation-validation rule over emitted source
 	// (package codegen/validate): the lifted instruction stream is
 	// proven equal to the compiled one, statement by statement and in
@@ -52,9 +51,11 @@ const (
 )
 
 // Retired rule IDs, never reused: V008 (shard-plan dataflow, proven by
-// V012), V010 (advisory constant propagation), V015 (level-fusion
-// replicas), V017 (emission-certificate replay) and V018 (def-use
-// re-proven on the lifted AST, proven by V016 plus V001/V002).
+// V012), V010 (advisory constant propagation), V012 (happens-before
+// races over shard plans; one-worker plans run each level in program
+// order, so nothing races), V015 (level-fusion replicas), V017
+// (emission-certificate replay) and V018 (def-use re-proven on the
+// lifted AST, proven by V016 plus V001/V002).
 
 // Finding is one structured diagnostic.
 type Finding struct {

@@ -135,7 +135,7 @@ func TestCheckRewriteMissingNet(t *testing.T) {
 	}
 }
 
-// TestRuleDocsCoverResubRules pins the rules above V012 — the
+// TestRuleDocsCoverResubRules pins the rules above V011 — the
 // resubstitution pair and the translation-validation rule — into the
 // output drivers' rule table in identifier order.
 func TestRuleDocsCoverResubRules(t *testing.T) {
@@ -152,7 +152,7 @@ func TestRuleDocsCoverResubRules(t *testing.T) {
 			t.Fatalf("RuleDocs tail %v, want suffix %v", ids, want)
 		}
 	}
-	if len(ids) != 13 {
-		t.Fatalf("expected 13 documented rules, got %d", len(ids))
+	if len(ids) != 12 {
+		t.Fatalf("expected 12 documented rules, got %d", len(ids))
 	}
 }

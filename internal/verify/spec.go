@@ -40,12 +40,8 @@
 //	V011  bit-interval containment: every accumulating write into a
 //	      persistent word must merge bits provably disjoint from the bits
 //	      the word already holds — the bit-level complement of V002.
-//	V012  happens-before races: a shard plan must be well formed, and
-//	      every conflicting access pair in it must be ordered by the
-//	      plan's happens-before relation; violations carry complete
-//	      witnesses (slot, both instruction addresses, both level/shard
-//	      coordinates). (V013/V014, the resubstitution rules, live in
-//	      resub.go.)
+//
+// V013 and V014, the resubstitution rules, live in resub.go.
 package verify
 
 import (
@@ -109,30 +105,6 @@ type Spec struct {
 	// the right setting for programs whose slots are not time-packed
 	// words (the PC-set method) or that use non-unit gate delays.
 	Phase []int
-
-	// Shards optionally carries a leveled schedule of Sim — the
-	// activity-gated strategy's one-shard plan — enabling rule V012; nil
-	// under the other strategies.
-	Shards *ShardAssignment
-}
-
-// ShardAssignment is a bulk-synchronous schedule for the simulation
-// program: instruction i runs in level Level[i] on shard Shard[i], levels
-// are separated by barriers, and shards within a level run concurrently.
-// A shard index names the same worker in every level. Rule V012 checks
-// that the assignment preserves the sequential program's dataflow: every
-// value read must have been produced in an earlier level or earlier by
-// the same shard, and no two shards may race on a slot within a level.
-type ShardAssignment struct {
-	// Workers is the number of shards per level.
-	Workers int
-	// Levels is the number of bulk-synchronous levels.
-	Levels int
-	// Level and Shard give each Sim instruction's assignment, indexed by
-	// instruction; both must have length len(Sim.Code).
-	Level []int32
-	// Shard is the per-instruction shard index in [0,Workers).
-	Shard []int32
 }
 
 // numVars returns the state-array size shared by both programs.

@@ -53,9 +53,6 @@ func Check(spec *Spec, opts Options) *Report {
 	if !opts.disabled(RuleCycle) {
 		checkCycles(spec, r)
 	}
-	if spec.Shards != nil && !opts.disabled(RuleRace) {
-		checkRaces(spec, r)
-	}
 	if !opts.disabled(RuleDead) {
 		checkLiveness(spec, r, opts)
 	}

@@ -385,91 +385,3 @@ func TestReportErrAndOrdering(t *testing.T) {
 		t.Fatalf("clean Err() = %v", err)
 	}
 }
-
-// shardSpec builds a small levelized chain a->b->c with an explicit
-// shard assignment: sim[0] writes slot 1 from 0, sim[1] writes slot 2
-// from 1, sim[2] writes slot 3 from 0 (independent of the chain).
-func shardSpec(level, sh []int32, workers, levels int) *Spec {
-	s := mk(4, 4, nil, []program.Instr{
-		{Op: program.OpMove, Dst: 1, A: 0, B: program.None},
-		{Op: program.OpNot, Dst: 2, A: 1, B: program.None},
-		{Op: program.OpNot, Dst: 3, A: 0, B: program.None},
-	})
-	s.RuntimeWritten = []int32{0}
-	s.LiveOut = []int32{2, 3}
-	s.Shards = &ShardAssignment{Workers: workers, Levels: levels, Level: level, Shard: sh}
-	return s
-}
-
-// The TestV008 cases are the mutants of the retired shard-plan rule
-// V008; rule V012 kills every one of them and passes both clean plans.
-
-func TestV008CleanPlan(t *testing.T) {
-	// Chain split across levels, independent op in parallel with level 0.
-	s := shardSpec([]int32{0, 1, 0}, []int32{0, 0, 1}, 2, 2)
-	wantClean(t, Check(s, Options{}))
-}
-
-func TestV008SameShardSameLevelChainIsLegal(t *testing.T) {
-	// The whole chain on one shard in one level: sequential within the
-	// shard, so reads resolve in order.
-	s := shardSpec([]int32{0, 0, 0}, []int32{0, 0, 1}, 2, 1)
-	wantClean(t, Check(s, Options{}))
-}
-
-func TestV008CrossShardReadWithinLevel(t *testing.T) {
-	// sim[1] reads slot 1 in the same level it is written, from another
-	// shard: a data race.
-	s := shardSpec([]int32{0, 0, 0}, []int32{0, 1, 1}, 2, 1)
-	wantRule(t, Check(s, Options{}), RuleRace)
-}
-
-func TestV008ReadFromLaterLevel(t *testing.T) {
-	// sim[1] runs in level 0 but its operand is written in level 1.
-	s := shardSpec([]int32{1, 0, 0}, []int32{0, 0, 1}, 2, 2)
-	wantRule(t, Check(s, Options{}), RuleRace)
-}
-
-func TestV008ConcurrentWAW(t *testing.T) {
-	s := mk(4, 4, nil, []program.Instr{
-		{Op: program.OpConst0, Dst: 1, A: program.None, B: program.None},
-		{Op: program.OpConst1, Dst: 1, A: program.None, B: program.None},
-	})
-	s.LiveOut = []int32{1}
-	s.Shards = &ShardAssignment{Workers: 2, Levels: 1, Level: []int32{0, 0}, Shard: []int32{0, 1}}
-	r := Check(s, Options{Disable: []string{RuleWAW}})
-	wantRule(t, r, RuleRace)
-}
-
-func TestV008WriteUnderConcurrentReader(t *testing.T) {
-	// sim[0] reads slot 0 in level 0 on shard 0; sim[1] overwrites slot 0
-	// in the same level on shard 1: write-after-read race.
-	s := mk(4, 4, nil, []program.Instr{
-		{Op: program.OpNot, Dst: 1, A: 0, B: program.None},
-		{Op: program.OpConst0, Dst: 0, A: program.None, B: program.None},
-	})
-	s.RuntimeWritten = []int32{0}
-	s.LiveOut = []int32{0, 1}
-	s.Shards = &ShardAssignment{Workers: 2, Levels: 1, Level: []int32{0, 0}, Shard: []int32{0, 1}}
-	wantRule(t, Check(s, Options{}), RuleRace)
-}
-
-func TestV008CrossShardScratch(t *testing.T) {
-	// Scratch slot 4 written by shard 0, read by shard 1 in a later
-	// level: persistent state would allow this, private arenas do not.
-	s := mk(6, 4, nil, []program.Instr{
-		{Op: program.OpMove, Dst: 4, A: 0, B: program.None},
-		{Op: program.OpMove, Dst: 1, A: 4, B: program.None},
-	})
-	s.RuntimeWritten = []int32{0}
-	s.LiveOut = []int32{1}
-	s.Shards = &ShardAssignment{Workers: 2, Levels: 2, Level: []int32{0, 1}, Shard: []int32{0, 1}}
-	wantRule(t, Check(s, Options{}), RuleRace)
-}
-
-func TestV008MalformedAssignment(t *testing.T) {
-	s := shardSpec([]int32{0, 1}, []int32{0, 0, 1}, 2, 2) // wrong length
-	wantRule(t, Check(s, Options{}), RuleRace)
-	s = shardSpec([]int32{0, 5, 0}, []int32{0, 0, 1}, 2, 2) // level out of range
-	wantRule(t, Check(s, Options{}), RuleRace)
-}

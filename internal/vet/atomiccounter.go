@@ -15,7 +15,7 @@ var atomicMethods = map[string]bool{
 // AtomicCounter returns the analyzer that flags non-atomic access to
 // the runtime counter fields of package internal/obs. A counter field
 // is any struct field of type atomic.Int64 (scalar, slice or array
-// element) declared in a file of package obs; shard workers hammer
+// element) declared in a file of package obs; vector-batch blocks hammer
 // these concurrently, so a direct read, write or copy is a data race
 // the race detector only catches if a test happens to exercise the
 // interleaving. Allowed accesses: the atomic method set (Add, Load,

@@ -7,9 +7,10 @@
 // The shipped analyzer guards a repo convention the compiler cannot:
 //
 //   - atomiccounter: the runtime counters in internal/obs are
-//     atomic.Int64 fields shared with shard workers; every access must
-//     go through the atomic API (or the documented Attach-time
-//     (re)initialization), never a direct read, write or copy.
+//     atomic.Int64 fields shared by concurrent vector-batch blocks; every
+//     access must go through the atomic API (or the documented
+//     Attach-time (re)initialization), never a direct read, write or
+//     copy.
 package vet
 
 import (

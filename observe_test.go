@@ -2,6 +2,8 @@ package udsim
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 
 	"udsim/internal/obs"
@@ -39,12 +41,11 @@ func TestSnapshotConsistencySharded(t *testing.T) {
 		t.Fatal("nil snapshot with observer attached")
 	}
 
-	if s.Engine != "parallel" || s.Workers != 1 {
-		t.Fatalf("shape %s %dx%d", s.Engine, s.Levels, s.Workers)
+	if s.Engine != "parallel" {
+		t.Fatalf("engine %s", s.Engine)
 	}
-	if s.Levels < 2 || len(s.Level) != s.Levels || len(s.Worker) != s.Workers {
-		t.Fatalf("grid %d levels (%d stats), %d workers (%d stats)",
-			s.Levels, len(s.Level), s.Workers, len(s.Worker))
+	if s.Levels < 2 || len(s.Level) != s.Levels {
+		t.Fatalf("grid %d levels (%d stats)", s.Levels, len(s.Level))
 	}
 	if s.Vectors != n || s.Runs != n || s.GatedVectors[obs.GatedSequential] != n {
 		t.Fatalf("vectors %d runs %d sequential-form vectors %d, want %d",
@@ -61,7 +62,7 @@ func TestSnapshotConsistencySharded(t *testing.T) {
 	}
 	var cellInstrs int64
 	for l := range s.Level {
-		cellInstrs += s.Level[l].Instrs()
+		cellInstrs += s.Level[l].Instrs
 	}
 	if cellInstrs != s.Instrs {
 		t.Fatalf("cell sum %d != total %d", cellInstrs, s.Instrs)
@@ -70,16 +71,7 @@ func TestSnapshotConsistencySharded(t *testing.T) {
 		t.Fatalf("traffic words=%d scratch=%d", s.Words, s.Scratch)
 	}
 
-	// Busy time is exactly the sum of the level cells (both sides are fed
-	// from the same clock reads), and happens inside the observation
-	// window.
-	var busy int64
-	for l := range s.Level {
-		busy += s.Level[l].ShardNanos[0]
-	}
-	if busy != s.Worker[0].BusyNanos {
-		t.Fatalf("busy %d != cell sum %d", s.Worker[0].BusyNanos, busy)
-	}
+	// Busy time happens inside the observation window.
 	if s.BusyNanos() <= 0 || s.WallNanos <= 0 || s.RunNanos <= 0 {
 		t.Fatalf("times busy=%d wall=%d run=%d", s.BusyNanos(), s.WallNanos, s.RunNanos)
 	}
@@ -97,6 +89,89 @@ func TestSnapshotConsistencySharded(t *testing.T) {
 	}
 	if err := obs.ValidateText(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("export: %v\n%s", err, buf.String())
+	}
+}
+
+// TestLevelCellsExport pins the observer's per-level grid under the
+// sequential, activity-gated and vector-batch strategies on c880's
+// repeat/delta stream: busy time and the instruction total equal the
+// sums over the level cells, and the text export validates, has no
+// worker family and no shard label, and its level samples sum to
+// udsim_instrs_total.
+func TestLevelCellsExport(t *testing.T) {
+	c, err := ISCAS85("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := gatingStream(c, 7)
+	for _, tc := range []struct {
+		name string
+		exec Option
+	}{
+		{"sequential", WithExec(ExecSequential, 1)},
+		{"gated", WithExec(ExecActivityGated, 2)},
+		{"batch", WithExec(ExecVectorBatch, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ob := NewObserver(ObserverConfig{})
+			e, err := Open(c, TechParallel, tc.exec, WithObserver(ob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.(Closer).Close()
+			if err := e.ResetConsistent(nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.(Streamer).ApplyStream(vecs.Bits); err != nil {
+				t.Fatal(err)
+			}
+			s := ob.Snapshot()
+			var nanos, instrs int64
+			for _, l := range s.Level {
+				nanos += l.Nanos
+				instrs += l.Instrs
+			}
+			if instrs == 0 || s.Instrs != instrs || s.BusyNanos() != nanos {
+				t.Fatalf("instrs %d, busy %d; level cells sum to %d instrs, %d ns",
+					s.Instrs, s.BusyNanos(), instrs, nanos)
+			}
+			if tc.name == "gated" && s.GatedVectors[obs.GatedCaller] == 0 {
+				t.Fatal("no gated vector ran on the level loop")
+			}
+
+			var buf bytes.Buffer
+			if err := s.WriteText(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			if err := obs.ValidateText(strings.NewReader(out)); err != nil {
+				t.Fatalf("export: %v\n%s", err, out)
+			}
+			if strings.Contains(out, "worker") || strings.Contains(out, "shard=") {
+				t.Fatalf("export has a worker family or a shard label:\n%s", out)
+			}
+			var levelInstrs, total float64
+			for _, line := range strings.Split(out, "\n") {
+				f := strings.Fields(line)
+				if len(f) != 2 {
+					continue
+				}
+				v, err := strconv.ParseFloat(f[1], 64)
+				if err != nil {
+					continue
+				}
+				switch {
+				case strings.HasPrefix(f[0], "udsim_level_instrs_total{"):
+					levelInstrs += v
+				case strings.HasPrefix(f[0], "udsim_instrs_total{"):
+					total = v
+				}
+			}
+			if levelInstrs != total || total != float64(s.Instrs) {
+				t.Fatalf("exported level instrs sum to %v, udsim_instrs_total %v, snapshot %d",
+					levelInstrs, total, s.Instrs)
+			}
+		})
 	}
 }
 

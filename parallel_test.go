@@ -438,9 +438,9 @@ func TestAutoNeverShards(t *testing.T) {
 
 // TestPlansReproducible pins that the activity-gated strategy's plan is
 // a pure function of the program: on every profile, two independent
-// Opens at different worker counts build plans with identical levels,
-// assignment and statistics, each equal to shard.Partition applied
-// directly to the engine's simulation program.
+// Opens at different worker counts build plans with identical level code
+// and statistics, each equal to shard.Partition applied directly to the
+// engine's simulation program.
 func TestPlansReproducible(t *testing.T) {
 	for _, name := range ISCAS85Names() {
 		c, err := ISCAS85(name)
@@ -467,15 +467,12 @@ func TestPlansReproducible(t *testing.T) {
 	}
 }
 
-// samePlan fails unless two plans execute the same levels under the same
-// assignment and statistics.
+// samePlan fails unless two plans have the same statistics and execute
+// the same code in every level.
 func samePlan(t *testing.T, label string, a, b *shard.Plan) {
 	t.Helper()
 	if a.Stats() != b.Stats() {
 		t.Fatalf("%s: stats %+v / %+v", label, a.Stats(), b.Stats())
-	}
-	if !reflect.DeepEqual(a.Assignment(), b.Assignment()) {
-		t.Fatalf("%s: assignments differ", label)
 	}
 	for l := 0; l < a.Stats().Levels; l++ {
 		if !reflect.DeepEqual(a.LevelCode(l), b.LevelCode(l)) {

@@ -36,7 +36,7 @@ type (
 // to its proven value, and a stripped net to unobservable (ok=false;
 // Final reads false). Settled values are bit-identical to the
 // unoptimized engine — Open enforces the V013 structural rule on the
-// rewrite, implies WithVerify (V001–V012) on the compiled result, and
+// rewrite, implies WithVerify (V001–V011) on the compiled result, and
 // cross-checks sampled vectors against an unoptimized twin at
 // construction — but unit-delay waveform *timing* inside a merged cone
 // follows the representative. Compiled techniques only.

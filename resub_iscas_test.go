@@ -217,7 +217,7 @@ var resubISCASTechniques = []string{"pcset", "parallel"}
 // TestResubISCAS85 is the acceptance sweep: every profile circuit is
 // optimized once, the certificate is fully replayed (V013/V014), and for
 // both compiled techniques the optimized engine must be bit-identical to
-// the unoptimized one on the verify vector suite with V001-V012 clean on
+// the unoptimized one on the verify vector suite with V001-V011 clean on
 // the rewritten netlist's compiled programs.
 func TestResubISCAS85(t *testing.T) {
 	names := gen.Names()

@@ -555,7 +555,7 @@ func openCompiled(c *Circuit, tech Technique, o options) (compiledEngine, error)
 		}
 		// Compile on the rewritten netlist; the engine keeps translating
 		// the caller's original net IDs through rs. Resubstitution implies
-		// WithVerify: V001-V012 re-run on the optimized compile.
+		// WithVerify: V001-V011 re-run on the optimized compile.
 		rs, c, o.verify = st, st.res.Optimized, true
 		if len(o.monitor) > 0 {
 			if o.monitor, err = st.translateMonitor(o.monitor); err != nil {
@@ -1038,10 +1038,10 @@ type (
 // Verify runs the static analyzer over an engine's compiled programs:
 // def-before-use, single assignment, bit-field layout, shift/phase
 // consistency, dead code, combinational-cycle and structural checks
-// (rules V001–V007), the dataflow rules — vector-loop liveness agreement
-// and bit-interval containment (V009, V011) — and the happens-before race
-// proof V012 over the activity-gated strategy's leveled plan, when one
-// is attached.
+// (rules V001–V007) and the dataflow rules — vector-loop liveness
+// agreement and bit-interval containment (V009, V011). The report does
+// not depend on the execution strategy: an activity-gated plan runs each
+// level in program order, so it has nothing to race.
 // Engines without compiled instruction streams (the interpreted baselines
 // and the zero-delay LCC engine, whose program has no unit-delay layout
 // metadata) return an error.
@@ -1054,7 +1054,7 @@ func Verify(e Engine, opts VerifyOptions) (*VerifyReport, error) {
 
 // ValidateCodegen runs the translation validator on demand over an
 // engine's compiled programs. The static verifier runs over them first
-// (rules V001–V012, as Verify); a program with any warning or error
+// (rules V001–V011, as Verify); a program with any warning or error
 // finding is rejected with that report. The Go source the codegen
 // backends would emit is then lifted back to an instruction stream and
 // proven equal to the programs, statement by statement and in order

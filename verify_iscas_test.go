@@ -132,15 +132,31 @@ func TestVerifyStatsPopulated(t *testing.T) {
 }
 
 // TestVerifyISCAS85Sharded re-runs the analyzer on engines configured
-// for stream execution at 2 and 4 workers: the parallel technique
-// activity-gated, which attaches its leveled plan so rule V012
-// (happens-before race proof) checks the leveling on every profile
-// circuit, and the PC-set method on vector batching. Any finding means
-// the planner and the analyzer disagree about what a legal leveling is.
+// for stream execution at 2 and 4 workers — the parallel technique
+// activity-gated, the PC-set method on vector batching — and requires
+// each report to be clean and equal to the sequential engine's: the
+// execution strategy never changes what is verified (a gated plan runs
+// each level in program order, so it adds nothing to prove).
 func TestVerifyISCAS85Sharded(t *testing.T) {
 	names := gen.Names()
 	if testing.Short() {
 		names = []string{"c432", "c6288"}
+	}
+	verifyAs := func(t *testing.T, tech Technique, c *Circuit, opts ...Option) *VerifyReport {
+		t.Helper()
+		e, err := Open(c, tech, opts...)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer e.(Closer).Close()
+		rep, err := Verify(e, VerifyOptions{})
+		if err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("findings:\n%s", rep)
+		}
+		return rep
 	}
 	for _, name := range names {
 		c, err := ISCAS85(name)
@@ -148,34 +164,17 @@ func TestVerifyISCAS85Sharded(t *testing.T) {
 			t.Fatalf("ISCAS85(%s): %v", name, err)
 		}
 		for _, workers := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/parallel/w%d", name, workers), func(t *testing.T) {
-				e, err := openParallelSim(c, WithExec(ExecActivityGated, workers))
-				if err != nil {
-					t.Fatalf("Open parallel: %v", err)
-				}
-				defer e.Close()
-				rep, err := Verify(e, VerifyOptions{})
-				if err != nil {
-					t.Fatalf("Verify: %v", err)
-				}
-				if !rep.Clean() {
-					t.Fatalf("findings:\n%s", rep)
-				}
-			})
-			t.Run(fmt.Sprintf("%s/pcset/w%d", name, workers), func(t *testing.T) {
-				e, err := openPCSetSim(c, nil, WithExec(ExecVectorBatch, workers))
-				if err != nil {
-					t.Fatalf("Open pcset: %v", err)
-				}
-				defer e.Close()
-				rep, err := Verify(e, VerifyOptions{})
-				if err != nil {
-					t.Fatalf("Verify: %v", err)
-				}
-				if !rep.Clean() {
-					t.Fatalf("findings:\n%s", rep)
-				}
-			})
+			for _, tc := range []struct {
+				tech Technique
+				exec ExecStrategy
+			}{{TechParallel, ExecActivityGated}, {TechPCSet, ExecVectorBatch}} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", name, tc.tech, workers), func(t *testing.T) {
+					seq := verifyAs(t, tc.tech, c)
+					if got := verifyAs(t, tc.tech, c, WithExec(tc.exec, workers)); !reflect.DeepEqual(got, seq) {
+						t.Fatalf("%v report differs from sequential:\n%s\nvs\n%s", tc.exec, got, seq)
+					}
+				})
+			}
 		}
 	}
 }
